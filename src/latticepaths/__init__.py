@@ -74,7 +74,7 @@ from .pathseries import (
     ubar,
     ubar_power,
 )
-from .series import AlgebraicSubstitution, MarkerPoly, PowerSeries, poly_substitution
+from .series import AlgebraicSubstitution, Kernel, MarkerPoly, PowerSeries, poly_substitution
 from .trees import (
     gen_binary,
     gen_hex,

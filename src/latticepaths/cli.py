@@ -335,6 +335,8 @@ def _check_motzkin_bounded(budget: int) -> List[CheckResult]:
 
 
 def _check_deutsch(budget: int, m: int) -> List[CheckResult]:
+    if m < 1:
+        raise ValueError("strip width --m must be >= 1")
     out = []
     order = min(budget, 12)
     ok = True
@@ -481,6 +483,9 @@ def _check_retakh(budget: int) -> List[CheckResult]:
 
 def cmd_check(args) -> int:
     budget = args.max if args.max is not None else 10
+    if budget < 1:
+        print("--max must be >= 1", file=sys.stderr)
+        return 2
     fam = args.family
     if fam == "skew":
         results = _check_skew(budget)
@@ -605,8 +610,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--j", type=int, default=None, help="end level / layer index")
         p.add_argument("--k", type=int, default=None, help="up-step height")
         p.add_argument("--a", type=int, default=None, help="extra unary colours")
-        p.add_argument("--w-power", type=int, default=None, dest="w_power",
-                       help="fixed power of the marker variable")
         p.add_argument("--m", type=int, default=None, help="strip width / index")
         p.add_argument("--t", type=int, default=None, help="starting level")
         p.add_argument("--max", type=int, default=None, help="size budget")

@@ -10,7 +10,9 @@ Conventions used throughout:
 * Families supported on even powers of z (skew and dual-skew paths) are
   computed internally in x = z^2 and re-interleaved on output.
 * The kernel substitutions are always of the shape outer = v / Q(v) with Q
-  a quadratic with constant term 1, inverted exactly.
+  = 1 + bv + v^2.  Closed v-forms are evaluated by Lagrange extraction
+  against one trinomial row per coefficient (:class:`~.series.Kernel`),
+  never by inverting the substitution and composing.
 * The empty path has height 0, no horizontal step, amplitude 0, and is
   counted by the h = 0 "no horizontal at the top" class.
 """
@@ -22,9 +24,13 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from .combinat import binomial, divisor_count, motzkin_numbers, trinomial
-from .series import MarkerPoly, PowerSeries, poly_substitution
+from .series import Kernel, MarkerPoly, PowerSeries
 
 _ONE = Fraction(1)
+# z = v/(1 + v + v^2) for Motzkin-type paths; x = v/(1 + 3v + v^2) shared by
+# skew, dual-skew and marked-tree counting
+_MOTZKIN = Kernel(1)
+_SKEW = Kernel(3, "x")
 
 
 # ----------------------------------------------------------------------
@@ -138,6 +144,8 @@ def hoppy_negative_coeff(l: int, k: int) -> int:
     """Closed form for one coefficient of :func:`hoppy_negative_series`."""
     if l < 0:
         raise ValueError("l must be >= 0")
+    if k < 1:
+        raise ValueError("rise height k must be >= 1")
     val = Fraction(2 * binomial(1 + (k + 1) * (l + 1), l + 1), k * (l + 1) + 2) \
         - Fraction(4 * binomial(1 + (k + 1) * l, l), k * l + 2)
     assert val.denominator == 1
@@ -147,13 +155,6 @@ def hoppy_negative_coeff(l: int, k: int) -> int:
 # ----------------------------------------------------------------------
 # Skew paths (up, down, and red left-down steps; even support)
 # ----------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _v_of_x(order: int) -> PowerSeries:
-    """The inverse of x = v/(1 + 3v + v^2), the kernel substitution shared by
-    skew, dual-skew, and marked-tree counting."""
-    return poly_substitution("x", "v", [1, 3, 1], order).invert(order)
-
 
 def _W_x(order: int) -> PowerSeries:
     """sqrt(1 - 6x + 5x^2) as an x-series."""
@@ -173,11 +174,10 @@ def _interleave(xser: PowerSeries, j: int, order: int) -> PowerSeries:
 
 def _shat_x(j: int, xorder: int) -> PowerSeries:
     """x-series of s_j / z^j: equals (1+v) (Q/(1+2v))^j with Q = 1+3v+v^2."""
-    v = _v_of_x(xorder)
     Q = PowerSeries("v", [1, 3, 1]).pad(xorder)
     base = PowerSeries("v", [1, 1]).pad(xorder)
     ratio = (Q * PowerSeries("v", [1, 2]).pad(xorder).inverse()) ** j
-    return (base * ratio).compose(v)
+    return _SKEW.eval(base * ratio, xorder)
 
 
 def skew_sj_series(j: int, order: int) -> PowerSeries:
@@ -269,10 +269,9 @@ def skew_red_fixed_power(kred: int, order: int) -> PowerSeries:
 
 def _ghat_x(j: int, xorder: int) -> PowerSeries:
     """x-series of G_j / z^j: equals (1+v)(2+v)^j under x = v/(1+3v+v^2)."""
-    v = _v_of_x(xorder)
     base = PowerSeries("v", [1, 1]).pad(xorder)
     pw = PowerSeries("v", [2, 1]).pad(xorder) ** j
-    return (base * pw).compose(v)
+    return _SKEW.eval(base * pw, xorder)
 
 
 def dual_skew_Gj_series(j: int, order: int) -> PowerSeries:
@@ -372,16 +371,12 @@ def motzkin_bounded_coeff(n: int, h: int, variant: str = "all") -> int:
     total = 0
     a = 0
     while a <= n:
-        total += _q_times_v_coeff(n, a)
+        # [z^n] (1 + v + v^2) v^a = [z^n] v^(a+1)/z
+        total += _MOTZKIN.vpow_coeff(n + 1, a + 1)
         if a + top <= n:
-            total -= _q_times_v_coeff(n, a + top)
+            total -= _MOTZKIN.vpow_coeff(n + 1, a + top + 1)
         a += period
     return total
-
-
-def _q_times_v_coeff(n: int, a: int) -> int:
-    """[z^n] of (1 + v + v^2) v^a under z = v/(1 + v + v^2)."""
-    return trinomial(n, 1, n - a) - trinomial(n, 1, n - a - 2)
 
 
 def motzkin_height_total(n: int) -> int:
@@ -424,16 +419,6 @@ def skew_red_total(n: int) -> int:
     return val // 2
 
 
-@lru_cache(maxsize=None)
-def _v_of_z(order: int) -> PowerSeries:
-    """Inverse of z = v/(1 + v + v^2), the Motzkin kernel substitution."""
-    return poly_substitution("z", "v", [1, 1, 1], order).invert(order)
-
-
-def _eval_motzkin_v(expr: PowerSeries, order: int) -> PowerSeries:
-    return expr.truncate(order).compose(_v_of_z(order))
-
-
 def _amp_layer_series(E: int, order: int) -> PowerSeries:
     """v-series of -Q(1 - v^2) v^(E-2)/(1 - v^E), the telescoping layer."""
     coeffs = [0] * (order + 1)
@@ -461,7 +446,7 @@ def amplitude_series(h: int, kind: str, order: int) -> PowerSeries:
     else:
         raise ValueError(f"unknown kind {kind!r}")
     expr = _amp_layer_series(hi, order) - _amp_layer_series(lo, order)
-    return _eval_motzkin_v(expr, order)
+    return _MOTZKIN.eval(expr, order)
 
 
 def _amp_layer_coeff(n: int, E: int) -> int:
@@ -724,7 +709,7 @@ def deutsch_phi(t: int, j: int, order: int, bound: Optional[int] = None) -> Powe
         else:
             expr = expr * _v_poly([(0, 1), (bound + 1 - j, -1)], vorder) \
                 / (one_minus * _v_poly([(0, 1), (bound + 2, -1)], vorder))
-    return _eval_motzkin_v(expr, order)
+    return _MOTZKIN.eval(expr, order)
 
 
 def deutsch_Dm(m: int, order: int) -> PowerSeries:
@@ -735,7 +720,7 @@ def deutsch_Dm(m: int, order: int) -> PowerSeries:
             * _v_poly([(0, 1), (m + 2, -1)], order)
             * PowerSeries("v", [1, 1, 1]).pad(order) ** (-m)
             / PowerSeries("v", [1, -1]).pad(order))
-    return _eval_motzkin_v(expr, order)
+    return _MOTZKIN.eval(expr, order)
 
 
 def deutsch_strip_solve(t: int, m: int, order: int) -> List[PowerSeries]:

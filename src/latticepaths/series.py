@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .combinat import trinomial
+
 
 def _mono(pairs) -> tuple:
     out = {}
@@ -506,21 +508,43 @@ class AlgebraicSubstitution:
             v[n] = acc
         return PowerSeries(self.outer_var, v, order)
 
-    def eval_in_v(self, expr: PowerSeries, order: int) -> PowerSeries:
-        if expr.var != self.inner_var:
-            raise ValueError(f"expression is in {expr.var}, substitution expects {self.inner_var}")
-        return expr.compose(self.invert(order))
-
-
-def invert_substitution(s: AlgebraicSubstitution, order: int) -> PowerSeries:
-    return s.invert(order)
-
-
-def eval_in_v(expr: PowerSeries, s: AlgebraicSubstitution, order: int) -> PowerSeries:
-    return s.eval_in_v(expr, order)
-
 
 def poly_substitution(outer_var: str, inner_var: str, phi_coeffs, order: int) -> AlgebraicSubstitution:
     """Substitution with a polynomial Phi, padded so inversion works to `order`."""
     phi = PowerSeries(inner_var, phi_coeffs).pad(order)
     return AlgebraicSubstitution(outer_var, inner_var, phi)
+
+
+class Kernel:
+    """The kernel substitution var = v/(1 + b v + v^2), evaluated without reversion.
+
+    Lagrange-Buermann gives [var^m] v^k = [t^(m-k)] (1 - t^2)(1 + bt + t^2)^(m-1)
+    for m >= 1, so every coefficient of F(v(var)) is a dot product of F's
+    coefficients with one trinomial row: O(order^2) instead of the O(order^3)
+    of inverting the substitution and composing.
+    """
+
+    def __init__(self, b: int, var: str = "z"):
+        self.b = b
+        self.var = var
+
+    def vpow_coeff(self, m: int, k: int) -> int:
+        """[var^m] v^k for m >= 0."""
+        if m == 0:
+            return 1 if k == 0 else 0
+        return trinomial(m - 1, self.b, m - k) - trinomial(m - 1, self.b, m - k - 2)
+
+    def eval(self, expr: PowerSeries, order: int) -> PowerSeries:
+        """F(v) as a series in var through var^order; F must be known to order.
+
+        Equals expr.truncate(order).compose(v) for the inverse series v(var).
+        """
+        f = expr.truncate(order).coeffs
+        out = [f[0]]
+        for m in range(1, order + 1):
+            acc = _MP_ZERO
+            for k in range(1, m + 1):
+                if f[k].terms:
+                    acc = acc + f[k] * self.vpow_coeff(m, k)
+            out.append(acc)
+        return PowerSeries(self.var, out, order)

@@ -12,22 +12,23 @@ from functools import lru_cache
 from typing import List
 
 from .combinat import binomial, motzkin_numbers, trinomial
-from .series import (AlgebraicSubstitution, MarkerPoly, PowerSeries,
-                     poly_substitution)
+from .series import AlgebraicSubstitution, Kernel, MarkerPoly, PowerSeries
+
+# z = v/(1 + 3v + v^2) for marked trees; z = v/(1 + v + v^2) for the
+# restricted-path trees
+_MARKED = Kernel(3)
+_MOTZKIN = Kernel(1)
 
 
 # ----------------------------------------------------------------------
 # Unary-binary trees with a flat colors, graded by register number
 # ----------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _v_of_z_b(b: int, order: int) -> PowerSeries:
-    """Inverse of z = v/(1 + b v + v^2)."""
-    return poly_substitution("z", "v", [1, b, 1], order).invert(order)
-
-
-def _eval_b(expr: PowerSeries, b: int, order: int) -> PowerSeries:
-    return expr.truncate(order).compose(_v_of_z_b(b, order))
+def _unary_binary_kernel(a: int) -> Kernel:
+    """z = u/(1 + (a+2)u + u^2), the kernel of trees with a flat colors."""
+    if a < 0:
+        raise ValueError("number of extra unary colours a must be >= 0")
+    return Kernel(a + 2)
 
 
 def _geom_block(p: int, shift_down: bool, order: int) -> PowerSeries:
@@ -49,7 +50,7 @@ def horton_Rp(p: int, a: int, order: int) -> PowerSeries:
     ((1-u^2)/u) u^(2^p)/(1 - u^(2^(p+1))) under z = u/(1+(a+2)u+u^2)."""
     if p < 0:
         raise ValueError("register rank must be >= 0")
-    return _eval_b(_geom_block(p, True, order), a + 2, order)
+    return _unary_binary_kernel(a).eval(_geom_block(p, True, order), order)
 
 
 def horton_Sp(p: int, a: int, order: int) -> PowerSeries:
@@ -57,7 +58,7 @@ def horton_Sp(p: int, a: int, order: int) -> PowerSeries:
     ((1-u^2)/u) u^(2^p)/(1 - u^(2^p))."""
     if p < 0:
         raise ValueError("register rank must be >= 0")
-    return _eval_b(_geom_block(p, False, order), a + 2, order)
+    return _unary_binary_kernel(a).eval(_geom_block(p, False, order), order)
 
 
 def unary_binary_count(n: int, a: int) -> int:
@@ -65,9 +66,9 @@ def unary_binary_count(n: int, a: int) -> int:
     trinomial extraction of [z^n](1 + u)."""
     if n < 0:
         raise ValueError("n must be >= 0")
+    b = _unary_binary_kernel(a).b
     if n == 0:
         return 1
-    b = a + 2
 
     def T(k: int) -> int:
         return trinomial(n - 1, b, k)
@@ -75,22 +76,17 @@ def unary_binary_count(n: int, a: int) -> int:
     return T(n) + T(n - 1) - T(n - 2) - T(n - 3)
 
 
-def _u_power_coeff(n: int, j: int, b: int) -> int:
-    """[z^n] u^j under z = u/(1+bu+u^2), for n >= 1, j >= 1."""
-    return trinomial(n - 1, b, n - j) - trinomial(n - 1, b, n - j - 2)
-
-
 def horton_avg_reg(n: int, a: int) -> Fraction:
     """Exact average register number over all n-node trees."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    b = a + 2
+    kern = _unary_binary_kernel(a)
     total = 0
     for m in range(2, n + 2, 2):
         v2 = (m & -m).bit_length() - 1
-        diff = _u_power_coeff(n, m - 1, b)
+        diff = kern.vpow_coeff(n, m - 1)
         if m + 1 <= n:
-            diff -= _u_power_coeff(n, m + 1, b)
+            diff -= kern.vpow_coeff(n, m + 1)
         total += v2 * diff
     return Fraction(total, unary_binary_count(n, a))
 
@@ -98,7 +94,7 @@ def horton_avg_reg(n: int, a: int) -> Fraction:
 def node_count_series(a: int, order: int) -> PowerSeries:
     """N(z) = 1 + u: the tree count with its closed square-root form
     (1 - az - sqrt(1 - 2(a+2)z + a(a+4)z^2))/(2z) checked in the tests."""
-    return _eval_b(PowerSeries("u", [1, 1]).pad(order), a + 2, order)
+    return _unary_binary_kernel(a).eval(PowerSeries("u", [1, 1]).pad(order), order)
 
 
 # ----------------------------------------------------------------------
@@ -158,7 +154,7 @@ def marked_height_ph(h: int, order: int) -> PowerSeries:
     v = PowerSeries.identity("v", order)
     expr = v * PowerSeries("v", [1, 1]).pad(order) * num / (
         PowerSeries("v", [1, 3, 1]).pad(order) * den)
-    return _eval_b(expr, 3, order)
+    return _MARKED.eval(expr, order)
 
 
 def marked_height_tail(h: int, order: int) -> PowerSeries:
@@ -172,42 +168,38 @@ def marked_height_tail(h: int, order: int) -> PowerSeries:
     v = PowerSeries.identity("v", order)
     expr = v * PowerSeries("v", [1, 0, -1]).pad(order) * two1 * vh / (
         PowerSeries("v", [1, 3, 1]).pad(order) * den)
-    return _eval_b(expr, 3, order)
+    return _MARKED.eval(expr, order)
 
 
 def marked_height_total(n: int) -> int:
-    """Total height (in nodes) over all marked trees on n nodes, by the
-    layer recursion p_{h+1} = -z + (2z - z^2)/(1 - p_h) run with integer
-    coefficient lists."""
+    """Total height (in nodes) over all marked trees on n nodes.
+
+    Sums a_n and [z^n] of every tail layer of :func:`marked_height_tail`.
+    With R = (v+2)/(1+2v) each layer expands geometrically,
+    tail_h = z(1 - v^2) sum_j v^(h+(h+1)j) R^((h-1)(j+1)), and
+    [z^n] z G(v) = sum_k g_k [z^(n-1)] v^k (Lagrange-Buermann), so only the
+    terms with h+(h+1)j <= n-1 contribute.  Integer arithmetic throughout.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    a_n = marked_count(n)
-
-    def inv_unit(c: List[int]) -> List[int]:
-        # reciprocal of a series with constant term 1, integer-exact
-        out = [1] + [0] * n
-        for i in range(1, n + 1):
-            out[i] = -sum(c[k] * out[i - k] for k in range(1, i + 1) if k <= len(c) - 1)
-        return out
-
-    ph = [0, 1] + [0] * (n - 1)  # p_1 = z
-    total = a_n  # every nonempty tree has height >= 1
-    for _ in range(1, n):
-        total += a_n - ph[n]
-        # next layer
-        one_minus = [1] + [-x for x in ph[1:]]
-        inv = inv_unit(one_minus)
-        nxt = [0] * (n + 1)
-        for i in range(n + 1):
-            acc = 0
-            if i >= 1:
-                acc += 2 * inv[i - 1]
-            if i >= 2:
-                acc -= inv[i - 2]
-            nxt[i] = acc
-        nxt[0] = 0
-        nxt[1] += -1  # the -z term
-        ph = nxt
+    m = n - 1
+    # d[k] = [z^m] (1 - v^2) v^k
+    d = [_MARKED.vpow_coeff(m, k) - _MARKED.vpow_coeff(m, k + 2) for k in range(m + 1)]
+    # v-exponents e = h + (h+1)j of the terms, grouped by their power of R
+    by_power: dict = {}
+    for h in range(1, m + 1):
+        for e in range(h, m + 1, h + 1):
+            by_power.setdefault((h - 1) * ((e + 1) // (h + 1)), []).append(e)
+    total = marked_count(n)
+    r = [1] + [0] * m  # R^p through v^m
+    for p in range(max(by_power, default=-1) + 1):
+        for e in by_power.get(p, ()):
+            total += sum(r[i] * d[e + i] for i in range(m + 1 - e))
+        # r <- r (v+2)/(1+2v): c_i = 2 r_i + r_(i-1) - 2 c_(i-1)
+        prev_r = prev_c = 0
+        for i in range(m + 1):
+            prev_r, r[i] = r[i], 2 * r[i] + prev_r - 2 * prev_c
+            prev_c = r[i]
     return total
 
 
@@ -350,21 +342,12 @@ def retakh_Gk(k: int, order: int) -> PowerSeries:
         raise ValueError("k must be >= 1")
     num = PowerSeries.identity("v", order) * _one_minus_pow(2 * k, order)
     den = PowerSeries("v", [1, 1]).pad(order) * _one_minus_pow(2 * k + 1, order)
-    return _eval_motz(num / den, order)
+    return _MOTZKIN.eval(num / den, order)
 
 
 def _one_minus_pow(e: int, order: int) -> PowerSeries:
     return PowerSeries("v", [1] + [0] * (e - 1) + [-1], e).pad(order) if e <= order \
         else PowerSeries("v", [1], 0).pad(order)
-
-
-@lru_cache(maxsize=None)
-def _v_of_z(order: int) -> PowerSeries:
-    return poly_substitution("z", "v", [1, 1, 1], order).invert(order)
-
-
-def _eval_motz(expr: PowerSeries, order: int) -> PowerSeries:
-    return expr.truncate(order).compose(_v_of_z(order))
 
 
 def retakh_full(order: int) -> PowerSeries:
@@ -378,7 +361,7 @@ def retakh_leaf_series(order: int) -> PowerSeries:
     num = (PowerSeries("v", [0, 1, 1]).pad(order)
            * PowerSeries("v", [1, -1, 2, -1]).pad(order))
     den = PowerSeries("v", [1, -1]).pad(order) * PowerSeries("v", [1, 1, 1]).pad(order)
-    return _eval_motz(num / den, order)
+    return _MOTZKIN.eval(num / den, order)
 
 
 _RETAKH_LEAF_W = [1, 1, 1, 2, 0, -1]
@@ -411,18 +394,11 @@ def retakh_bounded_count(n: int, h: int) -> int:
     period = 2 * k + 4
     a = 1
     while a <= n:
-        total += _motz_v_coeff(n, a)
+        total += _MOTZKIN.vpow_coeff(n, a)
         if a + 2 * k + 2 <= n:
-            total -= _motz_v_coeff(n, a + 2 * k + 2)
+            total -= _MOTZKIN.vpow_coeff(n, a + 2 * k + 2)
         a += period
     return total
-
-
-def _motz_v_coeff(n: int, a: int) -> int:
-    """[z^n] v^a under z = v/(1+v+v^2)."""
-    if a == 0:
-        return 1 if n == 0 else 0
-    return trinomial(n - 1, 1, n - a) - trinomial(n - 1, 1, n - a - 2)
 
 
 def retakh_height_total(n: int) -> int:

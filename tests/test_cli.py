@@ -1,10 +1,14 @@
 """Command-line surface: golden outputs, exit codes, check runners."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import latticepaths
 from latticepaths.cli import CHECK_FAMILIES, main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -102,3 +106,21 @@ def test_asym_amplitude_split(capsys):
 def test_usage_errors_exit_2(argv, capsys):
     assert main(argv) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["seq", "--family", "hoppy-neg", "--k", "-2"],
+    ["seq", "--family", "hoppy-neg", "--k", "0"],
+    ["check", "--family", "deutsch-strip", "--m", "0"],
+    ["check", "--family", "deutsch-strip", "--m", "-1"],
+    ["asym", "--family", "horton_avg", "--a", "-4"],
+    ["check", "--family", "marked", "--max", "0"],
+])
+def test_bad_parameters_exit_2_with_a_message(argv):
+    src = Path(latticepaths.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "latticepaths.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.strip() and "Traceback" not in proc.stderr

@@ -15,9 +15,9 @@ import json
 import sys
 from collections import Counter
 from fractions import Fraction
-from typing import Callable, Iterable, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
-from .asymptotics import eval_law, trend_check
+from .asymptotics import LAW_KINDS, trend_check
 from .bijections import (
     marked_to_skew,
     motzkin3_to_multiedge,
@@ -94,20 +94,6 @@ SEQ_FAMILIES = (
     "kemp-peak",
     "horton-Rp",
     "marked-ph",
-    "retakh",
-)
-
-CHECK_FAMILIES = (
-    "skew",
-    "dual",
-    "hoppy",
-    "ternary",
-    "amplitude",
-    "motzkin-bounded",
-    "deutsch-strip",
-    "bijections",
-    "horton",
-    "marked",
     "retakh",
 )
 
@@ -334,7 +320,7 @@ def _check_motzkin_bounded(budget: int) -> List[CheckResult]:
     return out
 
 
-def _check_deutsch(budget: int, m: int) -> List[CheckResult]:
+def _check_deutsch(budget: int, m: int = 5) -> List[CheckResult]:
     if m < 1:
         raise ValueError("strip width --m must be >= 1")
     out = []
@@ -416,25 +402,20 @@ def _check_bijections(budget: int) -> List[CheckResult]:
 
 
 def _check_horton(budget: int) -> List[CheckResult]:
-    out = []
     top = min(budget, 9)
-    ok = True
+    counts_ok = regs_ok = True
     for a in (0, 1, 2):
+        layers = {p: horton_Rp(p, a, top) for p in range(1, 4)}
         for n in range(top + 1):
-            if unary_binary_count(n, a) != len(gen_unary_binary(n, a)):
-                ok = False
-    out.append((ok, f"unary-binary counts = brute force, a in 0..2, n <= {top}"))
-    ok = True
-    for a in (0, 1, 2):
-        for p in range(1, 4):
-            ser = horton_Rp(p, a, top)
-            for n in range(top + 1):
-                brute = sum(1 for t in gen_unary_binary(n, a)
-                            if reg(t, "unary_binary") == p)
-                if _coeff_value(ser.coeff(n)) != brute:
-                    ok = False
-    out.append((ok, f"register-classified counts match R_p, p <= 3, n <= {top}"))
-    return out
+            trees = gen_unary_binary(n, a)
+            if unary_binary_count(n, a) != len(trees):
+                counts_ok = False
+            dist = Counter(reg(t, "unary_binary") for t in trees)
+            if any(_coeff_value(ser.coeff(n)) != dist.get(p, 0)
+                   for p, ser in layers.items()):
+                regs_ok = False
+    return [(counts_ok, f"unary-binary counts = brute force, a in 0..2, n <= {top}"),
+            (regs_ok, f"register-classified counts match R_p, p <= 3, n <= {top}")]
 
 
 def _check_marked(budget: int) -> List[CheckResult]:
@@ -445,10 +426,10 @@ def _check_marked(budget: int) -> List[CheckResult]:
         trees = gen_marked(n)
         if marked_count(n) != len(trees):
             ok = False
-        if marked_leaf_total(n) != sum(tree_stats(t, "marked")["leaves"] for t in trees):
+        stats = [tree_stats(t, "marked") for t in trees]
+        if marked_leaf_total(n) != sum(s["leaves"] for s in stats):
             ok = False
-        if marked_height_total(n) != sum(tree_stats(t, "marked")["height_nodes"]
-                                         for t in trees):
+        if marked_height_total(n) != sum(s["height_nodes"] for s in stats):
             ok = False
     out.append((ok, f"marked-tree counts, leaf and height totals = brute, n <= {top}"))
     return out
@@ -464,14 +445,13 @@ def _check_retakh(budget: int) -> List[CheckResult]:
         paths = gen_retakh(m)
         if len(paths) != mo[m]:
             ok = False
-        leaves = sum(sum(1 for i in range(len(p) - 1) if p[i] == "U" and p[i + 1] == "d")
-                     for p in paths)
-        if leaves != retakh_leaf_total(m + 1):
+        stats = [path_stats(p) for p in paths]
+        # a leaf of the encoded tree is a peak, a rise followed by a fall
+        if sum(len(s["peak_heights"]) for s in stats) != retakh_leaf_total(m + 1):
             ok = False
-        heights = sum(path_stats(p)["height"] for p in paths)
-        if heights != retakh_height_total(m + 1):
+        if sum(s["height"] for s in stats) != retakh_height_total(m + 1):
             ok = False
-        dist = Counter(path_stats(p)["height"] for p in paths)
+        dist = Counter(s["height"] for s in stats)
         for h in range(m + 2):
             if retakh_bounded_count(m + 1, h) != sum(c for hh, c in dist.items()
                                                      if hh <= h):
@@ -481,37 +461,31 @@ def _check_retakh(budget: int) -> List[CheckResult]:
     return out
 
 
+CHECKS: Dict[str, Callable[..., List[CheckResult]]] = {
+    "skew": _check_skew,
+    "dual": _check_dual,
+    "hoppy": _check_hoppy,
+    "ternary": _check_ternary,
+    "amplitude": _check_amplitude,
+    "motzkin-bounded": _check_motzkin_bounded,
+    "deutsch-strip": _check_deutsch,
+    "bijections": _check_bijections,
+    "horton": _check_horton,
+    "marked": _check_marked,
+    "retakh": _check_retakh,
+}
+CHECK_FAMILIES = tuple(CHECKS)
+
+
 def cmd_check(args) -> int:
     budget = args.max if args.max is not None else 10
     if budget < 1:
         print("--max must be >= 1", file=sys.stderr)
         return 2
-    fam = args.family
-    if fam == "skew":
-        results = _check_skew(budget)
-    elif fam == "dual":
-        results = _check_dual(budget)
-    elif fam == "hoppy":
-        results = _check_hoppy(budget)
-    elif fam == "ternary":
-        results = _check_ternary(budget)
-    elif fam == "amplitude":
-        results = _check_amplitude(budget)
-    elif fam == "motzkin-bounded":
-        results = _check_motzkin_bounded(budget)
-    elif fam == "deutsch-strip":
-        results = _check_deutsch(budget, args.m if args.m is not None else 5)
-    elif fam == "bijections":
-        results = _check_bijections(budget)
-    elif fam == "horton":
-        results = _check_horton(budget)
-    elif fam == "marked":
-        results = _check_marked(budget)
-    elif fam == "retakh":
-        results = _check_retakh(budget)
-    else:  # pragma: no cover
-        print(f"unknown family {fam!r}", file=sys.stderr)
-        return 2
+    if args.family == "deutsch-strip" and args.m is not None:
+        results = _check_deutsch(budget, args.m)
+    else:
+        results = CHECKS[args.family](budget)
     failed = False
     for ok, label in results:
         print(("ok   " if ok else "FAIL ") + label)
@@ -586,12 +560,18 @@ def cmd_asym(args) -> int:
     kind = args.family
     top = args.n if args.n is not None else 160
     a = args.a if args.a is not None else 0
+    tol = args.tolerance if args.tolerance is not None else 0.2
+    if not tol >= 0:  # also rejects nan
+        print("--tolerance must be >= 0", file=sys.stderr)
+        return 2
     try:
         ladder = _asym_ladder(kind, top, a)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    tol = args.tolerance if args.tolerance is not None else 0.2
+    if len(ladder) < 2:
+        print("--n is too small: the ladder needs at least two sizes", file=sys.stderr)
+        return 2
     report = trend_check(kind, ladder, tolerance=tol, a=a)
     sys.stdout.write(report.to_csv())
     print("trend ok" if report.ok else "trend FAIL")
@@ -633,10 +613,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_asym = sub.add_parser("asym", help="CSV trend report for a growth law")
     p_asym.add_argument("--family", required=True,
-                        choices=("horton_avg", "node_count_growth", "marked_leaves",
-                                 "marked_height", "red_edges", "retakh_height",
-                                 "retakh_leaves", "motzkin_height", "amplitude_avg",
-                                 "amplitude_split", "kemp_valley", "kemp_gap"))
+                        choices=LAW_KINDS)
     p_asym.add_argument("--tolerance", type=float, default=None,
                         help="allowed fractional step-up in relative deviation")
     add_common(p_asym)

@@ -16,6 +16,8 @@ generating function catalogs, not to be fast.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 
 def step_delta(token: str, up: int = 1) -> int:
     if token == "U":
@@ -184,23 +186,18 @@ def path_stats(path, up: int = 1, start: int = 0) -> dict:
     maximum level; peaks (rise then fall) and valleys (fall then rise) are
     reported as the level where the two steps meet, in left-to-right order.
     """
-    lv = levels(path, up, start)
+    deltas = [step_delta(tok, up) for tok in path]
+    lv = list(accumulate(deltas, initial=start))
     top = max(lv)
     bottom = min(lv)
-    flat_on_top = any(
-        tok.startswith("H") and lv[i] == top for i, tok in enumerate(path))
+    flat_on_top = any(level == top and tok.startswith("H") for tok, level in zip(path, lv))
     rising = {"U", "b"}
     peaks = []
     valleys = []
     for i in range(len(path) - 1):
-        a, b = path[i], path[i + 1]
-        a_up = a in rising
-        a_down = step_delta(a, up) < 0
-        b_up = b in rising
-        b_down = step_delta(b, up) < 0
-        if a_up and b_down:
+        if path[i] in rising and deltas[i + 1] < 0:
             peaks.append(lv[i + 1])
-        elif a_down and b_up:
+        elif deltas[i] < 0 and path[i + 1] in rising:
             valleys.append(lv[i + 1])
     run = 0
     for tok in reversed(path):

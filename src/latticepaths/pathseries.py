@@ -189,9 +189,11 @@ def skew_sj_series(j: int, order: int) -> PowerSeries:
     return _interleave(_shat_x(j, (order - j) // 2), j, order)
 
 
-def _lambda_prime(j: int, i: int) -> Fraction:
-    return Fraction(2 ** i, 8) * (3 * binomial(-j, i) + 5 * binomial(1 - j, i)
-                                  + binomial(2 - j, i) - binomial(3 - j, i))
+@lru_cache(maxsize=None)
+def _lambda_prime_x8(j: int, i: int) -> int:
+    """8 * lambda'_{j;i}, an integer."""
+    return 2 ** i * (3 * binomial(-j, i) + 5 * binomial(1 - j, i)
+                     + binomial(2 - j, i) - binomial(3 - j, i))
 
 
 def skew_sj_coeff(n: int, j: int) -> int:
@@ -204,13 +206,13 @@ def skew_sj_coeff(n: int, j: int) -> int:
     m = (n - j) // 2
     if m == 0:
         return 1
-    total = Fraction(0)
+    total = 0
     for i in range(m + 1):
-        lam = _lambda_prime(j, i)
-        if lam:
-            total += lam * trinomial(m + j - 1, 3, m - i)
-    assert total.denominator == 1
-    return int(total)
+        lam8 = _lambda_prime_x8(j, i)
+        if lam8:
+            total += lam8 * trinomial(m + j - 1, 3, m - i)
+    assert total % 8 == 0
+    return total // 8
 
 
 def skew_open_ended(order: int) -> PowerSeries:

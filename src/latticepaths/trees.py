@@ -201,48 +201,64 @@ def tree_size(t, family: str) -> int:
 def reg(t, family: str = "binary") -> int:
     """Register number: leaves get 0 (bare hex node 1), unary edges pass through,
     a branch node takes the larger child value, plus one on a tie."""
-    if family == "binary":
-        if t is None:
-            return 0
-        a, b = reg(t[0], family), reg(t[1], family)
-        return max(a, b) if a != b else a + 1
-    if family == "unary_binary":
-        if t is None:
-            return 0
-        if t[0] == "u":
-            return reg(t[2], family)
-        a, b = reg(t[1], family), reg(t[2], family)
-        return max(a, b) if a != b else a + 1
-    if family == "hex":
-        if t is None:
-            return 0
-        if t[0] == ".":
-            return 1
-        if t[0] == "2":
-            a, b = reg(t[1], family), reg(t[2], family)
-            return max(a, b) if a != b else a + 1
-        return reg(t[1], family)
-    raise ValueError(f"register number not defined for family {family!r}")
+    helper = _REG.get(family)
+    if helper is None:
+        raise ValueError(f"register number not defined for family {family!r}")
+    return 0 if t is None else helper(t)
 
 
-def _children(t, family: str) -> list:
-    if family == "binary":
-        return [c for c in t if c is not None]
-    if family == "unary_binary":
-        return [c for c in (t[1:] if t[0] == "2" else t[2:]) if c is not None]
-    if family == "hex":
-        if t[0] == ".":
-            return []
-        return [c for c in t[1:] if c is not None]
-    if family == "ordered":
-        return list(t)
-    if family == "marked":
-        return [c for _, c in t]
-    if family == "multiedge":
-        return [c for _, c in t]
-    if family == "ternary":
-        return [c for c in t if c is not None]
-    raise ValueError(f"unknown family {family!r}")
+# The helpers take a non-empty tree and skip empty children without a call:
+# half of all subtrees are empty.
+
+def _reg_binary(t) -> int:
+    left, right = t
+    a = 0 if left is None else _reg_binary(left)
+    b = 0 if right is None else _reg_binary(right)
+    return a + 1 if a == b else (a if a > b else b)
+
+
+def _reg_unary_binary(t) -> int:
+    while t[0] == "u":
+        t = t[2]
+        if t is None:
+            return 0
+    _, left, right = t
+    a = 0 if left is None else _reg_unary_binary(left)
+    b = 0 if right is None else _reg_unary_binary(right)
+    return a + 1 if a == b else (a if a > b else b)
+
+
+def _reg_hex(t) -> int:
+    while t[0] not in ("2", "."):
+        t = t[1]
+        if t is None:
+            return 0
+    if t[0] == ".":
+        return 1
+    _, left, right = t
+    a = 0 if left is None else _reg_hex(left)
+    b = 0 if right is None else _reg_hex(right)
+    return a + 1 if a == b else (a if a > b else b)
+
+
+_REG = {"binary": _reg_binary, "unary_binary": _reg_unary_binary, "hex": _reg_hex}
+
+
+def _nonempty(kids) -> list:
+    return [c for c in kids if c is not None]
+
+
+# Per family, a node's split: (non-empty children, middle edges leaving the
+# node, marked edges leaving the node).
+_SPLIT = {
+    "binary": lambda t: (_nonempty(t), 0, 0),
+    "unary_binary": lambda t: (_nonempty(t[1:] if t[0] == "2" else t[2:]), 0, 0),
+    "hex": lambda t: ([] if t[0] == "." else _nonempty(t[1:]), int(t[0] == "M"), 0),
+    "ordered": lambda t: (t, 0, 0),
+    "marked": lambda t: ([c for _, c in t], 0, sum(1 for m, _ in t if m)),
+    "multiedge": lambda t: ([c for _, c in t], 0, 0),
+    "ternary": lambda t: (_nonempty(t), int(t[1] is not None), 0),
+}
 
 
 def tree_stats(t, family: str) -> dict:
@@ -250,24 +266,30 @@ def tree_stats(t, family: str) -> dict:
 
     The empty tree has height_nodes 0 and height_edges -1.
     """
-    if t is None:
-        return {"leaves": 0, "height_nodes": 0, "height_edges": -1,
-                "middle_edges": 0, "mark_count": 0}
-    kids = _children(t, family)
-    sub = [tree_stats(c, family) for c in kids]
-    height_nodes = 1 + max((s["height_nodes"] for s in sub), default=0)
-    middles = sum(s["middle_edges"] for s in sub)
-    if family == "hex" and t[0] == "M":
-        middles += 1
-    if family == "ternary" and t[1] is not None:
-        middles += 1
-    marks = sum(s["mark_count"] for s in sub)
-    if family == "marked":
-        marks += sum(1 for m, _ in t if m)
+    split = _SPLIT.get(family)
+    if split is None:
+        raise ValueError(f"unknown family {family!r}")
+    leaves, height_nodes, middles, marks = (0, 0, 0, 0) if t is None else _stats(t, split)
     return {
-        "leaves": 1 if not kids else sum(s["leaves"] for s in sub),
+        "leaves": leaves,
         "height_nodes": height_nodes,
         "height_edges": height_nodes - 1,
         "middle_edges": middles,
         "mark_count": marks,
     }
+
+
+def _stats(t, split) -> tuple:
+    """(leaves, height_nodes, middle_edges, mark_count) of a non-empty tree."""
+    kids, middles, marks = split(t)
+    if not kids:
+        return 1, 1, middles, marks
+    leaves = height = 0
+    for kid in kids:
+        kid_leaves, kid_height, kid_middles, kid_marks = _stats(kid, split)
+        leaves += kid_leaves
+        middles += kid_middles
+        marks += kid_marks
+        if kid_height > height:
+            height = kid_height
+    return leaves, height + 1, middles, marks

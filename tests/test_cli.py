@@ -115,6 +115,8 @@ def test_usage_errors_exit_2(argv, capsys):
     ["check", "--family", "deutsch-strip", "--m", "-1"],
     ["asym", "--family", "horton_avg", "--a", "-4"],
     ["check", "--family", "marked", "--max", "0"],
+    ["asym", "--family", "red_edges", "--n", "1"],
+    ["asym", "--family", "red_edges", "--n", "160", "--tolerance", "-1"],
 ])
 def test_bad_parameters_exit_2_with_a_message(argv):
     src = Path(latticepaths.__file__).resolve().parents[1]

@@ -36,6 +36,7 @@ from .paths import (
     gen_motzkin,
     gen_retakh,
     gen_skew,
+    last_downrun_len,
     levels,
     path_stats,
     step_delta,

@@ -36,6 +36,7 @@ from .paths import (
     gen_motzkin,
     gen_retakh,
     gen_skew,
+    last_downrun_len,
     levels,
     path_stats,
 )
@@ -82,21 +83,6 @@ from .treeseries import (
     unary_binary_count,
 )
 
-SEQ_FAMILIES = (
-    "a002212",
-    "skew-sj",
-    "dual-gj",
-    "hoppy-neg",
-    "ternary-T",
-    "deutsch-phi",
-    "amplitude",
-    "kemp-valley",
-    "kemp-peak",
-    "horton-Rp",
-    "marked-ph",
-    "retakh",
-)
-
 BIJ_FAMILIES = ("multiedge-motzkin", "marked-skew", "rotation")
 
 
@@ -139,53 +125,42 @@ def _emit_rows(rows: Iterable[Tuple[int, object]], fmt: str) -> None:
             print(json.dumps({"n": n, "value": payload}))
 
 
+def _or(value, default):
+    return default if value is None else value
+
+
+def _parity_rows(coeff, j: int, n_max: int) -> List[Tuple[int, object]]:
+    return [(n, coeff(n, j)) for n in range(j, n_max + 1, 2)]
+
+
+def _series_rows(ser, lo: int, n_max: int) -> List[Tuple[int, object]]:
+    return [(n, _coeff_value(ser.coeff(n))) for n in range(lo, n_max + 1)]
+
+
+# family -> rows(args, n_max); a flag the family does not read is ignored.
+SEQS: Dict[str, Callable[[argparse.Namespace, int], Iterable[Tuple[int, object]]]] = {
+    "a002212": lambda a, n: enumerate(a002212_terms(n)),
+    "skew-sj": lambda a, n: _parity_rows(skew_sj_coeff, _or(a.j, 0), n),
+    "dual-gj": lambda a, n: _parity_rows(dual_skew_coeff, _or(a.j, 0), n),
+    "hoppy-neg": lambda a, n: [(l, hoppy_negative_coeff(l, _or(a.k, 2))) for l in range(n + 1)],
+    "ternary-T": lambda a, n: [(m, ternary_row(m)) for m in range(1, n + 1)],
+    "deutsch-phi": lambda a, n: _series_rows(deutsch_phi(_or(a.t, 0), _or(a.j, 0), n), 0, n),
+    "amplitude": lambda a, n: [(m, amplitude_total(m)) for m in range(n + 1)],
+    "kemp-valley": lambda a, n: _series_rows(kemp_valley_series(n), 1, n),
+    "kemp-peak": lambda a, n: _series_rows(kemp_peak_series(n), 1, n),
+    "horton-Rp": lambda a, n: _series_rows(horton_Rp(_or(a.j, 1), _or(a.a, 0), n), 0, n),
+    "marked-ph": lambda a, n: _series_rows(marked_height_ph(_or(a.j, 1), n), 0, n),
+    "retakh": lambda a, n: _series_rows(retakh_full(n), 0, n),
+}
+SEQ_FAMILIES = tuple(SEQS)
+
+
 def cmd_seq(args) -> int:
-    fam = args.family
-    n_max = args.n if args.n is not None else 10
+    n_max = _or(args.n, 10)
     if n_max < 0:
         print("--n must be >= 0", file=sys.stderr)
         return 2
-    rows: List[Tuple[int, object]] = []
-    if fam == "a002212":
-        terms = a002212_terms(n_max)
-        rows = list(enumerate(terms))
-    elif fam == "skew-sj":
-        j = args.j if args.j is not None else 0
-        rows = [(n, skew_sj_coeff(n, j)) for n in range(j, n_max + 1, 2)]
-    elif fam == "dual-gj":
-        j = args.j if args.j is not None else 0
-        rows = [(n, dual_skew_coeff(n, j)) for n in range(j, n_max + 1, 2)]
-    elif fam == "hoppy-neg":
-        k = args.k if args.k is not None else 2
-        rows = [(l, hoppy_negative_coeff(l, k)) for l in range(n_max + 1)]
-    elif fam == "ternary-T":
-        rows = [(n, ternary_row(n)) for n in range(1, n_max + 1)]
-    elif fam == "deutsch-phi":
-        t = args.t if args.t is not None else 0
-        j = args.j if args.j is not None else 0
-        ser = deutsch_phi(t, j, n_max)
-        rows = [(n, _coeff_value(ser.coeff(n))) for n in range(n_max + 1)]
-    elif fam == "amplitude":
-        rows = [(n, amplitude_total(n)) for n in range(n_max + 1)]
-    elif fam in ("kemp-valley", "kemp-peak"):
-        ser = kemp_valley_series(n_max) if fam == "kemp-valley" else kemp_peak_series(n_max)
-        rows = [(m, _coeff_value(ser.coeff(m))) for m in range(1, n_max + 1)]
-    elif fam == "horton-Rp":
-        p = args.j if args.j is not None else 1
-        a = args.a if args.a is not None else 0
-        ser = horton_Rp(p, a, n_max)
-        rows = [(n, _coeff_value(ser.coeff(n))) for n in range(n_max + 1)]
-    elif fam == "marked-ph":
-        h = args.j if args.j is not None else 1
-        ser = marked_height_ph(h, n_max)
-        rows = [(n, _coeff_value(ser.coeff(n))) for n in range(n_max + 1)]
-    elif fam == "retakh":
-        ser = retakh_full(n_max)
-        rows = [(n, _coeff_value(ser.coeff(n))) for n in range(n_max + 1)]
-    else:  # pragma: no cover - argparse choices guard this
-        print(f"unknown family {fam!r}", file=sys.stderr)
-        return 2
-    _emit_rows(rows, args.format)
+    _emit_rows(SEQS[args.family](args, n_max), args.format)
     return 0
 
 
@@ -233,7 +208,7 @@ def _check_hoppy(budget: int) -> List[CheckResult]:
         ok = True
         for n_up in range(1, top + 1):
             paths = gen_kdyck(k, n_up)
-            dist = Counter(path_stats(p, up=k)["last_downrun_len"] for p in paths)
+            dist = Counter(last_downrun_len(p) for p in paths)
             for j in range(0, k * n_up + 2):
                 if deng_mansour_count(n_up, j, k) != dist.get(j, 0):
                     ok = False
@@ -475,17 +450,25 @@ CHECKS: Dict[str, Callable[..., List[CheckResult]]] = {
     "retakh": _check_retakh,
 }
 CHECK_FAMILIES = tuple(CHECKS)
+# The shared flags besides --max that a check family reads; it gets them as
+# keyword arguments, and any other given flag is rejected.
+CHECK_FLAGS = {"deutsch-strip": ("m",)}
 
 
 def cmd_check(args) -> int:
-    budget = args.max if args.max is not None else 10
+    budget = _or(args.max, 10)
     if budget < 1:
         print("--max must be >= 1", file=sys.stderr)
         return 2
-    if args.family == "deutsch-strip" and args.m is not None:
-        results = _check_deutsch(budget, args.m)
-    else:
-        results = CHECKS[args.family](budget)
+    reads = CHECK_FLAGS.get(args.family, ())
+    unread = [f"--{flag}" for flag in ("n", "j", "k", "a", "m", "t")
+              if getattr(args, flag) is not None and flag not in reads]
+    if unread:
+        print(f"check --family {args.family} does not read {', '.join(unread)}",
+              file=sys.stderr)
+        return 2
+    params = {flag: getattr(args, flag) for flag in reads if getattr(args, flag) is not None}
+    results = CHECKS[args.family](budget, **params)
     failed = False
     for ok, label in results:
         print(("ok   " if ok else "FAIL ") + label)

@@ -179,6 +179,16 @@ def gen_retakh(n_pairs: int) -> list:
     return out
 
 
+def last_downrun_len(path) -> int:
+    """Length of the run of unit down-steps `d` that ends the path."""
+    run = 0
+    for tok in reversed(path):
+        if tok != "d":
+            break
+        run += 1
+    return run
+
+
 def path_stats(path, up: int = 1, start: int = 0) -> dict:
     """Statistics shared by the cross-checks.
 
@@ -199,18 +209,12 @@ def path_stats(path, up: int = 1, start: int = 0) -> dict:
             peaks.append(lv[i + 1])
         elif deltas[i] < 0 and path[i + 1] in rising:
             valleys.append(lv[i + 1])
-    run = 0
-    for tok in reversed(path):
-        if tok == "d":
-            run += 1
-        else:
-            break
     return {
         "height": top,
         "amplitude": 2 * (top - bottom) + (1 if flat_on_top else 0),
         "red_count": sum(1 for t in path if t in ("r", "H0")),
         "blue_count": sum(1 for t in path if t in ("b", "H2")),
-        "last_downrun_len": run,
+        "last_downrun_len": last_downrun_len(path),
         "peak_heights": peaks,
         "valley_heights": valleys,
     }

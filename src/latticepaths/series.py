@@ -5,6 +5,10 @@ red edges, middle edges, ...) live in marker variables inside the
 coefficients.  That way bivariate generating functions never need a second
 series dimension.  Truncation order is explicit on every value and mixed-order
 arithmetic truncates to the shorter operand instead of inventing zeros.
+
+Every product of series or polynomials runs through one multiply-accumulate
+(`_mac`) into a plain dict per output coefficient, so no intermediate
+polynomial is built per pair of terms.
 """
 
 from __future__ import annotations
@@ -22,33 +26,68 @@ def _mono(pairs) -> tuple:
     return tuple(sorted(out.items()))
 
 
+def _exact(c):
+    """c as an int when it is integral, else as a Fraction."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+# (m1, m2) -> canonical m1*m2 for nonempty monomials; bounded by the distinct
+# monomial pairs that products meet, a few thousand at most.
+_MONO_PRODUCTS: dict = {}
+
+
+def _mac(acc: dict, p: dict, q: dict) -> None:
+    """acc += p*q for term dicts p and q; acc may be left holding zeros."""
+    get = acc.get
+    for m1, c1 in p.items():
+        if not m1:
+            for m2, c2 in q.items():
+                acc[m2] = get(m2, 0) + c1 * c2
+            continue
+        for m2, c2 in q.items():
+            if m2:
+                key = _MONO_PRODUCTS.get((m1, m2))
+                if key is None:
+                    key = _MONO_PRODUCTS[(m1, m2)] = _mono(m1 + m2)
+            else:
+                key = m1
+            acc[key] = get(key, 0) + c1 * c2
+
+
+def _poly(acc: dict) -> "MarkerPoly":
+    """The MarkerPoly of an accumulator dict: zeros dropped, integral values as ints."""
+    p = MarkerPoly.__new__(MarkerPoly)
+    p.terms = {m: (c.numerator if type(c) is Fraction and c.denominator == 1 else c)
+               for m, c in acc.items() if c}
+    return p
+
+
 class MarkerPoly:
-    """Polynomial in marker variables with Fraction coefficients.
+    """Polynomial in marker variables with exact rational coefficients.
 
     Terms map canonical monomials (sorted tuples of (name, exponent>0)) to
-    nonzero Fractions; the zero polynomial has no terms.
+    nonzero coefficients, stored as ints when integral and as Fractions
+    otherwise; the zero polynomial has no terms.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        clean = {}
+        acc = {}
         if terms:
             for mono, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    key = _mono(mono)
-                    acc = clean.get(key, 0) + c
-                    if acc:
-                        clean[key] = acc
-                    else:
-                        clean.pop(key, None)
-        self.terms = clean
+                key = _mono(mono)
+                acc[key] = acc.get(key, 0) + Fraction(c)
+            acc = _poly(acc).terms
+        self.terms = acc
 
     @staticmethod
     def const(c) -> "MarkerPoly":
         p = MarkerPoly()
-        c = Fraction(c)
+        c = _exact(c)
         if c:
             p.terms[()] = c
         return p
@@ -56,7 +95,7 @@ class MarkerPoly:
     @staticmethod
     def var(name: str, exp: int = 1) -> "MarkerPoly":
         p = MarkerPoly()
-        p.terms[((name, exp),)] = Fraction(1)
+        p.terms[((name, exp),)] = 1
         return p
 
     @staticmethod
@@ -81,25 +120,18 @@ class MarkerPoly:
             return Fraction(0)
         if not self.is_constant:
             raise ValueError(f"marker-bearing value where a constant is required: {self}")
-        return self.terms[()]
+        return Fraction(self.terms[()])
 
     def constant_term(self) -> Fraction:
-        return self.terms.get((), Fraction(0))
+        return Fraction(self.terms.get((), 0))
 
     def __add__(self, other):
         if not isinstance(other, (MarkerPoly, int, Fraction)):
             return NotImplemented
-        other = MarkerPoly._coerce(other)
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            acc = out.get(mono, 0) + c
-            if acc:
-                out[mono] = acc
-            else:
-                out.pop(mono, None)
-        p = MarkerPoly()
-        p.terms = out
-        return p
+        acc = dict(self.terms)
+        for mono, c in MarkerPoly._coerce(other).terms.items():
+            acc[mono] = acc.get(mono, 0) + c
+        return _poly(acc)
 
     __radd__ = __add__
 
@@ -122,26 +154,12 @@ class MarkerPoly:
         if isinstance(other, (int, Fraction)):
             if not other:
                 return MarkerPoly()
-            p = MarkerPoly()
-            p.terms = {m: c * other for m, c in self.terms.items()}
-            return p
+            return _poly({m: c * other for m, c in self.terms.items()})
         if not isinstance(other, MarkerPoly):
             return NotImplemented
-        other = MarkerPoly._coerce(other)
-        if not self.terms or not other.terms:
-            return MarkerPoly()
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                key = _mono(m1 + m2) if (m1 and m2) else (m1 or m2)
-                acc = out.get(key, 0) + c1 * c2
-                if acc:
-                    out[key] = acc
-                else:
-                    out.pop(key, None)
-        p = MarkerPoly()
-        p.terms = out
-        return p
+        acc = {}
+        _mac(acc, self.terms, other.terms)
+        return _poly(acc)
 
     __rmul__ = __mul__
 
@@ -174,39 +192,39 @@ class MarkerPoly:
 
     def subs(self, values: dict) -> "MarkerPoly":
         """Substitute Fractions/polys for the named markers; others stay symbolic."""
-        out = MarkerPoly()
+        powers = {}
+        acc = {}
         for mono, c in self.terms.items():
-            term = MarkerPoly.const(c)
+            rest = []
+            factor = _MP_ONE
             for name, e in mono:
                 if name in values:
-                    term = term * (MarkerPoly._coerce(values[name]) ** e)
+                    pw = powers.get((name, e))
+                    if pw is None:
+                        pw = powers[(name, e)] = MarkerPoly._coerce(values[name]) ** e
+                    factor = factor * pw
                 else:
-                    term = term * MarkerPoly.var(name, e)
-            out = out + term
-        return out
+                    rest.append((name, e))
+            _mac(acc, {tuple(rest): c}, factor.terms)
+        return _poly(acc)
 
     def deriv(self, name: str) -> "MarkerPoly":
-        out = MarkerPoly()
+        acc = {}
         for mono, c in self.terms.items():
             for i, (nm, e) in enumerate(mono):
                 if nm == name:
-                    rest = mono[:i] + ((nm, e - 1),) + mono[i + 1:]
-                    out = out + MarkerPoly({_mono(rest): c * e})
-        return out
+                    key = _mono(mono[:i] + ((nm, e - 1),) + mono[i + 1:])
+                    acc[key] = acc.get(key, 0) + c * e
+        return _poly(acc)
 
     def marker_coeff(self, name: str, k: int) -> "MarkerPoly":
         """Coefficient of name^k, a polynomial in the remaining markers."""
-        out = MarkerPoly()
+        acc = {}
         for mono, c in self.terms.items():
-            e = dict(mono).get(name, 0)
-            if e == k:
+            if dict(mono).get(name, 0) == k:
                 rest = tuple((nm, ee) for nm, ee in mono if nm != name)
-                acc = out.terms.get(rest, 0) + c
-                if acc:
-                    out.terms[rest] = acc
-                else:
-                    out.terms.pop(rest, None)
-        return out
+                acc[rest] = acc.get(rest, 0) + c
+        return _poly(acc)
 
     def degree(self, name: str | None = None) -> int:
         """Total degree, or degree in one marker; zero polynomial has degree -1."""
@@ -335,14 +353,18 @@ class PowerSeries:
             return PowerSeries(self.var, [c * m for c in self.coeffs], self.order)
         other = self._coerce_mate(other)
         n = min(self.order, other.order)
-        out = [_MP_ZERO] * (n + 1)
-        for i, ci in enumerate(self.coeffs[: n + 1]):
-            if not ci.terms:
-                continue
-            for j in range(0, n + 1 - i):
-                cj = other.coeffs[j]
-                if cj.terms:
-                    out[i + j] = out[i + j] + ci * cj
+        a = [c.terms for c in self.coeffs[: n + 1]]
+        b = [c.terms for c in other.coeffs[: n + 1]]
+        nz = [i for i, t in enumerate(a) if t]
+        out = []
+        for k in range(n + 1):
+            acc = {}
+            for i in nz:
+                if i > k:
+                    break
+                if b[k - i]:
+                    _mac(acc, a[i], b[k - i])
+            out.append(_poly(acc))
         return PowerSeries(self.var, out, n)
 
     __rmul__ = __mul__
@@ -353,15 +375,17 @@ class PowerSeries:
             raise ZeroDivisionError(
                 "series division needs a nonzero marker-free constant term, got "
                 f"{c0}")
-        inv0 = Fraction(1) / c0.constant()
+        inv0 = _exact(1 / c0.constant())
+        g = [c.terms for c in self.coeffs]
+        nz = [i for i in range(1, self.order + 1) if g[i]]
         out = [MarkerPoly.const(inv0)]
         for n in range(1, self.order + 1):
-            acc = _MP_ZERO
-            for i in range(1, n + 1):
-                gi = self.coeffs[i]
-                if gi.terms:
-                    acc = acc + gi * out[n - i]
-            out.append(acc * (-inv0))
+            acc = {}
+            for i in nz:
+                if i > n:
+                    break
+                _mac(acc, g[i], out[n - i].terms)
+            out.append(_poly({m: -c * inv0 for m, c in acc.items()}))
         return PowerSeries(self.var, out, self.order)
 
     def __truediv__(self, other):
@@ -393,13 +417,20 @@ class PowerSeries:
     def sqrt(self) -> "PowerSeries":
         if self.coeffs[0] != _MP_ONE:
             raise ValueError("series sqrt requires constant term exactly 1")
+        # out_n = (c_n - sum_{0<i<n} out_i out_(n-i)) / 2; the sum is symmetric,
+        # so it is twice the pairs with i < n - i plus the middle square.
         half = Fraction(1, 2)
         out = [_MP_ONE]
         for n in range(1, self.order + 1):
-            acc = self.coeffs[n]
-            for i in range(1, n):
-                acc = acc - out[i] * out[n - i]
-            out.append(acc * half)
+            pairs = {}
+            for i in range(1, (n + 1) // 2):
+                _mac(pairs, out[i].terms, out[n - i].terms)
+            acc = dict(self.coeffs[n].terms)
+            for m, c in pairs.items():
+                acc[m] = acc.get(m, 0) - 2 * c
+            if not n % 2:
+                _mac(acc, (-out[n // 2]).terms, out[n // 2].terms)
+            out.append(_poly({m: c * half for m, c in acc.items()}))
         return PowerSeries(self.var, out, self.order)
 
     def compose(self, inner: "PowerSeries") -> "PowerSeries":
@@ -502,10 +533,13 @@ class AlgebraicSubstitution:
         if order >= 1:
             v[1] = c0
         for n in range(2, order + 1):
-            acc = c1 * v[n - 1]
+            sq = {}
             for i in range(1, n - 1):
-                acc = acc + c2 * (v[i] * v[n - 1 - i])
-            v[n] = acc
+                _mac(sq, v[i].terms, v[n - 1 - i].terms)
+            acc = {}
+            _mac(acc, c1.terms, v[n - 1].terms)
+            _mac(acc, c2.terms, sq)
+            v[n] = _poly(acc)
         return PowerSeries(self.outer_var, v, order)
 
 
@@ -539,12 +573,14 @@ class Kernel:
 
         Equals expr.truncate(order).compose(v) for the inverse series v(var).
         """
-        f = expr.truncate(order).coeffs
-        out = [f[0]]
+        f = [c.terms for c in expr.truncate(order).coeffs]
+        nz = [k for k in range(1, order + 1) if f[k]]
+        out = [_poly(f[0])]
         for m in range(1, order + 1):
-            acc = _MP_ZERO
-            for k in range(1, m + 1):
-                if f[k].terms:
-                    acc = acc + f[k] * self.vpow_coeff(m, k)
-            out.append(acc)
+            acc = {}
+            for k in nz:
+                if k > m:
+                    break
+                _mac(acc, f[k], {(): self.vpow_coeff(m, k)})
+            out.append(_poly(acc))
         return PowerSeries(self.var, out, order)

@@ -117,6 +117,13 @@ def test_usage_errors_exit_2(argv, capsys):
     ["check", "--family", "marked", "--max", "0"],
     ["asym", "--family", "red_edges", "--n", "1"],
     ["asym", "--family", "red_edges", "--n", "160", "--tolerance", "-1"],
+    ["check", "--family", "skew", "--m", "-7"],
+    ["check", "--family", "skew", "--m", "-7", "--k", "0", "--max", "3"],
+    ["check", "--family", "hoppy", "--k", "3"],
+    ["check", "--family", "horton", "--a", "1"],
+    ["check", "--family", "ternary", "--j", "1"],
+    ["check", "--family", "marked", "--t", "0"],
+    ["check", "--family", "deutsch-strip", "--m", "4", "--n", "5"],
 ])
 def test_bad_parameters_exit_2_with_a_message(argv):
     src = Path(latticepaths.__file__).resolve().parents[1]

@@ -89,6 +89,18 @@ def eval_law(kind: str, n: int, a: int = 0) -> float:
     raise ValueError(f"unknown law kind {kind!r}")
 
 
+def _decimal(v: int) -> str:
+    """str(v) at any length: str() refuses ints past sys.get_int_max_str_digits()
+    digits (4300 by default, 640 at least), so long values are split in two."""
+    if v < 0:
+        return "-" + _decimal(-v)
+    if v.bit_length() <= 2048:  # at most 617 digits
+        return str(v)
+    k = v.bit_length() * 3 // 20  # about half the digits: log10(2) > 3/10
+    hi, lo = divmod(v, 10 ** k)
+    return _decimal(hi) + _decimal(lo).zfill(k)
+
+
 @dataclass
 class TrendReport:
     """Outcome of comparing an exact ladder against a growth law."""
@@ -101,7 +113,9 @@ class TrendReport:
         lines = ["n,exact,asymptotic,rel_dev"]
         for n, exact, asym, dev in self.rows:
             if isinstance(exact, Fraction) and exact.denominator != 1:
-                exact_str = f"{exact.numerator}/{exact.denominator}"
+                exact_str = f"{_decimal(exact.numerator)}/{_decimal(exact.denominator)}"
+            elif isinstance(exact, (int, Fraction)):
+                exact_str = _decimal(int(exact))
             else:
                 exact_str = str(exact)
             lines.append(f"{n},{exact_str},{asym!r},{dev!r}")

@@ -51,7 +51,6 @@ from .pathseries import (
     deutsch_strip_solve,
     dual_skew_Gj_series,
     dual_skew_coeff,
-    hoppy_early_total,
     hoppy_negative_coeff,
     hoppy_negative_series,
     kemp_peak_series,
@@ -67,7 +66,6 @@ from .pathseries import (
 from .trees import gen_marked, gen_multiedge, gen_ternary, gen_unary_binary, reg, tree_stats
 from .treeseries import (
     horton_Rp,
-    horton_Sp,
     horton_avg_reg,
     marked_count,
     marked_height_ph,
@@ -82,9 +80,6 @@ from .treeseries import (
     ternary_row_sum,
     unary_binary_count,
 )
-
-BIJ_FAMILIES = ("multiedge-motzkin", "marked-skew", "rotation")
-
 
 def _exact_str(value) -> str:
     if isinstance(value, Fraction):
@@ -104,25 +99,21 @@ def _coeff_value(c):
 
 
 def _emit_rows(rows: Iterable[Tuple[int, object]], fmt: str) -> None:
+    sep = "," if fmt == "csv" else "\t"
     for n, value in rows:
-        if fmt == "tsv":
+        if fmt != "json-lines":
             if isinstance(value, (list, tuple)):
-                print(f"{n}\t{' '.join(_exact_str(v) for v in value)}")
+                print(f"{n}{sep}{' '.join(_exact_str(v) for v in value)}")
             else:
-                print(f"{n}\t{_exact_str(value)}")
-        elif fmt == "csv":
-            if isinstance(value, (list, tuple)):
-                print(f"{n},{' '.join(_exact_str(v) for v in value)}")
-            else:
-                print(f"{n},{_exact_str(value)}")
-        else:  # json-lines
-            if isinstance(value, (list, tuple)):
-                payload = list(value)
-            elif isinstance(value, Fraction) and value.denominator != 1:
-                payload = _exact_str(value)
-            else:
-                payload = int(value) if isinstance(value, Fraction) else value
-            print(json.dumps({"n": n, "value": payload}))
+                print(f"{n}{sep}{_exact_str(value)}")
+            continue
+        if isinstance(value, (list, tuple)):
+            payload = list(value)
+        elif isinstance(value, Fraction) and value.denominator != 1:
+            payload = _exact_str(value)
+        else:
+            payload = int(value) if isinstance(value, Fraction) else value
+        print(json.dumps({"n": n, "value": payload}))
 
 
 def _or(value, default):
@@ -137,22 +128,44 @@ def _series_rows(ser, lo: int, n_max: int) -> List[Tuple[int, object]]:
     return [(n, _coeff_value(ser.coeff(n))) for n in range(lo, n_max + 1)]
 
 
-# family -> rows(args, n_max); a flag the family does not read is ignored.
-SEQS: Dict[str, Callable[[argparse.Namespace, int], Iterable[Tuple[int, object]]]] = {
-    "a002212": lambda a, n: enumerate(a002212_terms(n)),
-    "skew-sj": lambda a, n: _parity_rows(skew_sj_coeff, _or(a.j, 0), n),
-    "dual-gj": lambda a, n: _parity_rows(dual_skew_coeff, _or(a.j, 0), n),
-    "hoppy-neg": lambda a, n: [(l, hoppy_negative_coeff(l, _or(a.k, 2))) for l in range(n + 1)],
-    "ternary-T": lambda a, n: [(m, ternary_row(m)) for m in range(1, n + 1)],
-    "deutsch-phi": lambda a, n: _series_rows(deutsch_phi(_or(a.t, 0), _or(a.j, 0), n), 0, n),
-    "amplitude": lambda a, n: [(m, amplitude_total(m)) for m in range(n + 1)],
-    "kemp-valley": lambda a, n: _series_rows(kemp_valley_series(n), 1, n),
-    "kemp-peak": lambda a, n: _series_rows(kemp_peak_series(n), 1, n),
-    "horton-Rp": lambda a, n: _series_rows(horton_Rp(_or(a.j, 1), _or(a.a, 0), n), 0, n),
-    "marked-ph": lambda a, n: _series_rows(marked_height_ph(_or(a.j, 1), n), 0, n),
-    "retakh": lambda a, n: _series_rows(retakh_full(n), 0, n),
+# The integer flags every subcommand parses.  A family gets the ones it reads
+# (SEQ_FLAGS, CHECK_FLAGS) as keyword arguments; a given flag that neither
+# the command nor the family reads is rejected.
+SHARED_FLAGS = ("n", "j", "k", "a", "m", "t", "max")
+
+
+def _unread_flags(args, reads: Sequence[str]) -> bool:
+    """Print one line and return True when a flag outside `reads` is given."""
+    unread = [f"--{flag}" for flag in SHARED_FLAGS
+              if getattr(args, flag) is not None and flag not in reads]
+    if unread:
+        print(f"{args.command} --family {args.family} does not read {', '.join(unread)}",
+              file=sys.stderr)
+    return bool(unread)
+
+
+# family -> rows(n_max, **flags in SEQ_FLAGS)
+SEQS: Dict[str, Callable[..., Iterable[Tuple[int, object]]]] = {
+    "a002212": lambda n: enumerate(a002212_terms(n)),
+    "skew-sj": lambda n, j=0: _parity_rows(skew_sj_coeff, j, n),
+    "dual-gj": lambda n, j=0: _parity_rows(dual_skew_coeff, j, n),
+    "hoppy-neg": lambda n, k=2: [(l, hoppy_negative_coeff(l, k)) for l in range(n + 1)],
+    "ternary-T": lambda n: [(m, ternary_row(m)) for m in range(1, n + 1)],
+    "deutsch-phi": lambda n, t=0, j=0: _series_rows(deutsch_phi(t, j, n), 0, n),
+    "amplitude": lambda n: [(m, amplitude_total(m)) for m in range(n + 1)],
+    "kemp-valley": lambda n: _series_rows(kemp_valley_series(n), 1, n),
+    "kemp-peak": lambda n: _series_rows(kemp_peak_series(n), 1, n),
+    "horton-Rp": lambda n, j=1, a=0: _series_rows(horton_Rp(j, a, n), 0, n),
+    "marked-ph": lambda n, j=1: _series_rows(marked_height_ph(j, n), 0, n),
+    "retakh": lambda n: _series_rows(retakh_full(n), 0, n),
 }
 SEQ_FAMILIES = tuple(SEQS)
+SEQ_FLAGS = {"skew-sj": ("j",), "dual-gj": ("j",), "hoppy-neg": ("k",),
+             "deutsch-phi": ("t", "j"), "horton-Rp": ("j", "a"), "marked-ph": ("j",)}
+
+
+def _given(args, flags: Sequence[str]) -> Dict[str, int]:
+    return {flag: getattr(args, flag) for flag in flags if getattr(args, flag) is not None}
 
 
 def cmd_seq(args) -> int:
@@ -160,7 +173,10 @@ def cmd_seq(args) -> int:
     if n_max < 0:
         print("--n must be >= 0", file=sys.stderr)
         return 2
-    _emit_rows(SEQS[args.family](args, n_max), args.format)
+    reads = SEQ_FLAGS.get(args.family, ())
+    if _unread_flags(args, ("n",) + reads):
+        return 2
+    _emit_rows(SEQS[args.family](n_max, **_given(args, reads)), args.format)
     return 0
 
 
@@ -171,33 +187,14 @@ def cmd_seq(args) -> int:
 CheckResult = Tuple[bool, str]
 
 
-def _check_skew(budget: int) -> List[CheckResult]:
+def _check_end_levels(name: str, series, coeff, gen, budget: int) -> List[CheckResult]:
     out = []
     top = min(budget, 12)
     for j in range(4):
-        ser = skew_sj_series(j, top)
-        ok = True
-        for n in range(j, top + 1, 2):
-            closed = skew_sj_coeff(n, j)
-            brute = len(gen_skew(n, j))
-            if closed != _coeff_value(ser.coeff(n)) or closed != brute:
-                ok = False
-        out.append((ok, f"skew end-level {j}: formula = series = brute, n <= {top}"))
-    return out
-
-
-def _check_dual(budget: int) -> List[CheckResult]:
-    out = []
-    top = min(budget, 12)
-    for j in range(4):
-        ser = dual_skew_Gj_series(j, top)
-        ok = True
-        for n in range(j, top + 1, 2):
-            closed = dual_skew_coeff(n, j)
-            brute = len(gen_dual_skew(n, j))
-            if closed != _coeff_value(ser.coeff(n)) or closed != brute:
-                ok = False
-        out.append((ok, f"dual end-level {j}: formula = series = brute, n <= {top}"))
+        ser = series(j, top)
+        ok = all(coeff(n, j) == _coeff_value(ser.coeff(n)) == len(gen(n, j))
+                 for n in range(j, top + 1, 2))
+        out.append((ok, f"{name} end-level {j}: formula = series = brute, n <= {top}"))
     return out
 
 
@@ -437,8 +434,10 @@ def _check_retakh(budget: int) -> List[CheckResult]:
 
 
 CHECKS: Dict[str, Callable[..., List[CheckResult]]] = {
-    "skew": _check_skew,
-    "dual": _check_dual,
+    "skew": lambda budget: _check_end_levels("skew", skew_sj_series, skew_sj_coeff,
+                                             gen_skew, budget),
+    "dual": lambda budget: _check_end_levels("dual", dual_skew_Gj_series, dual_skew_coeff,
+                                             gen_dual_skew, budget),
     "hoppy": _check_hoppy,
     "ternary": _check_ternary,
     "amplitude": _check_amplitude,
@@ -450,8 +449,6 @@ CHECKS: Dict[str, Callable[..., List[CheckResult]]] = {
     "retakh": _check_retakh,
 }
 CHECK_FAMILIES = tuple(CHECKS)
-# The shared flags besides --max that a check family reads; it gets them as
-# keyword arguments, and any other given flag is rejected.
 CHECK_FLAGS = {"deutsch-strip": ("m",)}
 
 
@@ -461,14 +458,9 @@ def cmd_check(args) -> int:
         print("--max must be >= 1", file=sys.stderr)
         return 2
     reads = CHECK_FLAGS.get(args.family, ())
-    unread = [f"--{flag}" for flag in ("n", "j", "k", "a", "m", "t")
-              if getattr(args, flag) is not None and flag not in reads]
-    if unread:
-        print(f"check --family {args.family} does not read {', '.join(unread)}",
-              file=sys.stderr)
+    if _unread_flags(args, ("max",) + reads):
         return 2
-    params = {flag: getattr(args, flag) for flag in reads if getattr(args, flag) is not None}
-    results = CHECKS[args.family](budget, **params)
+    results = CHECKS[args.family](budget, **_given(args, reads))
     failed = False
     for ok, label in results:
         print(("ok   " if ok else "FAIL ") + label)
@@ -476,67 +468,67 @@ def cmd_check(args) -> int:
     return 1 if failed else 0
 
 
+# family -> (left, right) string pairs of the bijection at size --n, its only flag
+BIJS: Dict[str, Callable[[int], Iterable[Tuple[str, str]]]] = {
+    "multiedge-motzkin": lambda n: (
+        (tree_to_str(t, "multiedge"), path_to_str(multiedge_to_3motzkin(t)))
+        for t in gen_multiedge(n)),
+    "marked-skew": lambda n: (
+        (tree_to_str(t, "marked"), path_to_str(marked_to_skew(t))) for t in gen_marked(n)),
+    "rotation": lambda n: (
+        (tree_to_str(t, "multiedge"),
+         tree_to_str(rotation_multiedge_to_unarybinary(t), "unary_binary"))
+        for t in gen_multiedge(n)),
+}
+BIJ_FAMILIES = tuple(BIJS)
+
+
 def cmd_bij(args) -> int:
-    fam = args.family
     size = args.n if args.n is not None else 3
     if size < 1:
         print("--n must be >= 1", file=sys.stderr)
         return 2
-    if fam == "multiedge-motzkin":
-        for t in gen_multiedge(size):
-            print(f"{tree_to_str(t, 'multiedge')} -> {path_to_str(multiedge_to_3motzkin(t))}")
-    elif fam == "marked-skew":
-        for t in gen_marked(size):
-            print(f"{tree_to_str(t, 'marked')} -> {path_to_str(marked_to_skew(t))}")
-    elif fam == "rotation":
-        for t in gen_multiedge(size):
-            u = rotation_multiedge_to_unarybinary(t)
-            print(f"{tree_to_str(t, 'multiedge')} -> {tree_to_str(u, 'unary_binary')}")
-    else:  # pragma: no cover
-        print(f"unknown family {fam!r}", file=sys.stderr)
+    if _unread_flags(args, ("n",)):
         return 2
+    for left, right in BIJS[args.family](size):
+        print(f"{left} -> {right}")
     return 0
 
 
-def _asym_ladder(kind: str, top: int, a: int) -> List[Tuple[int, object]]:
-    ns = sorted({max(1, top // 8), max(1, top // 4), max(1, top // 2), top})
-    rows: List[Tuple[int, object]] = []
-    if kind == "horton_avg":
-        return [(n, horton_avg_reg(n, a)) for n in ns]
-    if kind == "node_count_growth":
-        return [(n, unary_binary_count(n, a)) for n in ns]
-    if kind == "marked_leaves":
-        return [(n, Fraction(marked_leaf_total(n), marked_count(n))) for n in ns]
-    if kind == "marked_height":
-        return [(n, Fraction(marked_height_total(n), marked_count(n))) for n in ns]
-    if kind == "red_edges":
-        return [(n, Fraction(skew_red_total(n), skew_sj_coeff(2 * n, 0))) for n in ns]
-    if kind == "retakh_height":
-        mo = motzkin_numbers(top)
-        return [(n, Fraction(retakh_height_total(n), mo[n - 1])) for n in ns]
-    if kind == "retakh_leaves":
-        mo = motzkin_numbers(top)
-        return [(n, Fraction(retakh_leaf_total(n), mo[n - 1])) for n in ns]
-    if kind == "motzkin_height":
-        return [(n, Fraction(motzkin_height_total(n), motzkin_bounded_coeff(n, n)))
-                for n in ns]
-    if kind == "amplitude_avg":
-        return [(n, amplitude_average(n)) for n in ns]
-    if kind == "amplitude_split":
-        for n in ns:
-            horiz = sum(amplitude_coeff(n, h, "horiz") for h in range(n + 1))
-            rows.append((n, Fraction(horiz, motzkin_bounded_coeff(n, n))))
-        return rows
-    if kind in ("kemp_valley", "kemp_gap"):
-        val = kemp_valley_series(top)
-        pk = kemp_peak_series(top) if kind == "kemp_gap" else None
-        for m in ns:
-            c = val.coeff(m).constant()
-            if pk is not None:
-                c = pk.coeff(m).constant() - c
-            rows.append((m, c))
-        return rows
-    raise ValueError(f"unknown law kind {kind!r}")
+def _over_motzkin(total, ns: List[int], top: int) -> List[Tuple[int, object]]:
+    mo = motzkin_numbers(top)
+    return [(n, Fraction(total(n), mo[n - 1])) for n in ns]
+
+
+def _kemp_rows(ns: List[int], top: int, gap: bool) -> List[Tuple[int, object]]:
+    val = kemp_valley_series(top)
+    if not gap:
+        return [(m, val.coeff(m).constant()) for m in ns]
+    pk = kemp_peak_series(top)
+    return [(m, pk.coeff(m).constant() - val.coeff(m).constant()) for m in ns]
+
+
+# law kind -> exact ladder rows(sizes, top size, extra unary colours a)
+ASYM_LADDERS: Dict[str, Callable[[List[int], int, int], List[Tuple[int, object]]]] = {
+    "horton_avg": lambda ns, top, a: [(n, horton_avg_reg(n, a)) for n in ns],
+    "node_count_growth": lambda ns, top, a: [(n, unary_binary_count(n, a)) for n in ns],
+    "marked_leaves": lambda ns, top, a: [
+        (n, Fraction(marked_leaf_total(n), marked_count(n))) for n in ns],
+    "marked_height": lambda ns, top, a: [
+        (n, Fraction(marked_height_total(n), marked_count(n))) for n in ns],
+    "red_edges": lambda ns, top, a: [
+        (n, Fraction(skew_red_total(n), skew_sj_coeff(2 * n, 0))) for n in ns],
+    "retakh_height": lambda ns, top, a: _over_motzkin(retakh_height_total, ns, top),
+    "retakh_leaves": lambda ns, top, a: _over_motzkin(retakh_leaf_total, ns, top),
+    "motzkin_height": lambda ns, top, a: [
+        (n, Fraction(motzkin_height_total(n), motzkin_bounded_coeff(n, n))) for n in ns],
+    "amplitude_avg": lambda ns, top, a: [(n, amplitude_average(n)) for n in ns],
+    "amplitude_split": lambda ns, top, a: [
+        (n, Fraction(sum(amplitude_coeff(n, h, "horiz") for h in range(n + 1)),
+                     motzkin_bounded_coeff(n, n))) for n in ns],
+    "kemp_valley": lambda ns, top, a: _kemp_rows(ns, top, gap=False),
+    "kemp_gap": lambda ns, top, a: _kemp_rows(ns, top, gap=True),
+}
 
 
 def cmd_asym(args) -> int:
@@ -547,8 +539,9 @@ def cmd_asym(args) -> int:
     if not tol >= 0:  # also rejects nan
         print("--tolerance must be >= 0", file=sys.stderr)
         return 2
+    ns = sorted({max(1, top // 8), max(1, top // 4), max(1, top // 2), top})
     try:
-        ladder = _asym_ladder(kind, top, a)
+        ladder = ASYM_LADDERS[kind](ns, top, a)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2

@@ -161,14 +161,14 @@ def _W_x(order: int) -> PowerSeries:
     return PowerSeries("x", [1, -6, 5]).pad(order).sqrt()
 
 
-def _interleave(xser: PowerSeries, j: int, order: int) -> PowerSeries:
-    """Spread an x-series onto powers z^(j + 2m)."""
+def _interleave(xseries, j: int, order: int) -> PowerSeries:
+    """Spread the x-series xseries(j, xorder) onto powers z^(j + 2m)."""
+    if j < 0:
+        raise ValueError("level j must be >= 0")
     coeffs: List[MarkerPoly] = [MarkerPoly()] * (order + 1)
-    m = 0
-    while j + 2 * m <= order:
-        if m <= xser.order:
-            coeffs[j + 2 * m] = xser.coeff(m)
-        m += 1
+    if order >= j:
+        xser = xseries(j, (order - j) // 2)
+        coeffs[j::2] = xser.coeffs
     return PowerSeries("z", coeffs, order)
 
 
@@ -176,17 +176,13 @@ def _shat_x(j: int, xorder: int) -> PowerSeries:
     """x-series of s_j / z^j: equals (1+v) (Q/(1+2v))^j with Q = 1+3v+v^2."""
     Q = PowerSeries("v", [1, 3, 1]).pad(xorder)
     base = PowerSeries("v", [1, 1]).pad(xorder)
-    ratio = (Q * PowerSeries("v", [1, 2]).pad(xorder).inverse()) ** j
+    ratio = (Q / PowerSeries("v", [1, 2]).pad(xorder)) ** j
     return _SKEW.eval(base * ratio, xorder)
 
 
 def skew_sj_series(j: int, order: int) -> PowerSeries:
     """z-series of skew paths ending at level j (support on z^(j+2m))."""
-    if j < 0:
-        raise ValueError("level j must be >= 0")
-    if order < j:
-        return PowerSeries("z", [0] * (order + 1), order)
-    return _interleave(_shat_x(j, (order - j) // 2), j, order)
+    return _interleave(_shat_x, j, order)
 
 
 @lru_cache(maxsize=None)
@@ -278,11 +274,7 @@ def _ghat_x(j: int, xorder: int) -> PowerSeries:
 
 def dual_skew_Gj_series(j: int, order: int) -> PowerSeries:
     """z-series of dual skew paths ending at level j (support z^(j+2N))."""
-    if j < 0:
-        raise ValueError("level j must be >= 0")
-    if order < j:
-        return PowerSeries("z", [0] * (order + 1), order)
-    return _interleave(_ghat_x(j, (order - j) // 2), j, order)
+    return _interleave(_ghat_x, j, order)
 
 
 def _mu(j: int, k: int) -> int:
@@ -433,20 +425,23 @@ def _amp_layer_series(E: int, order: int) -> PowerSeries:
     return -(pre * geo)
 
 
+def _amp_layers(h: int, kind: str) -> Tuple[int, int]:
+    """The layer periods E whose difference gives amplitude class `kind` at h."""
+    if h < 0:
+        raise ValueError("height must be >= 0")
+    if kind not in ("horiz", "no-horiz"):
+        raise ValueError(f"unknown kind {kind!r}")
+    top = 2 * h + (4 if kind == "horiz" else 3)
+    return top, top - 1
+
+
 def amplitude_series(h: int, kind: str, order: int) -> PowerSeries:
     """Closed Motzkin paths whose greatest level is exactly h, split by
     whether a flat step occurs at that level ("horiz") or not ("no-horiz").
 
     amplitude = 2h + 1 in the first class and 2h in the second.
     """
-    if h < 0:
-        raise ValueError("height must be >= 0")
-    if kind == "horiz":
-        hi, lo = 2 * h + 4, 2 * h + 3
-    elif kind == "no-horiz":
-        hi, lo = 2 * h + 3, 2 * h + 2
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
+    hi, lo = _amp_layers(h, kind)
     expr = _amp_layer_series(hi, order) - _amp_layer_series(lo, order)
     return _MOTZKIN.eval(expr, order)
 
@@ -464,14 +459,7 @@ def _amp_layer_coeff(n: int, E: int) -> int:
 
 def amplitude_coeff(n: int, h: int, kind: str) -> int:
     """Single coefficient of :func:`amplitude_series`, without inversion."""
-    if h < 0:
-        raise ValueError("height must be >= 0")
-    if kind == "horiz":
-        hi, lo = 2 * h + 4, 2 * h + 3
-    elif kind == "no-horiz":
-        hi, lo = 2 * h + 3, 2 * h + 2
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
+    hi, lo = _amp_layers(h, kind)
     return _amp_layer_coeff(n, hi) - _amp_layer_coeff(n, lo)
 
 
@@ -488,17 +476,9 @@ def amplitude_total(n: int) -> int:
     d = [0] + [divisor_count(m) for m in range(1, n + 3)]
 
     def a(jj: int) -> int:
-        val = 0
-        if 1 <= jj <= n + 2:
-            val += d[jj]
-        if 1 <= jj - 1 <= n + 2:
-            val += d[jj - 1]
-        if 1 <= jj - 3 <= n + 2:
-            val -= d[jj - 3]
-        if 1 <= jj - 4 <= n + 2:
-            val -= d[jj - 4]
-        val -= {1: 1, 2: 3, 3: 3, 4: 2}.get(jj, 0)
-        return val
+        val = sum(sign * d[i] for sign, i in ((1, jj), (1, jj - 1), (-1, jj - 3), (-1, jj - 4))
+                  if 1 <= i <= n + 2)
+        return val - {1: 1, 2: 3, 3: 3, 4: 2}.get(jj, 0)
 
     total = 0
     for j in range(n + 1):
@@ -541,14 +521,6 @@ def kemp_peak_series(order: int) -> PowerSeries:
     num = PowerSeries("w", [0, 1]).pad(order) * root
     den = PowerSeries("w", [1, -2, 1]).pad(order)
     return num / den
-
-
-def _ballot(s: int, l: int) -> int:
-    """Nonnegative unit-step paths from level l to 0 in s steps."""
-    if l < 0 or l > s or (s - l) % 2:
-        return 0
-    u = (s - l) // 2
-    return binomial(s, u) - binomial(s, u - 1)
 
 
 def _ballot_table(rem: int, top: int) -> List[int]:
@@ -759,5 +731,5 @@ def deutsch_strip_solve(t: int, m: int, order: int) -> List[PowerSeries]:
         acc = b[row]
         for k in range(row + 1, m):
             acc = acc - A[row][k] * sol[k]
-        sol[row] = acc * A[row][row].inverse()
+        sol[row] = acc / A[row][row]
     return sol

@@ -370,23 +370,7 @@ class PowerSeries:
     __rmul__ = __mul__
 
     def inverse(self) -> "PowerSeries":
-        c0 = self.coeffs[0]
-        if not c0.is_constant or c0.is_zero:
-            raise ZeroDivisionError(
-                "series division needs a nonzero marker-free constant term, got "
-                f"{c0}")
-        inv0 = _exact(1 / c0.constant())
-        g = [c.terms for c in self.coeffs]
-        nz = [i for i in range(1, self.order + 1) if g[i]]
-        out = [MarkerPoly.const(inv0)]
-        for n in range(1, self.order + 1):
-            acc = {}
-            for i in nz:
-                if i > n:
-                    break
-                _mac(acc, g[i], out[n - i].terms)
-            out.append(_poly({m: -c * inv0 for m, c in acc.items()}))
-        return PowerSeries(self.var, out, self.order)
+        return PowerSeries.const(self.var, 1, self.order) / self
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -394,8 +378,28 @@ class PowerSeries:
         if isinstance(other, MarkerPoly):
             return self * (Fraction(1) / other.constant())
         other = self._coerce_mate(other)
+        c0 = other.coeffs[0]
+        if not c0.is_constant or c0.is_zero:
+            raise ZeroDivisionError(
+                "series division needs a nonzero marker-free constant term, got "
+                f"{c0}")
+        inv0 = _exact(1 / c0.constant())
+        # Long division: out_k = (num_k - sum_{1<=i<=k} den_i out_(k-i)) / den_0,
+        # summed over the divisor's nonzero terms only.
         n = min(self.order, other.order)
-        return self.truncate(n) * other.truncate(n).inverse()
+        neg = {i: {m: -c for m, c in other.coeffs[i].terms.items()}
+               for i in range(1, n + 1) if other.coeffs[i].terms}
+        out = []
+        for k in range(n + 1):
+            acc = dict(self.coeffs[k].terms)
+            for i, g in neg.items():
+                if i > k:
+                    break
+                _mac(acc, g, out[k - i].terms)
+            if inv0 != 1:
+                acc = {m: c * inv0 for m, c in acc.items()}
+            out.append(_poly(acc))
+        return PowerSeries(self.var, out, n)
 
     def __rtruediv__(self, other):
         return self._coerce_mate(other) / self
@@ -418,7 +422,8 @@ class PowerSeries:
         if self.coeffs[0] != _MP_ONE:
             raise ValueError("series sqrt requires constant term exactly 1")
         # out_n = (c_n - sum_{0<i<n} out_i out_(n-i)) / 2; the sum is symmetric,
-        # so it is twice the pairs with i < n - i plus the middle square.
+        # so it is twice the pairs with i < n - i plus the middle square.  Even
+        # ints are halved as ints, so an integral root never meets a Fraction.
         half = Fraction(1, 2)
         out = [_MP_ONE]
         for n in range(1, self.order + 1):
@@ -430,7 +435,8 @@ class PowerSeries:
                 acc[m] = acc.get(m, 0) - 2 * c
             if not n % 2:
                 _mac(acc, (-out[n // 2]).terms, out[n // 2].terms)
-            out.append(_poly({m: c * half for m, c in acc.items()}))
+            out.append(_poly({m: c >> 1 if type(c) is int and not c & 1 else c * half
+                              for m, c in acc.items()}))
         return PowerSeries(self.var, out, self.order)
 
     def compose(self, inner: "PowerSeries") -> "PowerSeries":

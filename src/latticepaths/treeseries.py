@@ -135,40 +135,33 @@ def marked_count(n: int) -> int:
     return unary_binary_count(n - 1, 1)
 
 
-def _pair_pows(h: int, order: int):
+def _height_parts(h: int, order: int):
+    """(1+2v)^(h-1), v^h (v+2)^(h-1) and the shared denominator
+    (1+3v+v^2)[(1+2v)^(h-1) - v^(h+1)(v+2)^(h-1)], as v-series."""
+    if h < 1:
+        raise ValueError("height bound must be >= 1")
     one2 = PowerSeries("v", [1, 2]).pad(order) ** (h - 1)
-    two1 = PowerSeries("v", [2, 1]).pad(order) ** (h - 1)
-    return one2, two1
+    tail = PowerSeries("v", [0] * h + [1]).pad(order) \
+        * PowerSeries("v", [2, 1]).pad(order) ** (h - 1)
+    den = PowerSeries("v", [1, 3, 1]).pad(order) * (one2 - tail.shift(1).truncate(order))
+    return one2, tail, den
 
 
 def marked_height_ph(h: int, order: int) -> PowerSeries:
     """Marked trees of height (in nodes) at most h:
     p_h = z(1+v) [(1+2v)^(h-1) - v^h (v+2)^(h-1)]
                / [(1+2v)^(h-1) - v^(h+1) (v+2)^(h-1)]."""
-    if h < 1:
-        raise ValueError("height bound must be >= 1")
-    one2, two1 = _pair_pows(h, order)
-    vh = PowerSeries("v", [0] * h + [1]).pad(order)
-    num = one2 - vh * two1
-    den = one2 - vh.shift(1).truncate(order) * two1
+    one2, tail, den = _height_parts(h, order)
     v = PowerSeries.identity("v", order)
-    expr = v * PowerSeries("v", [1, 1]).pad(order) * num / (
-        PowerSeries("v", [1, 3, 1]).pad(order) * den)
-    return _MARKED.eval(expr, order)
+    return _MARKED.eval(v * PowerSeries("v", [1, 1]).pad(order) * (one2 - tail) / den, order)
 
 
 def marked_height_tail(h: int, order: int) -> PowerSeries:
     """Marked trees of height exceeding h:
     z(1 - v^2)(v+2)^(h-1) v^h / [(1+2v)^(h-1) - v^(h+1)(v+2)^(h-1)]."""
-    if h < 1:
-        raise ValueError("height bound must be >= 1")
-    one2, two1 = _pair_pows(h, order)
-    vh = PowerSeries("v", [0] * h + [1]).pad(order)
-    den = one2 - vh.shift(1).truncate(order) * two1
+    _, tail, den = _height_parts(h, order)
     v = PowerSeries.identity("v", order)
-    expr = v * PowerSeries("v", [1, 0, -1]).pad(order) * two1 * vh / (
-        PowerSeries("v", [1, 3, 1]).pad(order) * den)
-    return _MARKED.eval(expr, order)
+    return _MARKED.eval(v * PowerSeries("v", [1, 0, -1]).pad(order) * tail / den, order)
 
 
 def marked_height_total(n: int) -> int:
@@ -266,22 +259,39 @@ def ternary_root_series(which: str, order: int) -> PowerSeries:
         return geom.compose(_t_of_x(order))
     if which not in ("r2", "r3"):
         raise ValueError(f"unknown root {which!r}")
-    U = MarkerPoly.var("U")
-    s = MarkerPoly.var("s")
-    xi = ternary_xi(order)
-    half_t = PowerSeries("tau", [0, (1 + U) * Fraction(1, 2)]).pad(order)
     sign = -1 if which == "r2" else 1
-    return half_t + sign * xi * PowerSeries.const("tau", s, order)
+    return _sigma_to_tau(_root_recip_sigma(sign, _xi_sigma(order), order))
 
 
 def ternary_xi(order: int) -> PowerSeries:
     """Xi(tau) = sqrt(C)/(1 - (1+U)tau) with
-    C = 1 - (3+4U)/4 tau + U(1+U)/4 tau^2, so that 1/r_{2,3} = t/2 -+ s Xi."""
+    C = 1 - (3+4U)/4 tau + U(1+U)/4 tau^2, so that 1/r_{2,3} = t/2 -+ s Xi.
+
+    Built over sigma = tau/16, where every coefficient is an integer:
+    C = 1 + 4y with y = -(3+4U) sigma + 16U(1+U) sigma^2 in Z[U][sigma], the
+    weights of sqrt(1 + 4y) = sum_k binom(1/2,k) 4^k y^k are
+    binom(1/2,k) 4^k = 2(-1)^(k-1) Cat(k-1), and the divisor
+    1 - 16(1+U) sigma has constant term 1.  Coefficient n is scaled by 16^-n.
+    """
+    return _sigma_to_tau(_xi_sigma(order))
+
+
+def _xi_sigma(order: int) -> PowerSeries:
     U = MarkerPoly.var("U")
-    C = PowerSeries("tau", [1, -(3 + 4 * U) * Fraction(1, 4),
-                            U * (1 + U) * Fraction(1, 4)]).pad(order)
-    den = PowerSeries("tau", [1, -(1 + U)]).pad(order)
-    return C.sqrt() / den
+    C = PowerSeries("sigma", [1, -4 * (3 + 4 * U), 64 * U * (1 + U)]).pad(order)
+    return C.sqrt() / PowerSeries("sigma", [1, -16 * (1 + U)]).pad(order)
+
+
+def _root_recip_sigma(sign: int, xi: PowerSeries, order: int) -> PowerSeries:
+    """1/r_{2,3} = t/2 -+ s Xi at tau = 16 sigma, where t/2 = 8(1+U) sigma."""
+    half_t = PowerSeries("sigma", [0, 8 * (1 + MarkerPoly.var("U"))]).pad(order)
+    return (half_t + xi * (sign * MarkerPoly.var("s"))).truncate(order)
+
+
+def _sigma_to_tau(ser: PowerSeries) -> PowerSeries:
+    """F(tau) from the series of F(16 sigma): coefficient n times 16^-n."""
+    return PowerSeries("tau", [c * Fraction(1, 16 ** n) for n, c in enumerate(ser.coeffs)],
+                       ser.order)
 
 
 def ternary_factorization_check(order: int) -> bool:
@@ -290,7 +300,9 @@ def ternary_factorization_check(order: int) -> bool:
     Checks, exactly: the polynomial identities behind r2 + r3 and r2 r3,
     the discriminant factorization, r1 + r2 + r3 = (u-1)/u, and the series
     identity (1/r2)(1/r3) = -ux/r1 i.e. r1 u x r2 r3 = -1, to the given
-    order in tau.  Returns True when everything holds.
+    order in tau.  The series identities are checked at tau = 16 sigma,
+    where every coefficient is an integer.  Returns True when everything
+    holds.
     """
     t = MarkerPoly.var("t")
     u = MarkerPoly.var("u")
@@ -303,29 +315,27 @@ def ternary_factorization_check(order: int) -> bool:
     # r1 + r2 + r3 = (u-1)/u  <=>  u - (1 - t + ut) = (u - 1)(1 - t)
     if u - (1 - t + u * t) != (u - 1) * (1 - t):
         return False
-    # series side: (1/r2)(1/r3) with s^2 -> ux equals -ux * r1 in tau
+    # series side: (1/r2)(1/r3) with s^2 -> ux equals -ux * r1, in sigma
     U = MarkerPoly.var("U")
     uu = 1 + U
-    r2i = ternary_root_series("r2", order)
-    r3i = ternary_root_series("r3", order)
-    prod = r2i * r3i
+    xi = _xi_sigma(order)
+    prod = _root_recip_sigma(-1, xi, order) * _root_recip_sigma(1, xi, order)
     # split off s^2 and substitute s^2 = ux = (1+U)^2 tau (1-(1+U)tau)^2 / (1+U(1+U)tau)
-    tau = PowerSeries.identity("tau", order)
-    one_minus = PowerSeries("tau", [1, -uu]).pad(order)
-    denom = PowerSeries("tau", [1, U * uu]).pad(order)
-    ux = tau * (uu * uu) * one_minus * one_minus / denom
+    sigma = PowerSeries.identity("sigma", order)
+    one_minus = PowerSeries("sigma", [1, -16 * uu]).pad(order)
+    denom = PowerSeries("sigma", [1, 16 * U * uu]).pad(order)
+    ux = sigma * (16 * uu * uu) * one_minus * one_minus / denom
     s0 = prod.map_coeffs(lambda c: c.marker_coeff("s", 0))
     s2 = prod.map_coeffs(lambda c: c.marker_coeff("s", 2))
     lhs = s0 + s2 * ux
-    # r1 = 1/(1-t) with t = (1+U)tau
-    r1 = PowerSeries("tau", [uu ** i for i in range(order + 1)], order)
+    # r1 = 1/(1-t) with t = (1+U)tau = 16(1+U) sigma
+    r1 = PowerSeries("sigma", [(16 * uu) ** i for i in range(order + 1)], order)
     rhs = -(ux * r1)
     if lhs != rhs:
         return False
     # the factorization r1 = Xi^2 - t^2/(4ux), via the exact polynomial
     # identity C - tau(1 + U(1+U)tau)/4 = 1 - (1+U)tau
-    xi = ternary_xi(order)
-    tt_over = (tau * Fraction(1, 4)) * denom / (one_minus * one_minus)
+    tt_over = (sigma * 4) * denom / (one_minus * one_minus)
     if xi * xi - tt_over != r1:
         return False
     return True

@@ -1,6 +1,8 @@
 """Growth laws against exact ladders at doubling sizes."""
 
 import math
+import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,6 +10,8 @@ import pytest
 from latticepaths.asymptotics import (
     EULER_GAMMA,
     LAW_KINDS,
+    TrendReport,
+    _decimal,
     eval_law,
     trend_check,
 )
@@ -98,6 +102,33 @@ def test_trend_report_csv():
         "5,1,1.0,0.0\n"
         "10,5/2,2.0,0.25\n"
     )
+
+
+def _unlimited_str(v: int) -> str:
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return str(v)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+def test_decimal_digits_past_the_int_string_limit():
+    rng = random.Random(7)
+    values = [0, 7, -7, 2 ** 2048, 10 ** 617, 10 ** 5000 + 1, -(10 ** 9000) - 10 ** 30,
+              3 ** 20000]
+    values += [rng.getrandbits(bits) * rng.choice((1, -1))
+               for bits in (100, 2047, 2049, 9000, 30000, 60000) for _ in range(5)]
+    for v in values:
+        assert _decimal(v) == _unlimited_str(v)
+    big = Fraction(10 ** 5000 + 3, 7 * 10 ** 4400 + 1)
+    report = TrendReport("red_edges", rows=[(1, big, 1.0, 0.5), (2, 10 ** 4500 + 9, 1.0, 0.5)])
+    lines = report.to_csv().splitlines()
+    assert lines[1] == (f"1,{_unlimited_str(big.numerator)}/{_unlimited_str(big.denominator)}"
+                        ",1.0,0.5")
+    assert lines[2] == f"2,{_unlimited_str(10 ** 4500 + 9)},1.0,0.5"
     whole = trend_check("red_edges", [(10, Fraction(2, 1))])
     assert whole.to_csv().splitlines()[1] == "10,2,2.0,0.0"
 

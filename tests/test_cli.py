@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import latticepaths
-from latticepaths.cli import CHECK_FAMILIES, main
+from latticepaths.cli import CHECK_FAMILIES, SEQ_FAMILIES, SEQ_FLAGS, main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -124,6 +124,12 @@ def test_usage_errors_exit_2(argv, capsys):
     ["check", "--family", "ternary", "--j", "1"],
     ["check", "--family", "marked", "--t", "0"],
     ["check", "--family", "deutsch-strip", "--m", "4", "--n", "5"],
+    ["seq", "--family", "a002212", "--n", "3", "--k", "-9", "--t", "99"],
+    ["seq", "--family", "skew-sj", "--n", "5", "--k", "2"],
+    ["seq", "--family", "horton-Rp", "--n", "5", "--j", "1", "--t", "0"],
+    ["seq", "--family", "ternary-T", "--max", "3"],
+    ["bij", "--family", "rotation", "--n", "2", "--k", "-9"],
+    ["bij", "--family", "marked-skew", "--max", "3"],
 ])
 def test_bad_parameters_exit_2_with_a_message(argv):
     src = Path(latticepaths.__file__).resolve().parents[1]
@@ -133,3 +139,28 @@ def test_bad_parameters_exit_2_with_a_message(argv):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.strip() and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("family", SEQ_FAMILIES)
+def test_seq_accepts_the_flags_it_reads(family, capsys):
+    argv = ["seq", "--family", family, "--n", "4"]
+    for flag in SEQ_FLAGS.get(family, ()):
+        argv += [f"--{flag}", "2"]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out and not err
+
+
+def test_asym_prints_values_past_the_int_digit_limit():
+    # the exact averages at n = 16384 have more digits than str() converts
+    src = Path(latticepaths.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("PYTHONINTMAXSTRDIGITS", None)
+    proc = subprocess.run([sys.executable, "-m", "latticepaths.cli", "asym", "--family",
+                           "horton_avg", "--n", "16384", "--a", "0", "--tolerance", "0.6"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode != 2
+    assert "Traceback" not in proc.stderr
+    rows = proc.stdout.splitlines()
+    assert [row.split(",")[0] for row in rows[1:-1]] == ["2048", "4096", "8192", "16384"]
+    assert max(len(row.split(",")[1]) for row in rows[1:-1]) > 4300

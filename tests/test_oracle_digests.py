@@ -1,0 +1,50 @@
+"""The recorded benchmark digests, checked in-process.
+
+`bench/oracle.json` holds the exit code and output digest of every benchmark
+operation.  This runs the operations that go through series division (every
+`bivariate` library call, `seq kemp-valley`/`kemp-peak` and the
+`asym kemp_valley`/`kemp_gap` ladders) in this interpreter, digests each
+output as `bench/child.py` does, and compares.  It only reads `bench/`.
+"""
+
+import json
+import types
+from pathlib import Path
+
+import pytest
+
+import latticepaths.cli  # noqa: F401  (bench/child.py finds the modules in sys.modules)
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _load(name):
+    """Execute bench/<name>.py as a module without writing a bytecode cache."""
+    path = BENCH / f"{name}.py"
+    module = types.ModuleType(f"_bench_{name}")
+    module.__file__ = str(path)
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
+
+
+child = _load("child")
+ops = _load("ops")
+ORACLE = json.loads((BENCH / "oracle.json").read_text())
+
+DIVISION_CLI = {("seq", "kemp-valley"), ("seq", "kemp-peak"),
+                ("asym", "kemp_valley"), ("asym", "kemp_gap")}
+OPS = [op for group in ops.groups("bivariate") for op in group] + [
+    op for workload in ("sequences", "ladders") for group in ops.groups(workload)
+    for op in group if (op["argv"][0], op["argv"][2]) in DIVISION_CLI]
+
+
+def test_the_selection_covers_every_division_cli_op():
+    assert {(op["argv"][0], op["argv"][2]) for op in OPS if op["kind"] == "cli"} == DIVISION_CLI
+
+
+@pytest.mark.parametrize("op", OPS, ids=[ops.key(op) for op in OPS])
+def test_output_digest_matches_the_oracle(op):
+    want = ORACLE[ops.key(op)]
+    code, text, _ = child._call(op, lambda name, fn: fn)
+    assert code == want["exit"]
+    assert child.digest(code, text) == want["digest"]

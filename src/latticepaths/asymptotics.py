@@ -11,7 +11,6 @@ by nature; everything feeding them stays exact until the final division.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Sequence, Tuple, Union
 
@@ -101,24 +100,49 @@ def _decimal(v: int) -> str:
     return _decimal(hi) + _decimal(lo).zfill(k)
 
 
-@dataclass
-class TrendReport:
-    """Outcome of comparing an exact ladder against a growth law."""
+def _exact_str(value: Number) -> str:
+    """An int as its digits, a Fraction as p/q (its digits when integral),
+    at any length; anything else through str()."""
+    if isinstance(value, Fraction):
+        if value.denominator == 1:
+            return _decimal(value.numerator)
+        return f"{_decimal(value.numerator)}/{_decimal(value.denominator)}"
+    if isinstance(value, int):
+        return _decimal(value)
+    return str(value)
 
-    kind: str
-    rows: List[Tuple[int, Number, float, float]] = field(default_factory=list)
-    ok: bool = True
+
+_NEW_LIST: list = []  # the default `rows`: a fresh list per report, never this one
+
+
+class TrendReport:
+    """Outcome of comparing an exact ladder against a growth law.
+
+    A plain class with the constructor, equality and repr of the dataclass
+    it replaces: `dataclasses` would pull `inspect` into every start-up.
+    """
+
+    __match_args__ = ("kind", "rows", "ok")
+
+    def __init__(self, kind: str, rows: List[Tuple[int, Number, float, float]] = _NEW_LIST,
+                 ok: bool = True) -> None:
+        self.kind = kind
+        self.rows = [] if rows is _NEW_LIST else rows
+        self.ok = ok
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__qualname__}(kind={self.kind!r}, rows={self.rows!r}, "
+                f"ok={self.ok!r})")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.rows, self.ok) == (other.kind, other.rows, other.ok)
 
     def to_csv(self) -> str:
         lines = ["n,exact,asymptotic,rel_dev"]
         for n, exact, asym, dev in self.rows:
-            if isinstance(exact, Fraction) and exact.denominator != 1:
-                exact_str = f"{_decimal(exact.numerator)}/{_decimal(exact.denominator)}"
-            elif isinstance(exact, (int, Fraction)):
-                exact_str = _decimal(int(exact))
-            else:
-                exact_str = str(exact)
-            lines.append(f"{n},{exact_str},{asym!r},{dev!r}")
+            lines.append(f"{n},{_exact_str(exact)},{asym!r},{dev!r}")
         return "\n".join(lines) + "\n"
 
 

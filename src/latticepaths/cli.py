@@ -11,13 +11,12 @@ exact integers or rationals, never floats.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from collections import Counter
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
-from .asymptotics import LAW_KINDS, trend_check
+from .asymptotics import LAW_KINDS, _decimal, _exact_str, trend_check
 from .bijections import (
     marked_to_skew,
     motzkin3_to_multiedge,
@@ -81,13 +80,6 @@ from .treeseries import (
     unary_binary_count,
 )
 
-def _exact_str(value) -> str:
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return str(value.numerator)
-        return f"{value.numerator}/{value.denominator}"
-    return str(value)
-
 
 def _coeff_value(c):
     """Unwrap a series coefficient to int or Fraction."""
@@ -98,22 +90,28 @@ def _coeff_value(c):
     return c
 
 
+def _json_record(n: int, value) -> str:
+    """json.dumps({"n": n, "value": value}) byte for byte, written out by hand
+    for an int, a list of ints or a Fraction (a "p/q" string unless integral),
+    at any length."""
+    if isinstance(value, (list, tuple)):
+        payload = f"[{', '.join(_decimal(v) for v in value)}]"
+    elif isinstance(value, Fraction) and value.denominator != 1:
+        payload = f'"{_exact_str(value)}"'
+    else:
+        payload = _exact_str(value)
+    return f'{{"n": {n}, "value": {payload}}}'
+
+
 def _emit_rows(rows: Iterable[Tuple[int, object]], fmt: str) -> None:
     sep = "," if fmt == "csv" else "\t"
     for n, value in rows:
-        if fmt != "json-lines":
-            if isinstance(value, (list, tuple)):
-                print(f"{n}{sep}{' '.join(_exact_str(v) for v in value)}")
-            else:
-                print(f"{n}{sep}{_exact_str(value)}")
-            continue
-        if isinstance(value, (list, tuple)):
-            payload = list(value)
-        elif isinstance(value, Fraction) and value.denominator != 1:
-            payload = _exact_str(value)
+        if fmt == "json-lines":
+            print(_json_record(n, value))
+        elif isinstance(value, (list, tuple)):
+            print(f"{n}{sep}{' '.join(_exact_str(v) for v in value)}")
         else:
-            payload = int(value) if isinstance(value, Fraction) else value
-        print(json.dumps({"n": n, "value": payload}))
+            print(f"{n}{sep}{_exact_str(value)}")
 
 
 def _or(value, default):
@@ -299,10 +297,10 @@ def _check_deutsch(budget: int, m: int = 5) -> List[CheckResult]:
     order = min(budget, 12)
     ok = True
     for t in range(m):
+        solved = deutsch_strip_solve(t, m, order)
         for j in range(m):
             closed = deutsch_phi(t, j, order, bound=m)
-            solved = deutsch_strip_solve(t, m, order)[j]
-            if not (closed - solved).is_zero:
+            if not (closed - solved[j]).is_zero:
                 ok = False
     out.append((ok, f"strip m={m}: kernel closed forms = band solve, order {order}"))
     top = min(budget, 9)
@@ -529,6 +527,8 @@ ASYM_LADDERS: Dict[str, Callable[[List[int], int, int], List[Tuple[int, object]]
     "kemp_valley": lambda ns, top, a: _kemp_rows(ns, top, gap=False),
     "kemp_gap": lambda ns, top, a: _kemp_rows(ns, top, gap=True),
 }
+# the kinds whose ladder and law read --a; every kind reads --n (and --tolerance)
+ASYM_FLAGS = {"horton_avg": ("a",), "node_count_growth": ("a",)}
 
 
 def cmd_asym(args) -> int:
@@ -538,6 +538,8 @@ def cmd_asym(args) -> int:
     tol = args.tolerance if args.tolerance is not None else 0.2
     if not tol >= 0:  # also rejects nan
         print("--tolerance must be >= 0", file=sys.stderr)
+        return 2
+    if _unread_flags(args, ("n",) + ASYM_FLAGS.get(kind, ())):
         return 2
     ns = sorted({max(1, top // 8), max(1, top // 4), max(1, top // 2), top})
     try:

@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import latticepaths
-from latticepaths.cli import CHECK_FAMILIES, SEQ_FAMILIES, SEQ_FLAGS, main
+from latticepaths.asymptotics import LAW_KINDS, eval_law
+from latticepaths.cli import (ASYM_FLAGS, CHECK_FAMILIES, SEQ_FAMILIES, SEQ_FLAGS,
+                              main)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -130,6 +132,12 @@ def test_usage_errors_exit_2(argv, capsys):
     ["seq", "--family", "ternary-T", "--max", "3"],
     ["bij", "--family", "rotation", "--n", "2", "--k", "-9"],
     ["bij", "--family", "marked-skew", "--max", "3"],
+    ["asym", "--family", "red_edges", "--n", "40", "--a", "7", "--k", "-3", "--max", "2"],
+    ["asym", "--family", "red_edges", "--a", "0"],
+    ["asym", "--family", "kemp_gap", "--n", "40", "--m", "2"],
+    ["asym", "--family", "horton_avg", "--n", "64", "--a", "1", "--j", "1"],
+    ["asym", "--family", "node_count_growth", "--n", "64", "--t", "0"],
+    ["asym", "--family", "marked_height", "--max", "5", "--tolerance", "0.6"],
 ])
 def test_bad_parameters_exit_2_with_a_message(argv):
     src = Path(latticepaths.__file__).resolve().parents[1]
@@ -164,3 +172,44 @@ def test_asym_prints_values_past_the_int_digit_limit():
     rows = proc.stdout.splitlines()
     assert [row.split(",")[0] for row in rows[1:-1]] == ["2048", "4096", "8192", "16384"]
     assert max(len(row.split(",")[1]) for row in rows[1:-1]) > 4300
+
+
+def test_asym_reads_a_for_the_kinds_whose_law_reads_it():
+    reads_a = {kind for kind in LAW_KINDS if eval_law(kind, 16, 0) != eval_law(kind, 16, 1)}
+    assert reads_a == {kind for kind, flags in ASYM_FLAGS.items() if "a" in flags}
+
+
+@pytest.mark.parametrize("kind", sorted(ASYM_FLAGS))
+def test_asym_accepts_the_flags_it_reads(kind, capsys):
+    argv = ["asym", "--family", kind, "--n", "32", "--tolerance", "0.6"]
+    for flag in ASYM_FLAGS[kind]:
+        argv += [f"--{flag}", "1"]
+    assert main(argv) in (0, 1)
+    out, err = capsys.readouterr()
+    assert out.startswith("n,exact,asymptotic,rel_dev\n") and not err
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "json-lines"])
+def test_seq_prints_values_past_the_int_digit_limit(fmt):
+    # hoppy-neg at k = 10000 passes 4300 digits a few hundred rows in
+    env = dict(os.environ, PYTHONPATH=str(Path(latticepaths.__file__).resolve().parents[1]))
+    env.pop("PYTHONINTMAXSTRDIGITS", None)
+    proc = subprocess.run([sys.executable, "-m", "latticepaths.cli", "seq", "--family",
+                           "hoppy-neg", "--k", "10000", "--n", "1000", "--format", fmt],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    rows = proc.stdout.splitlines()
+    assert len(rows) == 1001
+    assert max(len(row) for row in rows) > 4300
+    if fmt == "json-lines":
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit:
+            sys.set_int_max_str_digits(0)
+        try:
+            records = [json.loads(row) for row in rows]
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
+        assert [record["n"] for record in records] == list(range(1001))
+        assert all(type(record["value"]) is int for record in records)

@@ -274,6 +274,20 @@ def test_check_horton_calls_reg_once_per_enumerated_tree(monkeypatch, capsys):
     assert classified == {"unary_binary": total}
 
 
+def test_check_deutsch_solves_the_band_system_once_per_start_level(monkeypatch, capsys):
+    solved = Counter()
+
+    def counting_solve(t, m, order):
+        solved[t, m] += 1
+        return pathseries.deutsch_strip_solve(t, m, order)
+
+    monkeypatch.setattr(cli, "deutsch_strip_solve", counting_solve)
+    assert cli.main(["check", "--family", "deutsch-strip"]) == 0
+    assert cli.main(["check", "--family", "deutsch-strip", "--m", "3", "--max", "6"]) == 0
+    capsys.readouterr()
+    assert solved == {**{(t, 5): 1 for t in range(5)}, **{(t, 3): 1 for t in range(3)}}
+
+
 def test_lambda_prime_is_eight_times_the_rational_formula():
     for j in range(6):
         for i in range(41):

@@ -19,20 +19,45 @@ Number = Union[int, Fraction, float]
 # math.gamma has no companion constant in older stdlibs, so pin it.
 EULER_GAMMA = 0.5772156649015329
 
-LAW_KINDS = (
-    "horton_avg",
-    "node_count_growth",
-    "marked_leaves",
-    "marked_height",
-    "red_edges",
-    "retakh_height",
-    "retakh_leaves",
-    "motzkin_height",
-    "amplitude_avg",
-    "amplitude_split",
-    "kemp_valley",
-    "kemp_gap",
-)
+
+def _horton_avg(n: int, a: int) -> float:
+    log2 = math.log(2.0)
+    return (
+        math.log(n) / (2 * log2)
+        - EULER_GAMMA / (2 * log2)
+        - 1 / log2
+        + 1.5
+        + math.log(math.pi) / log2
+        - math.log(a + 4.0) / (2 * log2)
+    )
+
+
+# kind -> law(n, a), in the order `asym --help` lists the kinds
+_LAWS = {
+    "horton_avg": _horton_avg,
+    "node_count_growth": lambda n, a: (a + 4.0) ** (n + 0.5) / (2 * math.sqrt(math.pi) * n ** 1.5),
+    # exact/law -> 1 requires 2n/5; see the singular expansion of
+    # z/(1-v) against z(1+v): (1/sqrt5 n^{-1/2}/sqrt(pi)) over
+    # (sqrt5 n^{-3/2}/(2 sqrt(pi))) is 2n/5.
+    "marked_leaves": lambda n, a: 2.0 * n / 5.0,
+    # the height layers decay like ((v+2)/(1+2v))^h v^h ~ e^{-2h(1-v)/3},
+    # which scales the harmonic-sum log term by 3/2
+    "marked_height": lambda n, a: 3.0 / math.sqrt(5.0) * math.sqrt(math.pi * n),
+    "red_edges": lambda n, a: n / 5.0,
+    "retakh_height": lambda n, a: 2.0 * math.sqrt(math.pi * n / 3.0),
+    "retakh_leaves": lambda n, a: 4.0 * n / 9.0,
+    "motzkin_height": lambda n, a: math.sqrt(math.pi * n / 3.0),
+    "amplitude_avg": lambda n, a: 2.0 * math.sqrt(math.pi * n / 3.0),
+    "amplitude_split": lambda n, a: 0.5,
+    "kemp_valley": lambda n, a: (
+        4.0 * math.sqrt(2.0) * math.sqrt(n / math.pi)
+        - 2.0
+        + 5.0 * math.sqrt(2.0) / (8.0 * math.sqrt(math.pi * n))
+    ),
+    "kemp_gap": lambda n, a: 2.0 - math.sqrt(2.0) / math.sqrt(math.pi * n),
+}
+
+LAW_KINDS = tuple(_LAWS)
 
 
 def eval_law(kind: str, n: int, a: int = 0) -> float:
@@ -44,48 +69,10 @@ def eval_law(kind: str, n: int, a: int = 0) -> float:
     """
     if n <= 0:
         raise ValueError("law evaluation needs n >= 1")
-    if kind == "horton_avg":
-        log2 = math.log(2.0)
-        return (
-            math.log(n) / (2 * log2)
-            - EULER_GAMMA / (2 * log2)
-            - 1 / log2
-            + 1.5
-            + math.log(math.pi) / log2
-            - math.log(a + 4.0) / (2 * log2)
-        )
-    if kind == "node_count_growth":
-        return (a + 4.0) ** (n + 0.5) / (2 * math.sqrt(math.pi) * n ** 1.5)
-    if kind == "marked_leaves":
-        # exact/law -> 1 requires 2n/5; see the singular expansion of
-        # z/(1-v) against z(1+v): (1/sqrt5 n^{-1/2}/sqrt(pi)) over
-        # (sqrt5 n^{-3/2}/(2 sqrt(pi))) is 2n/5.
-        return 2.0 * n / 5.0
-    if kind == "marked_height":
-        # the height layers decay like ((v+2)/(1+2v))^h v^h ~ e^{-2h(1-v)/3},
-        # which scales the harmonic-sum log term by 3/2
-        return 3.0 / math.sqrt(5.0) * math.sqrt(math.pi * n)
-    if kind == "red_edges":
-        return n / 5.0
-    if kind == "retakh_height":
-        return 2.0 * math.sqrt(math.pi * n / 3.0)
-    if kind == "retakh_leaves":
-        return 4.0 * n / 9.0
-    if kind == "motzkin_height":
-        return math.sqrt(math.pi * n / 3.0)
-    if kind == "amplitude_avg":
-        return 2.0 * math.sqrt(math.pi * n / 3.0)
-    if kind == "amplitude_split":
-        return 0.5
-    if kind == "kemp_valley":
-        return (
-            4.0 * math.sqrt(2.0) * math.sqrt(n / math.pi)
-            - 2.0
-            + 5.0 * math.sqrt(2.0) / (8.0 * math.sqrt(math.pi * n))
-        )
-    if kind == "kemp_gap":
-        return 2.0 - math.sqrt(2.0) / math.sqrt(math.pi * n)
-    raise ValueError(f"unknown law kind {kind!r}")
+    law = _LAWS.get(kind)
+    if law is None:
+        raise ValueError(f"unknown law kind {kind!r}")
+    return law(n, a)
 
 
 def _decimal(v: int) -> str:

@@ -1,6 +1,6 @@
-"""Exact integer and rational primitives shared by the formula catalogs.
+"""Exact integer primitives shared by the formula catalogs.
 
-Everything here is exact: Python integers and fractions only.  The binomial
+Everything here is exact: Python integers only.  The binomial
 coefficient is extended to negative upper index by the usual reflection, which
 several coefficient-extraction formulas rely on.
 """
@@ -8,7 +8,6 @@ several coefficient-extraction formulas rely on.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 
@@ -40,44 +39,17 @@ def _trinomial_row(n: int, b: int) -> tuple:
     return tuple(row)
 
 
-def trinomial(n: int, a, k: int):
-    """Coefficient of t^k in (1 + a*t + t^2)^n for n >= 0.
-
-    The middle weight a may be an int, a Fraction, or any ring element with
-    +, * and division by integers (polynomial marker coefficients included).
-    """
+def trinomial(n: int, a: int, k: int) -> int:
+    """Coefficient of t^k in (1 + a*t + t^2)^n for n >= 0 and an int middle weight a."""
+    if not isinstance(a, int):
+        raise TypeError(f"trinomial needs an int middle weight, got {type(a).__name__}")
     if n < 0:
         raise ValueError("trinomial needs n >= 0")
     if k < 0 or k > 2 * n:
         return 0
     if k > n:
         k = 2 * n - k  # symmetry, keeps cached rows short on the right end
-    if isinstance(a, int):
-        return _trinomial_row(n, a)[k]
-    if isinstance(a, Fraction):
-        row = _poly_trinomial_row(n, a)
-    else:
-        row = _poly_trinomial_row_nocache(n, a)
-    return row[k]
-
-
-@lru_cache(maxsize=None)
-def _poly_trinomial_row(n: int, a):
-    return _poly_trinomial_row_nocache(n, a)
-
-
-def _poly_trinomial_row_nocache(n: int, a):
-    row = [1]
-    for _ in range(n):
-        new = [0] * (len(row) + 2)
-        for i, c in enumerate(row):
-            if isinstance(c, int) and c == 0:
-                continue
-            new[i] = new[i] + c
-            new[i + 1] = new[i + 1] + c * a
-            new[i + 2] = new[i + 2] + c
-        row = new
-    return tuple(row)
+    return _trinomial_row(n, a)[k]
 
 
 def trinomial_row(n: int, a: int) -> tuple:

@@ -9,7 +9,7 @@ Paths are tuples of step tokens:
     Hc  horizontal step with color c (H0, H1, H2, ...)
     Dr  down-jump by r (D1, D2, ...), bounded-jump model
 
-Every generator enumerates exhaustively in a fixed recursive order, so the
+Every generator is a move rule on one depth-first walker, `_walk`, so the
 i-th path of a family is reproducible.  These exist to cross-check the
 generating function catalogs, not to be fast.
 """
@@ -41,142 +41,107 @@ def levels(path, up: int = 1, start: int = 0) -> list:
     return out
 
 
+def _walk(n_steps, moves, start=0, end_level=0, floor=0, ceiling=None, rise=1, fall=1):
+    """Every path of n_steps steps from start to end_level, depth first.
+
+    moves(prev, level) gives the (token, delta) pairs allowed after token prev
+    (None first) at level.  rise and fall bound one step's climb and drop, so a
+    step enters a level only if end_level stays reachable inside [floor, ceiling].
+    """
+    if not end_level - rise * n_steps <= start <= end_level + fall * n_steps:
+        return []
+    if n_steps == 0:
+        return [()]
+    windows = [(max(floor, end_level - rise * left),
+                end_level + fall * left if ceiling is None
+                else min(ceiling, end_level + fall * left))
+               for left in range(n_steps)]
+    out = []
+    prefix = []
+
+    def rec(left, level, prev):
+        left -= 1
+        low, high = windows[left]
+        for tok, delta in moves(prev, level):
+            nl = level + delta
+            if low <= nl <= high:
+                prefix.append(tok)
+                if left:
+                    rec(left, nl, tok)
+                else:
+                    out.append(tuple(prefix))
+                prefix.pop()
+
+    rec(n_steps, start, None)
+    return out
+
+
 def gen_kdyck(k: int, n_up: int, end_level: int = 0, floor: int = 0,
               require_last_up: bool = False) -> list:
     """Paths with n_up rises of +k and unit falls, from 0 to end_level, level >= floor."""
     n_down = k * n_up - end_level
     if n_down < 0:
         return []
-    out = []
-    prefix = []
-
-    def rec(ups, downs, level):
-        if ups == 0 and downs == 0:
-            if not require_last_up or (prefix and prefix[-1] == "U"):
-                out.append(tuple(prefix))
-            return
-        if ups:
-            prefix.append("U")
-            rec(ups - 1, downs, level + k)
-            prefix.pop()
-        if downs and level - 1 >= floor:
-            prefix.append("d")
-            rec(ups, downs - 1, level - 1)
-            prefix.pop()
-
-    rec(n_up, n_down, 0)
-    return out
-
-
-def _walk(n_steps, end_level, floor, ceiling, moves):
-    out = []
-    prefix = []
-
-    def rec(left, level, prev):
-        if left == 0:
-            if level == end_level:
-                out.append(tuple(prefix))
-            return
-        if level + left < end_level:
-            return
-        for tok, delta in moves(prev):
-            nl = level + delta
-            if nl < floor or (ceiling is not None and nl > ceiling):
-                continue
-            prefix.append(tok)
-            rec(left - 1, nl, tok)
-            prefix.pop()
-
-    rec(n_steps, 0, None)
-    return out
+    steps = (("U", k), ("d", -1))
+    paths = _walk(n_up + n_down, lambda prev, level: steps, end_level=end_level,
+                  floor=floor, rise=k)
+    return [p for p in paths if p and p[-1] == "U"] if require_last_up else paths
 
 
 def gen_skew(n_steps: int, end_level: int = 0) -> list:
     """Skew paths: steps U/d/r, never r right after U or U right after r."""
 
-    def moves(prev):
+    def moves(prev, level):
         if prev != "r":
             yield "U", 1
         yield "d", -1
         if prev != "U":
             yield "r", -1
 
-    return _walk(n_steps, end_level, 0, None, moves)
+    return _walk(n_steps, moves, end_level=end_level)
 
 
 def gen_dual_skew(n_steps: int, end_level: int = 0) -> list:
     """Dual model: steps U/b/d where blue rises and falls are never adjacent."""
 
-    def moves(prev):
+    def moves(prev, level):
         yield "U", 1
         if prev != "d":
             yield "b", 1
         if prev != "b":
             yield "d", -1
 
-    return _walk(n_steps, end_level, 0, None, moves)
+    return _walk(n_steps, moves, end_level=end_level)
 
 
 def gen_motzkin(n_steps: int, horiz_colors: int = 1, max_height: int | None = None,
                 end_level: int = 0) -> list:
     """Motzkin paths with colored level steps, optional height cap."""
-    flats = [(f"H{c}", 0) for c in range(horiz_colors)]
-
-    def moves(prev):
-        yield "U", 1
-        yield from flats
-        yield "d", -1
-
-    return _walk(n_steps, end_level, 0, max_height, moves)
+    steps = (("U", 1), *((f"H{c}", 0) for c in range(horiz_colors)), ("d", -1))
+    return _walk(n_steps, lambda prev, level: steps, end_level=end_level,
+                 ceiling=max_height)
 
 
 def gen_deutsch(n_steps: int, start: int = 0, floor: int = 0,
                 ceiling: int | None = None, end_level: int = 0) -> list:
     """Unit rises and down-jumps of any size, levels kept inside [floor, ceiling]."""
-    out = []
-    prefix = []
-
-    def rec(left, level):
-        if left == 0:
-            if level == end_level:
-                out.append(tuple(prefix))
-            return
-        if level + left < end_level:
-            return
-        if ceiling is None or level + 1 <= ceiling:
-            prefix.append("U")
-            rec(left - 1, level + 1)
-            prefix.pop()
-        for drop in range(1, level - floor + 1):
-            prefix.append(f"D{drop}")
-            rec(left - 1, level - drop)
-            prefix.pop()
-
-    rec(n_steps, start)
-    return out
+    top = start + n_steps  # no drop exceeds top - floor; below the floor only U
+    steps = [("U", 1)] + [(f"D{drop}", -drop) for drop in range(1, top - floor + 1)]
+    return _walk(n_steps, lambda prev, level: steps[:max(level - floor, 0) + 1],
+                 start=start, end_level=end_level, floor=min(floor, start),
+                 ceiling=ceiling, fall=max(top - floor, 0))
 
 
 def gen_retakh(n_pairs: int) -> list:
     """Dyck paths of n_pairs rises whose peaks sit at level 1 or at even levels."""
-    out = []
-    prefix = []
+    up, down = ("U", 1), ("d", -1)
 
-    def rec(ups, level):
-        if ups == 0 and level == 0:
-            out.append(tuple(prefix))
-            return
-        if ups:
-            prefix.append("U")
-            rec(ups - 1, level + 1)
-            prefix.pop()
-        if level >= 1:
-            if prefix[-1] != "U" or level == 1 or level % 2 == 0:
-                prefix.append("d")
-                rec(ups, level - 1)
-                prefix.pop()
+    def moves(prev, level):
+        if prev == "U" and level > 1 and level % 2:
+            return (up,)
+        return up, down
 
-    rec(n_pairs, 0)
-    return out
+    return _walk(2 * n_pairs, moves)
 
 
 def last_downrun_len(path) -> int:

@@ -484,7 +484,7 @@ def amplitude_total(n: int) -> int:
     for j in range(n + 1):
         hj = a(j + 2)
         if hj:
-            total += hj * (trinomial(n - 1, 1, n - j) - trinomial(n - 1, 1, n - j - 2))
+            total += hj * _MOTZKIN.vpow_coeff(n, j)
     return total
 
 

@@ -125,14 +125,7 @@ def _marked(n: int) -> tuple:
 
 
 def _marked_forests(total: int) -> list:
-    if total == 0:
-        return [()]
-    out = []
-    for first_size in range(1, total + 1):
-        for first in _marked(first_size):
-            for rest in _marked_forests(total - first_size):
-                out.append(((False, first),) + rest)
-    return out
+    return [tuple((False, child) for child in forest) for forest in _forests(total, _marked)]
 
 
 def gen_multiedge(total_weight: int) -> list:
@@ -171,31 +164,12 @@ def _ternary(n: int) -> tuple:
 
 
 def tree_size(t, family: str) -> int:
-    if family == "binary":
-        return 0 if t is None else 1 + tree_size(t[0], family) + tree_size(t[1], family)
-    if family == "unary_binary":
-        if t is None:
-            return 0
-        if t[0] == "2":
-            return 1 + tree_size(t[1], family) + tree_size(t[2], family)
-        return 1 + tree_size(t[2], family)
-    if family == "hex":
-        if t is None:
-            return 0
-        if t[0] == ".":
-            return 1
-        if t[0] == "2":
-            return 1 + tree_size(t[1], family) + tree_size(t[2], family)
-        return 1 + tree_size(t[1], family)
-    if family in ("ordered",):
-        return 1 + sum(tree_size(c, family) for c in t)
-    if family == "marked":
-        return 1 + sum(tree_size(c, family) for _, c in t)
     if family == "multiedge":
         return sum(m + tree_size(c, family) for m, c in t)
-    if family == "ternary":
-        return 0 if t is None else 1 + sum(tree_size(c, family) for c in t)
-    raise ValueError(f"unknown family {family!r}")
+    split = _SPLIT.get(family)
+    if split is None:
+        raise ValueError(f"unknown family {family!r}")
+    return 0 if t is None else 1 + sum(tree_size(kid, family) for kid in split(t)[0])
 
 
 def reg(t, family: str = "binary") -> int:

@@ -12,6 +12,7 @@ from functools import lru_cache
 from typing import List
 
 from .combinat import binomial, motzkin_numbers, trinomial
+from .pathseries import motzkin_bounded_coeff
 from .series import AlgebraicSubstitution, Kernel, MarkerPoly, PowerSeries
 
 # z = v/(1 + 3v + v^2) for marked trees; z = v/(1 + v + v^2) for the
@@ -66,14 +67,10 @@ def unary_binary_count(n: int, a: int) -> int:
     trinomial extraction of [z^n](1 + u)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    b = _unary_binary_kernel(a).b
+    kernel = _unary_binary_kernel(a)
     if n == 0:
         return 1
-
-    def T(k: int) -> int:
-        return trinomial(n - 1, b, k)
-
-    return T(n) + T(n - 1) - T(n - 2) - T(n - 3)
+    return kernel.vpow_coeff(n, 1)  # [z^n](1 + u) = [z^n]u for n >= 1
 
 
 def horton_avg_reg(n: int, a: int) -> Fraction:
@@ -398,17 +395,10 @@ def retakh_bounded_count(n: int, h: int) -> int:
         return 1 if n == 1 else 0
     if h == 1:
         return 1  # the path-shaped comb: z/(1-z)
-    k = h // 2  # heights 2k and 2k+1 agree for k >= 1
-    # [z^n] v(1 - v^(2k+2))/(1 - v^(2k+4)) via [z^n]v^a pairs
-    total = 0
-    period = 2 * k + 4
-    a = 1
-    while a <= n:
-        total += _MOTZKIN.vpow_coeff(n, a)
-        if a + 2 * k + 2 <= n:
-            total -= _MOTZKIN.vpow_coeff(n, a + 2 * k + 2)
-        a += period
-    return total
+    # heights 2k and 2k+1 agree for k >= 1, and both counts with bound 2k equal
+    # the Motzkin paths of length n - 1 and height at most k:
+    # [z^n] v(1 - v^(2k+2))/(1 - v^(2k+4))
+    return motzkin_bounded_coeff(n - 1, h // 2)
 
 
 def retakh_height_total(n: int) -> int:

@@ -3,6 +3,7 @@ divisor counts, and the small named sequences everything else leans on."""
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -69,6 +70,13 @@ def test_trinomial_row_accessor_consistent():
         row = trinomial_row(n, 3)
         for k, value in enumerate(row):
             assert trinomial(n, 3, k) == value
+
+
+def test_trinomial_rejects_a_non_int_middle_weight():
+    with pytest.raises(TypeError):
+        trinomial(3, Fraction(1, 2), 2)
+    with pytest.raises(TypeError):
+        trinomial(2, 1.0, 1)
 
 
 def test_divisor_count_brute():

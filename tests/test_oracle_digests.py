@@ -1,10 +1,10 @@
 """The recorded benchmark digests, checked in-process.
 
 `bench/oracle.json` holds the exit code and output digest of every benchmark
-operation.  This runs the operations that go through series division (every
-`bivariate` library call, `seq kemp-valley`/`kemp-peak` and the
-`asym kemp_valley`/`kemp_gap` ladders) in this interpreter, digests each
-output as `bench/child.py` does, and compares.  It only reads `bench/`.
+operation.  This runs every operation any seed can draw (each `check`, `seq`
+and `asym` command line and each `bivariate` library call) in this
+interpreter, digests each output as `bench/child.py` does, and compares, so a
+byte change to any benchmarked output fails here.  It only reads `bench/`.
 """
 
 import json
@@ -31,6 +31,9 @@ child = _load("child")
 ops = _load("ops")
 ORACLE = json.loads((BENCH / "oracle.json").read_text())
 
+EVERY_OP = ops.every_op()
+# the operations that go through series division: every `bivariate` library
+# call, `seq kemp-valley`/`kemp-peak` and the `asym kemp_valley`/`kemp_gap` ladders
 DIVISION_CLI = {("seq", "kemp-valley"), ("seq", "kemp-peak"),
                 ("asym", "kemp_valley"), ("asym", "kemp_gap")}
 OPS = [op for group in ops.groups("bivariate") for op in group] + [
@@ -42,7 +45,7 @@ def test_the_selection_covers_every_division_cli_op():
     assert {(op["argv"][0], op["argv"][2]) for op in OPS if op["kind"] == "cli"} == DIVISION_CLI
 
 
-@pytest.mark.parametrize("op", OPS, ids=[ops.key(op) for op in OPS])
+@pytest.mark.parametrize("op", EVERY_OP, ids=[ops.key(op) for op in EVERY_OP])
 def test_output_digest_matches_the_oracle(op):
     want = ORACLE[ops.key(op)]
     code, text, _ = child._call(op, lambda name, fn: fn)

@@ -3,12 +3,17 @@
 Everything here is exact: Python integers only.  The binomial
 coefficient is extended to negative upper index by the usual reflection, which
 several coefficient-extraction formulas rely on.
+
+The sequences are linear per row or term.  A trinomial row is cached as its
+half up to the centre; it is one pass of (1 + bt + t^2) over the cached row
+below it when that exists, and otherwise the holonomic recurrence stopped at
+the centre.  Motzkin numbers follow their three-term P-recurrence.  Every
+division is asserted exact.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 
 def binomial(n: int, k: int) -> int:
@@ -22,21 +27,36 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-@lru_cache(maxsize=None)
-def _trinomial_row(n: int, b: int) -> tuple:
-    # Coefficients of (1 + b*t + t^2)^n, degrees 0..2n, via the holonomic
-    # recurrence (j+1) T(j+1) = b (n-j) T(j) + (2n-j+1) T(j-1).
+# (n, b) -> half row T(n, b, 0..n) of (1 + b*t + t^2)^n; the other half
+# follows from the symmetry T(n, b, k) = T(n, b, 2n - k).
+_HALF_ROWS: dict = {}
+
+
+def _half_row(n: int, b: int) -> list:
+    row = _HALF_ROWS.get((n, b))
+    if row is not None:
+        return row
+    p = _HALF_ROWS.get((n - 1, b))
     if n == 0:
-        return (1,)
-    row = [0] * (2 * n + 1)
-    row[0] = 1
-    for j in range(0, 2 * n):
-        prev = row[j - 1] if j >= 1 else 0
-        val = b * (n - j) * row[j] + (2 * n - j + 1) * prev
-        q, r = divmod(val, j + 1)
-        assert r == 0
-        row[j + 1] = q
-    return tuple(row)
+        row = [1]
+    elif p is not None:
+        # multiply the cached row n-1 by 1 + b*t + t^2; its centre term
+        # T(n-1, n) is T(n-1, n-2) by symmetry
+        q = [0, 0] + p  # q[k] = T(n-1, k-2)
+        row = [p[k] + b * q[k + 1] + q[k] for k in range(n)]
+        row.append(b * p[n - 1] + 2 * q[n])
+    else:
+        # holonomic recurrence (j+1) T(j+1) = b (n-j) T(j) + (2n-j+1) T(j-1),
+        # stopped at the centre
+        row = [1] * (n + 1)
+        prev = 0
+        for j in range(n):
+            q, r = divmod(b * (n - j) * row[j] + (2 * n - j + 1) * prev, j + 1)
+            assert r == 0
+            prev = row[j]
+            row[j + 1] = q
+    _HALF_ROWS[(n, b)] = row
+    return row
 
 
 def trinomial(n: int, a: int, k: int) -> int:
@@ -48,15 +68,16 @@ def trinomial(n: int, a: int, k: int) -> int:
     if k < 0 or k > 2 * n:
         return 0
     if k > n:
-        k = 2 * n - k  # symmetry, keeps cached rows short on the right end
-    return _trinomial_row(n, a)[k]
+        k = 2 * n - k
+    return _half_row(n, a)[k]
 
 
 def trinomial_row(n: int, a: int) -> tuple:
-    """Full coefficient row of (1 + a*t + t^2)^n as a tuple of ints."""
+    """Full coefficient row of (1 + a*t + t^2)^n as a tuple of 2n + 1 ints."""
     if n < 0:
         raise ValueError("trinomial_row needs n >= 0")
-    return _trinomial_row(n, a)
+    half = _half_row(n, a)
+    return tuple(half + half[-2::-1])
 
 
 def divisor_count(h: int) -> int:
@@ -85,14 +106,17 @@ def catalan(n: int) -> int:
 def motzkin_numbers(upto: int, colors: int = 1) -> list:
     """Counts of Motzkin paths of length 0..upto with `colors` horizontal colors.
 
-    m[n] = colors*m[n-1] + sum_k m[k] m[n-2-k].
+    With c = colors the counts are P-recursive:
+    (n+2) m[n] = c(2n+1) m[n-1] - (c^2-4)(n-1) m[n-2], from m[0] = 1, m[1] = c.
     """
     m = [1]
-    for n in range(1, upto + 1):
-        val = colors * m[n - 1]
-        for k in range(0, n - 1):
-            val += m[k] * m[n - 2 - k]
-        m.append(val)
+    if upto >= 1:
+        m.append(colors)
+    c2 = colors * colors - 4
+    for n in range(2, upto + 1):
+        q, r = divmod(colors * (2 * n + 1) * m[n - 1] - c2 * (n - 1) * m[n - 2], n + 2)
+        assert r == 0
+        m.append(q)
     return m
 
 

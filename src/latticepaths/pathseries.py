@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
-from .combinat import binomial, divisor_count, motzkin_numbers, trinomial
+from .combinat import binomial, divisor_count, motzkin_numbers, trinomial, trinomial_row
 from .series import Kernel, MarkerPoly, PowerSeries
 
 _ONE = Fraction(1)
@@ -202,11 +202,12 @@ def skew_sj_coeff(n: int, j: int) -> int:
     m = (n - j) // 2
     if m == 0:
         return 1
+    row = trinomial_row(m + j - 1, 3)
     total = 0
-    for i in range(m + 1):
+    for i in range(max(0, m + 1 - len(row)), m + 1):  # tri(., 3, k) = 0 past the row
         lam8 = _lambda_prime_x8(j, i)
         if lam8:
-            total += lam8 * trinomial(m + j - 1, 3, m - i)
+            total += lam8 * row[m - i]
     assert total % 8 == 0
     return total // 8
 
@@ -499,28 +500,40 @@ def amplitude_average(n: int) -> Fraction:
 # Limiting turn statistics (m-th dip and m-th summit of long closed paths)
 # ----------------------------------------------------------------------
 
-def _kemp_root(order: int) -> PowerSeries:
-    # sqrt((1-w)(9-w)) = 3 sqrt(1 - 10w/9 + w^2/9)
-    inner = PowerSeries("w", [1, Fraction(-10, 9), Fraction(1, 9)]).pad(order)
-    return 3 * inner.sqrt()
+def _kemp_root_sigma(order: int) -> PowerSeries:
+    """sqrt((1-w)(9-w)) at w = 36 sigma, an integer sigma-series.
+
+    (1-w)(9-w) = 9(1 + 4y) with y = -10 sigma + 36 sigma^2 in Z[sigma], and
+    the weights binom(1/2,k) 4^k of sqrt(1 + 4y) are integers.
+    """
+    return 3 * PowerSeries("sigma", [1, -40, 144]).pad(order).sqrt()
 
 
 def kemp_valley_series(order: int) -> PowerSeries:
     """Limit of the average level of the m-th valley, as a w-series:
-    (w^2 + 2w - 3 + (1+w) sqrt((1-w)(9-w)))/(2(1-w)^2)."""
-    root = _kemp_root(order)
-    num = PowerSeries("w", [-3, 2, 1]).pad(order) + PowerSeries("w", [1, 1]).pad(order) * root
-    den = 2 * PowerSeries("w", [1, -2, 1]).pad(order)
-    return num / den
+    (w^2 + 2w - 3 + (1+w) sqrt((1-w)(9-w)))/(2(1-w)^2).
+
+    Twice the series is computed at w = 36 sigma, where the root, the
+    numerator and the division by (1-w)^2 stay in integers; coefficient n
+    is then scaled by 1/(2 * 36^n).
+    """
+    root = _kemp_root_sigma(order)
+    num = PowerSeries("sigma", [-3, 72, 1296]).pad(order) \
+        + PowerSeries("sigma", [1, 36]).pad(order) * root
+    den = PowerSeries("sigma", [1, -72, 1296]).pad(order)
+    return (num / den).unscale("w", 36, 2)
 
 
 def kemp_peak_series(order: int) -> PowerSeries:
     """Limit of the average level of the m-th peak, as a w-series:
-    w sqrt((1-w)(9-w))/(1-w)^2."""
-    root = _kemp_root(order)
-    num = PowerSeries("w", [0, 1]).pad(order) * root
-    den = PowerSeries("w", [1, -2, 1]).pad(order)
-    return num / den
+    w sqrt((1-w)(9-w))/(1-w)^2.
+
+    Computed at w = 36 sigma over integers, like :func:`kemp_valley_series`;
+    coefficient n is then scaled by 1/36^n.
+    """
+    num = PowerSeries("sigma", [0, 36]).pad(order) * _kemp_root_sigma(order)
+    den = PowerSeries("sigma", [1, -72, 1296]).pad(order)
+    return (num / den).unscale("w", 36)
 
 
 def _ballot_table(rem: int, top: int) -> List[int]:

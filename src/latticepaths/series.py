@@ -450,6 +450,13 @@ class PowerSeries:
             result = result * inner + self.coeffs[k]
         return result
 
+    def unscale(self, var: str, base: int, divisor: int = 1) -> "PowerSeries":
+        """F(var) from this series of divisor * F(base * sigma): coefficient n
+        times 1/(divisor * base^n).  Lets a series with denominators base^n be
+        built over ints and divided once at the end."""
+        return PowerSeries(var, [c * Fraction(1, divisor * base ** n)
+                                 for n, c in enumerate(self.coeffs)], self.order)
+
     def map_coeffs(self, fn) -> "PowerSeries":
         return PowerSeries(self.var, [fn(c) for c in self.coeffs], self.order)
 
@@ -561,7 +568,8 @@ class Kernel:
     Lagrange-Buermann gives [var^m] v^k = [t^(m-k)] (1 - t^2)(1 + bt + t^2)^(m-1)
     for m >= 1, so every coefficient of F(v(var)) is a dot product of F's
     coefficients with one trinomial row: O(order^2) instead of the O(order^3)
-    of inverting the substitution and composing.
+    of inverting the substitution and composing.  `eval` reads the rows in
+    increasing m, so each is one linear pass over the cached row before it.
     """
 
     def __init__(self, b: int, var: str = "z"):

@@ -257,7 +257,7 @@ def ternary_root_series(which: str, order: int) -> PowerSeries:
     if which not in ("r2", "r3"):
         raise ValueError(f"unknown root {which!r}")
     sign = -1 if which == "r2" else 1
-    return _sigma_to_tau(_root_recip_sigma(sign, _xi_sigma(order), order))
+    return _root_recip_sigma(sign, _xi_sigma(order), order).unscale("tau", 16)
 
 
 def ternary_xi(order: int) -> PowerSeries:
@@ -270,7 +270,7 @@ def ternary_xi(order: int) -> PowerSeries:
     binom(1/2,k) 4^k = 2(-1)^(k-1) Cat(k-1), and the divisor
     1 - 16(1+U) sigma has constant term 1.  Coefficient n is scaled by 16^-n.
     """
-    return _sigma_to_tau(_xi_sigma(order))
+    return _xi_sigma(order).unscale("tau", 16)
 
 
 def _xi_sigma(order: int) -> PowerSeries:
@@ -283,12 +283,6 @@ def _root_recip_sigma(sign: int, xi: PowerSeries, order: int) -> PowerSeries:
     """1/r_{2,3} = t/2 -+ s Xi at tau = 16 sigma, where t/2 = 8(1+U) sigma."""
     half_t = PowerSeries("sigma", [0, 8 * (1 + MarkerPoly.var("U"))]).pad(order)
     return (half_t + xi * (sign * MarkerPoly.var("s"))).truncate(order)
-
-
-def _sigma_to_tau(ser: PowerSeries) -> PowerSeries:
-    """F(tau) from the series of F(16 sigma): coefficient n times 16^-n."""
-    return PowerSeries("tau", [c * Fraction(1, 16 ** n) for n, c in enumerate(ser.coeffs)],
-                       ser.order)
 
 
 def ternary_factorization_check(order: int) -> bool:

@@ -213,3 +213,31 @@ def test_seq_prints_values_past_the_int_digit_limit(fmt):
                 sys.set_int_max_str_digits(limit)
         assert [record["n"] for record in records] == list(range(1001))
         assert all(type(record["value"]) is int for record in records)
+
+
+def _a002212_by_convolution(upto: int) -> list:
+    # 3-Motzkin numbers by m[n] = 3 m[n-1] + sum_k m[k] m[n-2-k], shifted by one
+    m = [1]
+    for n in range(1, upto):
+        m.append(3 * m[n - 1] + sum(m[k] * m[n - 2 - k] for k in range(n - 1)))
+    return [1] + m
+
+
+@pytest.mark.parametrize("argv", [
+    ["seq", "--family", "a002212", "--n", "3000"],
+    ["asym", "--family", "kemp_gap", "--n", "640"],
+], ids=["a002212-3000", "kemp_gap-640"])
+def test_large_sizes_run_to_completion(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(latticepaths.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "latticepaths.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    rows = proc.stdout.splitlines()
+    if argv[0] == "seq":
+        assert len(rows) == 3001
+        want = _a002212_by_convolution(400)
+        assert rows[:401] == [f"{n}\t{v}" for n, v in enumerate(want)]
+    else:
+        assert rows[-1] == "trend ok"
+        assert [row.split(",")[0] for row in rows[1:-1]] == ["80", "160", "320", "640"]

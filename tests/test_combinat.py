@@ -6,7 +6,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from latticepaths import combinat
 from latticepaths.combinat import (
     a002212_terms,
     binomial,
@@ -116,3 +119,114 @@ def test_trinomial_prefix_sums_stay_integer():
         b = rng.randrange(1, 6)
         k = rng.randrange(-1, 2 * n + 2)
         assert isinstance(trinomial(n, b, k), int)
+
+
+# ----------------------------------------------------------------------
+# Half rows against the deleted full-row recurrence and the direct expansion
+# ----------------------------------------------------------------------
+
+def _holonomic_full_row(n: int, b: int) -> tuple:
+    # the full-row route trinomial_row used to cache: all of degrees 0..2n
+    # from (j+1) T(j+1) = b (n-j) T(j) + (2n-j+1) T(j-1)
+    if n == 0:
+        return (1,)
+    row = [0] * (2 * n + 1)
+    row[0] = 1
+    for j in range(0, 2 * n):
+        prev = row[j - 1] if j >= 1 else 0
+        val = b * (n - j) * row[j] + (2 * n - j + 1) * prev
+        q, r = divmod(val, j + 1)
+        assert r == 0
+        row[j + 1] = q
+    return tuple(row)
+
+
+ROW_WEIGHTS = list(range(-3, 6))
+
+
+@pytest.fixture
+def cold_rows():
+    """An empty half-row cache for the test, emptied again afterwards."""
+    combinat._HALF_ROWS.clear()
+    yield
+    combinat._HALF_ROWS.clear()
+
+
+@pytest.mark.parametrize("b", ROW_WEIGHTS)
+def test_rows_extended_from_their_predecessor_match_both_oracles(b, cold_rows):
+    # ascending n: every row after the first is built from the cached row n-1
+    for n in range(0, 81):
+        assert n == 0 or (n - 1, b) in combinat._HALF_ROWS
+        row = trinomial_row(n, b)
+        assert len(row) == 2 * n + 1
+        assert row == _holonomic_full_row(n, b)
+        if n <= 40:
+            assert list(row) == _expand_trinomial_row(n, b)
+
+
+@pytest.mark.parametrize("b", ROW_WEIGHTS)
+def test_rows_built_cold_match_both_oracles(b, cold_rows):
+    # descending n: row n-1 is never cached yet, so each row runs the
+    # holonomic recurrence up to its centre
+    for n in range(80, -1, -1):
+        assert (n - 1, b) not in combinat._HALF_ROWS
+        row = trinomial_row(n, b)
+        assert len(row) == 2 * n + 1
+        assert row == _holonomic_full_row(n, b)
+        if n <= 40:
+            assert list(row) == _expand_trinomial_row(n, b)
+
+
+def test_trinomial_reads_the_half_row_through_its_symmetry(cold_rows):
+    for b in ROW_WEIGHTS:
+        for n in (0, 1, 2, 7, 30):
+            full = _holonomic_full_row(n, b)
+            assert [trinomial(n, b, k) for k in range(-2, 2 * n + 3)] == \
+                [0, 0] + list(full) + [0, 0]
+            assert len(combinat._HALF_ROWS[(n, b)]) == n + 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(0, 60), b=st.integers(-3, 5), k=st.integers(-3, 125),
+       warm=st.booleans())
+def test_trinomial_property(n, b, k, warm):
+    combinat._HALF_ROWS.clear()
+    if warm and n:
+        trinomial(n - 1, b, 0)
+    full = _holonomic_full_row(n, b)
+    assert trinomial(n, b, k) == (full[k] if 0 <= k <= 2 * n else 0)
+    assert trinomial(n, b, k) == trinomial(n, b, 2 * n - k)
+    assert len(trinomial_row(n, b)) == 2 * n + 1
+
+
+# ----------------------------------------------------------------------
+# Motzkin numbers: the P-recurrence against the deleted convolution
+# ----------------------------------------------------------------------
+
+def _motzkin_convolution(upto: int, colors: int) -> list:
+    # the quadratic route motzkin_numbers used to take:
+    # m[n] = colors*m[n-1] + sum_k m[k] m[n-2-k]
+    m = [1]
+    for n in range(1, upto + 1):
+        val = colors * m[n - 1]
+        for k in range(0, n - 1):
+            val += m[k] * m[n - 2 - k]
+        m.append(val)
+    return m
+
+
+@pytest.mark.parametrize("colors", range(0, 5))
+def test_motzkin_recurrence_matches_the_convolution(colors):
+    want = _motzkin_convolution(400, colors)
+    assert motzkin_numbers(400, colors) == want
+    for upto in (2, 3, 17, 101):
+        assert motzkin_numbers(upto, colors) == want[:upto + 1]
+
+
+@pytest.mark.parametrize("colors", range(0, 5))
+def test_motzkin_short_lengths_keep_their_edge_cases(colors):
+    assert motzkin_numbers(-1, colors) == [1]
+    assert motzkin_numbers(0, colors) == [1]
+    assert motzkin_numbers(1, colors) == [1, colors]
+    for upto in (-1, 0, 1):
+        assert motzkin_numbers(upto, colors) == _motzkin_convolution(upto, colors)

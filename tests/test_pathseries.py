@@ -15,6 +15,7 @@ from latticepaths.paths import (
     gen_kdyck,
     gen_motzkin,
     gen_skew,
+    last_downrun_len,
     levels,
     path_stats,
 )
@@ -197,6 +198,16 @@ def test_hoppy_negative_against_brute():
             paths = gen_kdyck(k, l, end_level=0, floor=-1)
             brute = sum(path_stats(p, up=k)["last_downrun_len"] for p in paths)
             assert hoppy_negative_coeff(l, k) == brute
+
+
+def test_hoppy_negative_series_against_enumeration():
+    # `check hoppy` compares the series with the closed form, and both are
+    # Fuss-Catalan; the paths allowed down to level -1 are a separate route
+    for k in (2, 3):
+        ser = hoppy_negative_series(k, 6)
+        for l in range(7):
+            brute = sum(last_downrun_len(p) for p in gen_kdyck(k, l, floor=-1))
+            assert ser.coeff(l).constant() == brute == hoppy_negative_coeff(l, k)
 
 
 # ----------------------------------------------------------------------
@@ -554,6 +565,39 @@ def test_kemp_series_golden_values():
               Fraction(1517, 243), Fraction(15329, 2187),
               Fraction(151565, 19683)]
     assert [peak.coeff(m).constant() for m in range(1, 7)] == want_p
+
+
+def _kemp_root_w(order: int) -> PowerSeries:
+    # the w-route the Kemp series used to take: Fraction arithmetic with 9^n
+    # denominators, sqrt((1-w)(9-w)) = 3 sqrt(1 - 10w/9 + w^2/9)
+    inner = PowerSeries("w", [1, Fraction(-10, 9), Fraction(1, 9)]).pad(order)
+    return 3 * inner.sqrt()
+
+
+def _kemp_valley_w(order: int) -> PowerSeries:
+    root = _kemp_root_w(order)
+    num = PowerSeries("w", [-3, 2, 1]).pad(order) + PowerSeries("w", [1, 1]).pad(order) * root
+    den = 2 * PowerSeries("w", [1, -2, 1]).pad(order)
+    return num / den
+
+
+def _kemp_peak_w(order: int) -> PowerSeries:
+    root = _kemp_root_w(order)
+    num = PowerSeries("w", [0, 1]).pad(order) * root
+    den = PowerSeries("w", [1, -2, 1]).pad(order)
+    return num / den
+
+
+@pytest.mark.parametrize("series,oracle", [(kemp_valley_series, _kemp_valley_w),
+                                           (kemp_peak_series, _kemp_peak_w)],
+                         ids=["valley", "peak"])
+def test_kemp_series_match_the_w_route(series, oracle):
+    for order in range(0, 61):
+        got = series(order)
+        assert got.var == "w"
+        assert got.dump() == oracle(order).dump()
+        for c in got.coeffs:
+            assert all(type(v) is int or v.denominator != 1 for v in c.terms.values())
 
 
 def test_kemp_oracle_against_exhaustive():

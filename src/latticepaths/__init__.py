@@ -85,6 +85,7 @@ from .trees import (
     gen_ternary,
     gen_unary_binary,
     reg,
+    tally,
     tree_size,
     tree_stats,
 )

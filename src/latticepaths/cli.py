@@ -62,7 +62,7 @@ from .pathseries import (
     skew_sj_coeff,
     skew_sj_series,
 )
-from .trees import gen_marked, gen_multiedge, gen_ternary, gen_unary_binary, reg, tree_stats
+from .trees import gen_marked, gen_multiedge, gen_unary_binary, tally, tree_stats
 from .treeseries import (
     horton_Rp,
     horton_avg_reg,
@@ -229,8 +229,9 @@ def _check_ternary(budget: int) -> List[CheckResult]:
     out = []
     top = min(budget, 7)
     ok = True
+    dists = tally("ternary", top, "middle_edges")
     for n in range(1, top + 1):
-        dist = Counter(tree_stats(t, "ternary")["middle_edges"] for t in gen_ternary(n))
+        dist = dists[n]
         for kk in range(n):
             if ternary_T(n, kk) != dist.get(kk, 0):
                 ok = False
@@ -376,11 +377,9 @@ def _check_horton(budget: int) -> List[CheckResult]:
     counts_ok = regs_ok = True
     for a in (0, 1, 2):
         layers = {p: horton_Rp(p, a, top) for p in range(1, 4)}
-        for n in range(top + 1):
-            trees = gen_unary_binary(n, a)
-            if unary_binary_count(n, a) != len(trees):
+        for n, dist in enumerate(tally("unary_binary", top, "reg", a)):
+            if unary_binary_count(n, a) != sum(dist.values()):
                 counts_ok = False
-            dist = Counter(reg(t, "unary_binary") for t in trees)
             if any(_coeff_value(ser.coeff(n)) != dist.get(p, 0)
                    for p, ser in layers.items()):
                 regs_ok = False

@@ -74,10 +74,7 @@ def denom_Sj(j: int, k: int, order: Optional[int] = None) -> PowerSeries:
         return PowerSeries("z", [0], 0 if order is None else order)
     deg = j // (k + 1)
     coeffs = [(-1) ** m * binomial(j - k * m, m) for m in range(deg + 1)]
-    ser = PowerSeries("z", coeffs, deg)
-    if order is not None:
-        ser = ser.pad(order) if order > deg else ser.truncate(order)
-    return ser
+    return PowerSeries("z", coeffs, deg if order is None else order)
 
 
 def _fuss_catalan(l: int, k: int) -> Fraction:

@@ -306,11 +306,12 @@ class PowerSeries:
         return PowerSeries(self.var, self.coeffs[: order + 1], order)
 
     def pad(self, order: int) -> "PowerSeries":
-        """Declare the coefficients beyond the stored ones to be exactly zero.
+        """The series to exactly `order`: declare the coefficients beyond the
+        stored ones to be exactly zero, or drop those past `order`.
 
-        Only correct for polynomials; never apply to a genuinely truncated value.
+        Only correct for polynomials; never extend a genuinely truncated value.
         """
-        if order <= self.order:
+        if order == self.order:
             return self
         return PowerSeries(self.var, self.coeffs, order)
 

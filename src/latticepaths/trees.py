@@ -15,11 +15,19 @@ Representations (all nested tuples, hashable, comparable):
 
 Sizes count internal nodes (binary, unary_binary, ternary), all nodes (hex,
 ordered, marked), or total edge weight (multiedge).
+
+Binary, unary-binary, hex and ternary trees of size n are streamed by one
+generator each (`_iter_*`) from the cached levels below n.  Each statistic is
+one node rule, rule(node, val), that reads its children's values through val:
+`reg` and `tree_stats` evaluate it by recursion on any tree, and `tally` over a
+whole level with the children's values looked up in a memo.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
+from itertools import repeat
 
 
 def gen_binary(n: int) -> list:
@@ -28,14 +36,18 @@ def gen_binary(n: int) -> list:
 
 @lru_cache(maxsize=None)
 def _binary(n: int) -> tuple:
+    return tuple(_iter_binary(n))
+
+
+def _iter_binary(n: int):
     if n == 0:
-        return (None,)
-    out = []
+        yield None
+        return
     for i in range(n):
+        rights = _binary(n - 1 - i)
         for left in _binary(i):
-            for right in _binary(n - 1 - i):
-                out.append((left, right))
-    return tuple(out)
+            for right in rights:
+                yield (left, right)
 
 
 def gen_unary_binary(n: int, a: int = 1) -> list:
@@ -44,18 +56,22 @@ def gen_unary_binary(n: int, a: int = 1) -> list:
 
 @lru_cache(maxsize=None)
 def _unary_binary(n: int, a: int) -> tuple:
+    return tuple(_iter_unary_binary(n, a))
+
+
+def _iter_unary_binary(n: int, a: int):
     if n == 0:
-        return (None,)
-    out = []
+        yield None
+        return
     for i in range(n):
+        rights = _unary_binary(n - 1 - i, a)
         for left in _unary_binary(i, a):
-            for right in _unary_binary(n - 1 - i, a):
-                out.append(("2", left, right))
+            for right in rights:
+                yield ("2", left, right)
     for color in range(a):
         for child in _unary_binary(n - 1, a):
             if child is not None:
-                out.append(("u", color, child))
-    return tuple(out)
+                yield ("u", color, child)
 
 
 def gen_hex(n: int) -> list:
@@ -64,23 +80,25 @@ def gen_hex(n: int) -> list:
 
 @lru_cache(maxsize=None)
 def _hex(n: int) -> tuple:
+    return tuple(_iter_hex(n))
+
+
+def _iter_hex(n: int):
     if n == 0:
-        return (None,)
+        yield None
+        return
     if n == 1:
-        return ((".",),)
-    out = []
+        yield (".",)
+        return
+    # every child has size >= 1 here, so none is empty
     for slot in ("L", "M", "R"):
         for child in _hex(n - 1):
-            if child is not None:
-                out.append((slot, child))
+            yield (slot, child)
     for i in range(1, n - 1):
+        rights = _hex(n - 1 - i)
         for left in _hex(i):
-            if left is None:
-                continue
-            for right in _hex(n - 1 - i):
-                if right is not None:
-                    out.append(("2", left, right))
-    return tuple(out)
+            for right in rights:
+                yield ("2", left, right)
 
 
 def gen_ordered(n: int) -> list:
@@ -151,16 +169,21 @@ def gen_ternary(n: int) -> list:
 
 @lru_cache(maxsize=None)
 def _ternary(n: int) -> tuple:
+    return tuple(_iter_ternary(n))
+
+
+def _iter_ternary(n: int):
     if n == 0:
-        return (None,)
-    out = []
+        yield None
+        return
     for i in range(n):
         for j in range(n - i):
+            middles = _ternary(j)
+            rights = _ternary(n - 1 - i - j)
             for left in _ternary(i):
-                for middle in _ternary(j):
-                    for right in _ternary(n - 1 - i - j):
-                        out.append((left, middle, right))
-    return tuple(out)
+                for middle in middles:
+                    for right in rights:
+                        yield (left, middle, right)
 
 
 def tree_size(t, family: str) -> int:
@@ -172,46 +195,47 @@ def tree_size(t, family: str) -> int:
     return 0 if t is None else 1 + sum(tree_size(kid, family) for kid in split(t)[0])
 
 
+def _fold(rule, empty, t):
+    """Evaluate a node rule on t by recursion: rule(node, val) reads each
+    child's value through val; the empty tree has value empty."""
+    def val(child):
+        return empty if child is None else rule(child, val)
+    return val(t)
+
+
 def reg(t, family: str = "binary") -> int:
     """Register number: leaves get 0 (bare hex node 1), unary edges pass through,
     a branch node takes the larger child value, plus one on a tie."""
-    helper = _REG.get(family)
-    if helper is None:
+    rule = _REG.get(family)
+    if rule is None:
         raise ValueError(f"register number not defined for family {family!r}")
-    return 0 if t is None else helper(t)
+    return _fold(rule, 0, t)
 
 
-# The helpers take a non-empty tree and skip empty children without a call:
-# half of all subtrees are empty.
+# Register rules: a non-empty node's value from its children's values.
 
-def _reg_binary(t) -> int:
-    left, right = t
-    a = 0 if left is None else _reg_binary(left)
-    b = 0 if right is None else _reg_binary(right)
+def _reg_binary(t, val) -> int:
+    a = val(t[0])
+    b = val(t[1])
     return a + 1 if a == b else (a if a > b else b)
 
 
-def _reg_unary_binary(t) -> int:
-    while t[0] == "u":
-        t = t[2]
-        if t is None:
-            return 0
-    _, left, right = t
-    a = 0 if left is None else _reg_unary_binary(left)
-    b = 0 if right is None else _reg_unary_binary(right)
+def _reg_unary_binary(t, val) -> int:
+    if t[0] == "u":
+        return val(t[2])
+    a = val(t[1])
+    b = val(t[2])
     return a + 1 if a == b else (a if a > b else b)
 
 
-def _reg_hex(t) -> int:
-    while t[0] not in ("2", "."):
-        t = t[1]
-        if t is None:
-            return 0
-    if t[0] == ".":
+def _reg_hex(t, val) -> int:
+    tag = t[0]
+    if tag == ".":
         return 1
-    _, left, right = t
-    a = 0 if left is None else _reg_hex(left)
-    b = 0 if right is None else _reg_hex(right)
+    if tag != "2":
+        return val(t[1])
+    a = val(t[1])
+    b = val(t[2])
     return a + 1 if a == b else (a if a > b else b)
 
 
@@ -235,15 +259,36 @@ _SPLIT = {
 }
 
 
+def _stats_rule(split):
+    """The statistics rule of one family: a non-empty node's
+    (leaves, height_nodes, middle_edges, mark_count) from its children's."""
+    def rule(t, val) -> tuple:
+        kids, middles, marks = split(t)
+        leaves = height = 0
+        for kid in kids:
+            kid_leaves, kid_height, kid_middles, kid_marks = val(kid)
+            leaves += kid_leaves
+            middles += kid_middles
+            marks += kid_marks
+            if kid_height > height:
+                height = kid_height
+        return leaves or 1, height + 1, middles, marks
+    return rule
+
+
+_STATS = {family: _stats_rule(split) for family, split in _SPLIT.items()}
+STAT_FIELDS = ("leaves", "height_nodes", "middle_edges", "mark_count")
+
+
 def tree_stats(t, family: str) -> dict:
     """leaves, height in nodes and edges, middle-edge and mark counts.
 
     The empty tree has height_nodes 0 and height_edges -1.
     """
-    split = _SPLIT.get(family)
-    if split is None:
+    rule = _STATS.get(family)
+    if rule is None:
         raise ValueError(f"unknown family {family!r}")
-    leaves, height_nodes, middles, marks = (0, 0, 0, 0) if t is None else _stats(t, split)
+    leaves, height_nodes, middles, marks = _fold(rule, (0, 0, 0, 0), t)
     return {
         "leaves": leaves,
         "height_nodes": height_nodes,
@@ -253,17 +298,52 @@ def tree_stats(t, family: str) -> dict:
     }
 
 
-def _stats(t, split) -> tuple:
-    """(leaves, height_nodes, middle_edges, mark_count) of a non-empty tree."""
-    kids, middles, marks = split(t)
-    if not kids:
-        return 1, 1, middles, marks
-    leaves = height = 0
-    for kid in kids:
-        kid_leaves, kid_height, kid_middles, kid_marks = _stats(kid, split)
-        leaves += kid_leaves
-        middles += kid_middles
-        marks += kid_marks
-        if kid_height > height:
-            height = kid_height
-    return leaves, height + 1, middles, marks
+# Families whose size-n trees are assembled from the cached smaller levels:
+# (cached level, streamed level), both called with (n, a) for unary-binary.
+_BUILT = {
+    "binary": (_binary, _iter_binary),
+    "unary_binary": (_unary_binary, _iter_unary_binary),
+    "hex": (_hex, _iter_hex),
+    "ternary": (_ternary, _iter_ternary),
+}
+
+
+def tally(family: str, top: int, stat: str, a: int = 1) -> list:
+    """Distribution of one statistic over the trees of each size 0..top.
+
+    stat is "reg" or one of STAT_FIELDS.  Every tree is built and classified
+    by the same node rule as `reg` / `tree_stats`, but a child's value is
+    looked up instead of recomputed.  Sizes below top come from the cached
+    levels, and their values are kept by id for the next sizes: the ids stay
+    valid because the unbounded caches keep those trees alive.  Size top is
+    streamed, and no id of a streamed tree is kept.
+    """
+    built = _BUILT.get(family)
+    if built is None:
+        raise ValueError(f"no level-by-level construction for family {family!r}")
+    if stat == "reg" and family in _REG:
+        rule, empty, field = _REG[family], 0, None
+    elif stat in STAT_FIELDS:
+        rule, empty, field = _STATS[family], (0, 0, 0, 0), STAT_FIELDS.index(stat)
+    else:
+        raise ValueError(f"statistic {stat!r} not defined for family {family!r}")
+    if top < 0:
+        return []
+    cached, stream = built
+    args = (a,) if family == "unary_binary" else ()
+    values = {id(None): empty}
+
+    def val(child):
+        return values[id(child)]
+
+    dists = [Counter([empty if field is None else empty[field]])]  # size 0: the empty tree
+    for size in range(1, top + 1):
+        if size < top:
+            level = cached(size, *args)
+            level_values = list(map(rule, level, repeat(val)))
+            values.update(zip(map(id, level), level_values))
+        else:
+            level_values = map(rule, stream(size, *args), repeat(val))
+        dists.append(Counter(level_values if field is None
+                             else [v[field] for v in level_values]))
+    return dists

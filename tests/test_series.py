@@ -1,11 +1,13 @@
 """Power-series engine: marker polynomials, truncated arithmetic over exact
 rationals, and reversion of kernel substitutions."""
 
+import inspect
 import random
 from fractions import Fraction
 
 import pytest
 
+from latticepaths import pathseries, treeseries
 from latticepaths.combinat import catalan, motzkin_numbers
 from latticepaths.series import (
     AlgebraicSubstitution,
@@ -86,6 +88,64 @@ def test_mixed_order_arithmetic_truncates_to_min():
     b = PowerSeries("z", [1, 2], 1)
     assert (a + b).order == 1
     assert (a * b).order == 1
+
+
+def test_pad_returns_exactly_the_order_asked():
+    poly = PowerSeries("z", [1, -40, 144])
+    assert (poly.pad(5).order, poly.pad(5).coeffs) == (5, [1, -40, 144, 0, 0, 0])
+    assert (poly.pad(1).order, poly.pad(1).coeffs) == (1, [1, -40])
+    assert (poly.pad(0).order, poly.pad(0).coeffs) == (0, [1])
+    assert poly.pad(2) is poly
+
+
+# One call per public builder with an `order` parameter, the others fixed.
+SERIES_BUILDERS = {
+    "amplitude_series": lambda o: pathseries.amplitude_series(1, "horiz", o),
+    "denom_Sj": lambda o: pathseries.denom_Sj(7, 1, o),
+    "deutsch_Dm": lambda o: pathseries.deutsch_Dm(3, o),
+    "deutsch_phi": lambda o: pathseries.deutsch_phi(1, 0, o, 3),
+    "deutsch_strip_solve": lambda o: pathseries.deutsch_strip_solve(1, 3, o)[0],
+    "dual_open_ended": pathseries.dual_open_ended,
+    "dual_skew_Gj_series": lambda o: pathseries.dual_skew_Gj_series(1, o),
+    "hoppy_negative_series": lambda o: pathseries.hoppy_negative_series(2, o),
+    "kemp_peak_series": pathseries.kemp_peak_series,
+    "kemp_valley_series": pathseries.kemp_valley_series,
+    "motzkin_bounded": lambda o: pathseries.motzkin_bounded(2, o, "no-top-horizontal"),
+    "motzkin_det": lambda o: pathseries.motzkin_det(3, o),
+    "skew_open_ended": pathseries.skew_open_ended,
+    "skew_red_fixed_power": lambda o: pathseries.skew_red_fixed_power(2, o),
+    "skew_red_series": pathseries.skew_red_series,
+    "skew_red_total_series": pathseries.skew_red_total_series,
+    "skew_sj_series": lambda o: pathseries.skew_sj_series(1, o),
+    "ubar": lambda o: pathseries.ubar(2, o),
+    "ubar_power": lambda o: pathseries.ubar_power(2, 2, o),
+    "horton_Rp": lambda o: treeseries.horton_Rp(2, 1, o),
+    "horton_Sp": lambda o: treeseries.horton_Sp(2, 1, o),
+    "marked_count_series": treeseries.marked_count_series,
+    "marked_height_ph": lambda o: treeseries.marked_height_ph(2, o),
+    "marked_height_tail": lambda o: treeseries.marked_height_tail(2, o),
+    "marked_leaf_series": treeseries.marked_leaf_series,
+    "node_count_series": lambda o: treeseries.node_count_series(1, o),
+    "retakh_Gk": lambda o: treeseries.retakh_Gk(2, o),
+    "retakh_full": treeseries.retakh_full,
+    "retakh_leaf_series": treeseries.retakh_leaf_series,
+    "ternary_root_series": lambda o: treeseries.ternary_root_series("r2", o),
+    "ternary_xi": treeseries.ternary_xi,
+}
+
+
+def test_series_builder_table_is_complete():
+    public = {name for module in (pathseries, treeseries)
+              for name, fn in inspect.getmembers(module, inspect.isfunction)
+              if fn.__module__ == module.__name__ and not name.startswith("_")
+              and "order" in inspect.signature(fn).parameters}
+    assert public - {"ternary_factorization_check"} == set(SERIES_BUILDERS)
+
+
+@pytest.mark.parametrize("name", sorted(SERIES_BUILDERS))
+def test_series_builders_return_the_order_asked(name):
+    for order in range(4):
+        assert SERIES_BUILDERS[name](order).order == order
 
 
 def test_compose_requires_vanishing_constant():

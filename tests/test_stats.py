@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latticepaths import cli, pathseries
+from latticepaths import cli, pathseries, trees
 from latticepaths.combinat import binomial
 from latticepaths.paths import (
     gen_deutsch,
@@ -253,25 +253,21 @@ def test_tree_statistics_property(case):
 # ----------------------------------------------------------------------
 
 def test_check_horton_calls_reg_once_per_enumerated_tree(monkeypatch, capsys):
-    enumerated = []
-    classified = Counter()
+    # the tally applies the register rule once per non-empty tree and reads
+    # each child's value from its memo instead of recursing into the child
+    calls = Counter()
+    rule = trees._REG["unary_binary"]
 
-    def counting_gen(n, a=1):
-        trees = gen_unary_binary(n, a)
-        enumerated.append((n, a, len(trees)))
-        return trees
+    def counting_rule(t, val):
+        calls[t[0]] += 1
+        return rule(t, val)
 
-    def counting_reg(t, family="binary"):
-        classified[family] += 1
-        return reg(t, family)
-
-    monkeypatch.setattr(cli, "gen_unary_binary", counting_gen)
-    monkeypatch.setattr(cli, "reg", counting_reg)
+    monkeypatch.setitem(trees._REG, "unary_binary", counting_rule)
     assert cli.main(["check", "--family", "horton"]) == 0
     capsys.readouterr()
-    total = sum(size for _, _, size in enumerated)
-    assert total == sum(unary_binary_count(n, a) for a in range(3) for n in range(10))
-    assert classified == {"unary_binary": total}
+    total = sum(unary_binary_count(n, a) for a in range(3) for n in range(1, 10))
+    assert sum(calls.values()) == total
+    assert set(calls) == {"2", "u"}
 
 
 def test_check_deutsch_solves_the_band_system_once_per_start_level(monkeypatch, capsys):

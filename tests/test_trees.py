@@ -1,13 +1,38 @@
 """Tree generators: counts against reference sequences, register numbers,
-and statistics on small exhaustive sets."""
+and statistics on small exhaustive sets.
+
+Each size of a binary, unary-binary, hex or ternary tree is one streamed
+construction from the cached smaller sizes, and `reg` / `tree_stats` / `tally`
+evaluate one node rule per statistic, by recursion or from a memo of the
+children's values.  The builders and recursive statistics they replaced stay
+below as oracles, and so do the per-object bodies of `check --family horton`
+and `check --family ternary`.
+"""
 
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
+from functools import lru_cache
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import latticepaths
+from latticepaths import cli, trees
 from latticepaths.combinat import a002212_terms, catalan, motzkin_numbers
+from latticepaths.treeseries import (
+    horton_Rp,
+    ternary_row,
+    ternary_row_sum,
+    ternary_T,
+    unary_binary_count,
+)
 from latticepaths.trees import (
+    STAT_FIELDS,
     gen_binary,
     gen_hex,
     gen_marked,
@@ -16,9 +41,12 @@ from latticepaths.trees import (
     gen_ternary,
     gen_unary_binary,
     reg,
+    tally,
     tree_size,
     tree_stats,
 )
+
+SRC = Path(latticepaths.__file__).resolve().parents[1]
 
 
 # ----------------------------------------------------------------------
@@ -187,3 +215,293 @@ def test_marked_tree_leaves_ignore_marks():
         plain = tree_stats(t, "marked")
         assert plain["leaves"] >= 1
         assert plain["height_nodes"] <= 4
+
+
+# ----------------------------------------------------------------------
+# oracles: the list builders and the recursive statistics that the streamed
+# levels and the node rules replaced
+# ----------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def old_binary(n):
+    if n == 0:
+        return (None,)
+    out = []
+    for i in range(n):
+        for left in old_binary(i):
+            for right in old_binary(n - 1 - i):
+                out.append((left, right))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def old_unary_binary(n, a):
+    if n == 0:
+        return (None,)
+    out = []
+    for i in range(n):
+        for left in old_unary_binary(i, a):
+            for right in old_unary_binary(n - 1 - i, a):
+                out.append(("2", left, right))
+    for color in range(a):
+        for child in old_unary_binary(n - 1, a):
+            if child is not None:
+                out.append(("u", color, child))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def old_hex(n):
+    if n == 0:
+        return (None,)
+    if n == 1:
+        return ((".",),)
+    out = []
+    for slot in ("L", "M", "R"):
+        for child in old_hex(n - 1):
+            if child is not None:
+                out.append((slot, child))
+    for i in range(1, n - 1):
+        for left in old_hex(i):
+            if left is None:
+                continue
+            for right in old_hex(n - 1 - i):
+                if right is not None:
+                    out.append(("2", left, right))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def old_ternary(n):
+    if n == 0:
+        return (None,)
+    out = []
+    for i in range(n):
+        for j in range(n - i):
+            for left in old_ternary(i):
+                for middle in old_ternary(j):
+                    for right in old_ternary(n - 1 - i - j):
+                        out.append((left, middle, right))
+    return tuple(out)
+
+
+OLD_BUILDERS = {
+    "binary": lambda n, a: old_binary(n),
+    "unary_binary": old_unary_binary,
+    "hex": lambda n, a: old_hex(n),
+    "ternary": lambda n, a: old_ternary(n),
+}
+STREAMED = {
+    "binary": lambda n, a: trees._iter_binary(n),
+    "unary_binary": trees._iter_unary_binary,
+    "hex": lambda n, a: trees._iter_hex(n),
+    "ternary": lambda n, a: trees._iter_ternary(n),
+}
+CACHED = {
+    "binary": lambda n, a: trees._binary(n),
+    "unary_binary": trees._unary_binary,
+    "hex": lambda n, a: trees._hex(n),
+    "ternary": lambda n, a: trees._ternary(n),
+}
+
+
+def old_reg_binary(t):
+    left, right = t
+    a = 0 if left is None else old_reg_binary(left)
+    b = 0 if right is None else old_reg_binary(right)
+    return a + 1 if a == b else (a if a > b else b)
+
+
+def old_reg_unary_binary(t):
+    while t[0] == "u":
+        t = t[2]
+        if t is None:
+            return 0
+    _, left, right = t
+    a = 0 if left is None else old_reg_unary_binary(left)
+    b = 0 if right is None else old_reg_unary_binary(right)
+    return a + 1 if a == b else (a if a > b else b)
+
+
+def old_reg_hex(t):
+    while t[0] not in ("2", "."):
+        t = t[1]
+        if t is None:
+            return 0
+    if t[0] == ".":
+        return 1
+    _, left, right = t
+    a = 0 if left is None else old_reg_hex(left)
+    b = 0 if right is None else old_reg_hex(right)
+    return a + 1 if a == b else (a if a > b else b)
+
+
+OLD_REG = {"binary": old_reg_binary, "unary_binary": old_reg_unary_binary, "hex": old_reg_hex}
+
+
+def old_reg(t, family):
+    return 0 if t is None else OLD_REG[family](t)
+
+
+def old_stats(t, split):
+    """(leaves, height_nodes, middle_edges, mark_count) of a non-empty tree."""
+    kids, middles, marks = split(t)
+    if not kids:
+        return 1, 1, middles, marks
+    leaves = height = 0
+    for kid in kids:
+        kid_leaves, kid_height, kid_middles, kid_marks = old_stats(kid, split)
+        leaves += kid_leaves
+        middles += kid_middles
+        marks += kid_marks
+        if kid_height > height:
+            height = kid_height
+    return leaves, height + 1, middles, marks
+
+
+def old_stat(t, family, stat):
+    if stat == "reg":
+        return old_reg(t, family)
+    values = (0, 0, 0, 0) if t is None else old_stats(t, trees._SPLIT[family])
+    return values[STAT_FIELDS.index(stat)]
+
+
+# ----------------------------------------------------------------------
+# streamed levels and the tally against the oracles
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("family,top,colors", [
+    ("binary", 8, (0,)),
+    ("unary_binary", 7, range(4)),
+    ("hex", 8, (0,)),
+    ("ternary", 7, (0,)),
+])
+def test_streamed_levels_equal_the_old_builders(family, top, colors):
+    for a in colors:
+        for n in range(top + 1):
+            streamed = tuple(STREAMED[family](n, a))
+            assert streamed == CACHED[family](n, a) == OLD_BUILDERS[family](n, a), (n, a)
+    assert gen_unary_binary(5, 2) == list(old_unary_binary(5, 2))
+    assert gen_ternary(5) == list(old_ternary(5))
+
+
+@pytest.mark.parametrize("family", sorted(OLD_REG))
+def test_reg_rule_matches_old_recursive_helper(family):
+    for n in range(8):
+        for t in OLD_BUILDERS[family](n, 2):
+            assert reg(t, family) == old_reg(t, family)
+
+
+@pytest.mark.parametrize("a", range(4))
+def test_register_tally_matches_old_helper_on_unary_binary_trees(a):
+    top = 9
+    dists = tally("unary_binary", top, "reg", a)
+    assert len(dists) == top + 1
+    for n in range(top):
+        assert dists[n] == Counter(old_reg(t, "unary_binary") for t in old_unary_binary(n, a))
+    # the largest size is streamed here as in the tally, to keep it out of memory
+    assert dists[top] == Counter(old_reg_unary_binary(t)
+                                 for t in trees._iter_unary_binary(top, a))
+    assert [sum(d.values()) for d in dists] == [unary_binary_count(n, a)
+                                                for n in range(top + 1)]
+
+
+def test_middle_edge_tally_matches_tree_stats_on_ternary_trees():
+    dists = tally("ternary", 7, "middle_edges")
+    for n in range(8):
+        assert dists[n] == Counter(old_stat(t, "ternary", "middle_edges")
+                                   for t in old_ternary(n))
+        assert dists[n] == Counter(tree_stats(t, "ternary")["middle_edges"]
+                                   for t in gen_ternary(n))
+
+
+@settings(max_examples=80, deadline=None)
+@given(family=st.sampled_from(sorted(OLD_BUILDERS)), top=st.integers(0, 6),
+       a=st.integers(0, 3), stat=st.sampled_from(("reg",) + STAT_FIELDS))
+def test_tally_property(family, top, a, stat):
+    if stat == "reg" and family not in OLD_REG:
+        with pytest.raises(ValueError):
+            tally(family, top, stat, a)
+        return
+    dists = tally(family, top, stat, a)
+    for n in range(top + 1):
+        assert dists[n] == Counter(old_stat(t, family, stat)
+                                   for t in OLD_BUILDERS[family](n, a)), n
+
+
+def test_tally_rejects_families_and_statistics_it_cannot_build():
+    with pytest.raises(ValueError):
+        tally("ordered", 3, "leaves")
+    with pytest.raises(ValueError):
+        tally("binary", 3, "height_edges")
+    assert tally("binary", -1, "reg") == []
+
+
+# ----------------------------------------------------------------------
+# check --family horton|ternary against the per-object bodies they replaced
+# ----------------------------------------------------------------------
+
+def old_check_horton(budget):
+    top = min(budget, 9)
+    counts_ok = regs_ok = True
+    for a in (0, 1, 2):
+        layers = {p: horton_Rp(p, a, top) for p in range(1, 4)}
+        for n in range(top + 1):
+            trees_n = old_unary_binary(n, a)
+            if unary_binary_count(n, a) != len(trees_n):
+                counts_ok = False
+            dist = Counter(old_reg(t, "unary_binary") for t in trees_n)
+            if any(cli._coeff_value(ser.coeff(n)) != dist.get(p, 0)
+                   for p, ser in layers.items()):
+                regs_ok = False
+    return [(counts_ok, f"unary-binary counts = brute force, a in 0..2, n <= {top}"),
+            (regs_ok, f"register-classified counts match R_p, p <= 3, n <= {top}")]
+
+
+def old_check_ternary(budget):
+    out = []
+    top = min(budget, 7)
+    ok = True
+    for n in range(1, top + 1):
+        dist = Counter(old_stat(t, "ternary", "middle_edges") for t in old_ternary(n))
+        for kk in range(n):
+            if ternary_T(n, kk) != dist.get(kk, 0):
+                ok = False
+        if sum(dist.values()) != ternary_row_sum(n):
+            ok = False
+    out.append((ok, f"ternary middle-edge table = brute classification, n <= {top}"))
+    ok = all(sum(ternary_row(n)) == ternary_row_sum(n) for n in range(1, budget + 1))
+    out.append((ok, f"ternary row sums equal (1/n) C(3n, n-1), n <= {budget}"))
+    return out
+
+
+@pytest.mark.parametrize("family,old_body", [("horton", old_check_horton),
+                                             ("ternary", old_check_ternary)])
+def test_check_stdout_matches_per_object_body(family, old_body, monkeypatch, capsys):
+    try:
+        for budget in range(1, 13):
+            argv = ["check", "--family", family, "--max", str(budget)]
+            assert cli.main(argv) == 0
+            got = capsys.readouterr().out
+            with monkeypatch.context() as patch:
+                patch.setitem(cli.CHECKS, family, old_body)
+                assert cli.main(argv) == 0
+            assert got == capsys.readouterr().out, budget
+    finally:
+        old_unary_binary.cache_clear()  # size 9 is a few hundred thousand trees
+
+
+def test_check_horton_never_caches_its_largest_size():
+    script = ("import io, contextlib\n"
+              "from latticepaths import cli, trees\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    assert cli.main(['check', '--family', 'horton']) == 0\n"
+              "    assert cli.main(['check', '--family', 'ternary']) == 0\n"
+              "print(trees._unary_binary.cache_info().currsize,"
+              " trees._ternary.cache_info().currsize)")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    # sizes 0..8 for each of a = 0, 1, 2; ternary sizes 0..6
+    assert proc.stdout.split() == ["27", "7"]

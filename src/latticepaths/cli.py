@@ -549,7 +549,12 @@ def cmd_asym(args) -> int:
     if len(ladder) < 2:
         print("--n is too small: the ladder needs at least two sizes", file=sys.stderr)
         return 2
-    report = trend_check(kind, ladder, tolerance=tol, a=a)
+    try:
+        report = trend_check(kind, ladder, tolerance=tol, a=a)
+    except OverflowError:  # the float law, or float(exact), past about 1e308
+        print(f"{kind} at --n {top}: a value overflows a float; use a smaller --n",
+              file=sys.stderr)
+        return 2
     sys.stdout.write(report.to_csv())
     print("trend ok" if report.ok else "trend FAIL")
     return 0 if report.ok else 1

@@ -497,11 +497,14 @@ def amplitude_average(n: int) -> Fraction:
 # Limiting turn statistics (m-th dip and m-th summit of long closed paths)
 # ----------------------------------------------------------------------
 
+@lru_cache(maxsize=1)
 def _kemp_root_sigma(order: int) -> PowerSeries:
     """sqrt((1-w)(9-w)) at w = 36 sigma, an integer sigma-series.
 
     (1-w)(9-w) = 9(1 + 4y) with y = -10 sigma + 36 sigma^2 in Z[sigma], and
-    the weights binom(1/2,k) 4^k of sqrt(1 + 4y) are integers.
+    the weights binom(1/2,k) 4^k of sqrt(1 + 4y) are integers.  The last
+    root is kept, so the valley and the peak series of one size share it;
+    callers must not change it.
     """
     return 3 * PowerSeries("sigma", [1, -40, 144]).pad(order).sqrt()
 

@@ -420,23 +420,28 @@ class PowerSeries:
         return result
 
     def sqrt(self) -> "PowerSeries":
+        """The square root f with f_0 = 1, by the P-recurrence of f = sqrt(P).
+
+        The truncated series is a polynomial P, and P f' = P' f / 2 gives, at
+        var^(n-1) with p_0 = 1, 2n f_n = sum_{i>=1} p_i (3i - 2n) f_(n-i).
+        The sum runs over P's nonzero terms only, so a root of a polynomial
+        of fixed degree costs O(order) multiply-accumulates.  Quotients by 2n
+        that are integral stay ints, so an integral root never meets a
+        Fraction.
+        """
         if self.coeffs[0] != _MP_ONE:
             raise ValueError("series sqrt requires constant term exactly 1")
-        # out_n = (c_n - sum_{0<i<n} out_i out_(n-i)) / 2; the sum is symmetric,
-        # so it is twice the pairs with i < n - i plus the middle square.  Even
-        # ints are halved as ints, so an integral root never meets a Fraction.
-        half = Fraction(1, 2)
+        nz = [(i, c.terms) for i, c in enumerate(self.coeffs) if i and c.terms]
         out = [_MP_ONE]
         for n in range(1, self.order + 1):
-            pairs = {}
-            for i in range(1, (n + 1) // 2):
-                _mac(pairs, out[i].terms, out[n - i].terms)
-            acc = dict(self.coeffs[n].terms)
-            for m, c in pairs.items():
-                acc[m] = acc.get(m, 0) - 2 * c
-            if not n % 2:
-                _mac(acc, (-out[n // 2]).terms, out[n // 2].terms)
-            out.append(_poly({m: c >> 1 if type(c) is int and not c & 1 else c * half
+            acc = {}
+            for i, p in nz:
+                if i > n:
+                    break
+                w = 3 * i - 2 * n
+                _mac(acc, {m: c * w for m, c in p.items()}, out[n - i].terms)
+            d = 2 * n
+            out.append(_poly({m: c // d if type(c) is int and not c % d else Fraction(c, d)
                               for m, c in acc.items()}))
         return PowerSeries(self.var, out, self.order)
 

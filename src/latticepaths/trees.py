@@ -60,6 +60,8 @@ def _unary_binary(n: int, a: int) -> tuple:
 
 
 def _iter_unary_binary(n: int, a: int):
+    if n < 0:  # no trees; the unary step below would recurse without end
+        return
     if n == 0:
         yield None
         return
@@ -84,6 +86,8 @@ def _hex(n: int) -> tuple:
 
 
 def _iter_hex(n: int):
+    if n < 0:  # no trees; the unary step below would recurse without end
+        return
     if n == 0:
         yield None
         return

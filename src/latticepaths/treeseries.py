@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 from typing import List
 
 from .combinat import binomial, motzkin_numbers, trinomial
@@ -168,7 +169,13 @@ def marked_height_total(n: int) -> int:
     With R = (v+2)/(1+2v) each layer expands geometrically,
     tail_h = z(1 - v^2) sum_j v^(h+(h+1)j) R^((h-1)(j+1)), and
     [z^n] z G(v) = sum_k g_k [z^(n-1)] v^k (Lagrange-Buermann), so only the
-    terms with h+(h+1)j <= n-1 contribute.  Integer arithmetic throughout.
+    terms with h+(h+1)j <= n-1 contribute.
+
+    The sum is sum_p <R^p 1, y_p>, where y_p adds d shifted down by every
+    exponent e whose term carries R^p.  It is taken by Horner's rule on the
+    transposed map, z <- R^T z + y_p for p from high to low, and read off as
+    z[0]; R^T is the step of R run from the top index down, so the whole sum
+    is big-integer additions and doublings, with no big-by-big product.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -180,17 +187,16 @@ def marked_height_total(n: int) -> int:
     for h in range(1, m + 1):
         for e in range(h, m + 1, h + 1):
             by_power.setdefault((h - 1) * ((e + 1) // (h + 1)), []).append(e)
-    total = marked_count(n)
-    r = [1] + [0] * m  # R^p through v^m
-    for p in range(max(by_power, default=-1) + 1):
+    z = [0] * (m + 1)
+    for p in range(max(by_power, default=-1), -1, -1):
+        # z <- R^T z with R = (v+2)/(1+2v): c_i = 2 z_i + z_(i+1) - 2 c_(i+1)
+        prev_z = prev_c = 0
+        for i in range(m, -1, -1):
+            prev_z, z[i] = z[i], 2 * z[i] + prev_z - 2 * prev_c
+            prev_c = z[i]
         for e in by_power.get(p, ()):
-            total += sum(r[i] * d[e + i] for i in range(m + 1 - e))
-        # r <- r (v+2)/(1+2v): c_i = 2 r_i + r_(i-1) - 2 c_(i-1)
-        prev_r = prev_c = 0
-        for i in range(m + 1):
-            prev_r, r[i] = r[i], 2 * r[i] + prev_r - 2 * prev_c
-            prev_c = r[i]
-    return total
+            z[:m + 1 - e] = map(add, z, d[e:])
+    return marked_count(n) + z[0]
 
 
 # ----------------------------------------------------------------------

@@ -174,6 +174,17 @@ def test_asym_prints_values_past_the_int_digit_limit():
     assert max(len(row.split(",")[1]) for row in rows[1:-1]) > 4300
 
 
+def test_asym_past_the_float_range_exits_2_with_one_line(capsys):
+    # node_count_growth's law (a+4)^(n+1/2) is a float, past 1e308 from n = 512
+    assert main(["asym", "--family", "node_count_growth", "--n", "512"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "node_count_growth" in err and "--n 512" in err
+    assert main(["asym", "--family", "node_count_growth", "--n", "511"]) == 0
+    assert capsys.readouterr().out.endswith("trend ok\n")
+
+
 def test_asym_reads_a_for_the_kinds_whose_law_reads_it():
     reads_a = {kind for kind in LAW_KINDS if eval_law(kind, 16, 0) != eval_law(kind, 16, 1)}
     assert reads_a == {kind for kind, flags in ASYM_FLAGS.items() if "a" in flags}

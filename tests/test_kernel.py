@@ -140,6 +140,35 @@ def _marked_height_total_by_layers(n: int) -> int:
     return total
 
 
+def _marked_height_total_by_powers(n: int) -> int:
+    """The double loop that `marked_height_total` was before its transposed
+    Horner pass: sum_p sum_(e in E_p) <R^p 1, d shifted by e>, with R^p
+    built up in p and multiplied into d term by term."""
+    m = n - 1
+    kern = Kernel(3)
+    d = [kern.vpow_coeff(m, k) - kern.vpow_coeff(m, k + 2) for k in range(m + 1)]
+    by_power: dict = {}
+    for h in range(1, m + 1):
+        for e in range(h, m + 1, h + 1):
+            by_power.setdefault((h - 1) * ((e + 1) // (h + 1)), []).append(e)
+    total = marked_count(n)
+    r = [1] + [0] * m  # R^p through v^m
+    for p in range(max(by_power, default=-1) + 1):
+        for e in by_power.get(p, ()):
+            total += sum(r[i] * d[e + i] for i in range(m + 1 - e))
+        prev_r = prev_c = 0
+        for i in range(m + 1):
+            prev_r, r[i] = r[i], 2 * r[i] + prev_r - 2 * prev_c
+            prev_c = r[i]
+    return total
+
+
+def test_marked_height_total_equals_the_double_loop():
+    # every size to 120, then a stride to 300 (the oracle is O(n^2 log n) big products)
+    for n in list(range(1, 121)) + list(range(131, 301, 17)) + [300]:
+        assert marked_height_total(n) == _marked_height_total_by_powers(n), n
+
+
 def test_marked_height_total_equals_layer_recursion():
     for n in list(range(1, 31)) + [41, 53, 60]:
         assert marked_height_total(n) == _marked_height_total_by_layers(n)

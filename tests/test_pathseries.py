@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from latticepaths import cli, pathseries
 from latticepaths.combinat import motzkin_numbers
 from latticepaths.paths import (
     gen_deutsch,
@@ -598,6 +599,21 @@ def test_kemp_series_match_the_w_route(series, oracle):
         assert got.dump() == oracle(order).dump()
         for c in got.coeffs:
             assert all(type(v) is int or v.denominator != 1 for v in c.terms.values())
+
+
+def test_kemp_gap_takes_one_square_root(monkeypatch, capsys):
+    roots = []
+    real = PowerSeries.sqrt
+
+    def counting(self):
+        roots.append(self.order)
+        return real(self)
+
+    monkeypatch.setattr(PowerSeries, "sqrt", counting)
+    pathseries._kemp_root_sigma.cache_clear()
+    assert cli.main(["asym", "--family", "kemp_gap", "--n", "80"]) == 0
+    capsys.readouterr()
+    assert roots == [80]
 
 
 def test_kemp_oracle_against_exhaustive():

@@ -5,6 +5,10 @@ Fraction otherwise, and every product runs through one multiply-accumulate
 per output coefficient.  The oracles below are the earlier per-pair routes,
 all-Fraction, which build one intermediate polynomial per pair of terms;
 the fused results must equal them value for value and string for string.
+
+`sqrt` is now the P-recurrence of a square root.  The symmetric-pair
+convolution it replaced is kept below as a second oracle, next to the
+per-pair route.
 """
 
 from fractions import Fraction
@@ -13,12 +17,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latticepaths import pathseries, treeseries
+from latticepaths import pathseries, series as series_module, treeseries
 from latticepaths.series import (
     AlgebraicSubstitution,
     MarkerPoly,
     PowerSeries,
+    _mac,
     _mono,
+    _poly,
 )
 
 
@@ -99,6 +105,25 @@ def _ref_sqrt(self):
         for i in range(1, n):
             acc = _ref_add(acc, _ref_poly_mul(_ref_poly_mul(out[i], out[n - i]), -1))
         out.append(_ref_poly_mul(acc, Fraction(1, 2)))
+    return PowerSeries(self.var, out, self.order)
+
+
+def _conv_sqrt(self):
+    """The symmetric-pair convolution that `sqrt` was before its P-recurrence:
+    out_n = (c_n - sum_{0<i<n} out_i out_(n-i)) / 2, O(order^2) products."""
+    half = Fraction(1, 2)
+    out = [MarkerPoly.const(1)]
+    for n in range(1, self.order + 1):
+        pairs = {}
+        for i in range(1, (n + 1) // 2):
+            _mac(pairs, out[i].terms, out[n - i].terms)
+        acc = dict(self.coeffs[n].terms)
+        for m, c in pairs.items():
+            acc[m] = acc.get(m, 0) - 2 * c
+        if not n % 2:
+            _mac(acc, (-out[n // 2]).terms, out[n // 2].terms)
+        out.append(_poly({m: c >> 1 if type(c) is int and not c & 1 else c * half
+                          for m, c in acc.items()}))
     return PowerSeries(self.var, out, self.order)
 
 
@@ -235,7 +260,64 @@ def test_inverse_matches_the_per_pair_route(f, lead):
 def test_sqrt_matches_the_per_pair_route(f):
     root = f.sqrt()
     _assert_same_series(root, _ref_sqrt(f))
+    _assert_same_series(root, _conv_sqrt(f))
     _assert_same_series(root * root, f)
+
+
+@st.composite
+def sparse_polys(draw):
+    """1 plus one or two nonzero terms of degree 1..4, marker-free or in w,
+    padded to an order up to 60: the shape of every root the library takes."""
+    names = draw(st.sampled_from([(), ("w",)]))
+    cs = [MarkerPoly.const(1)] + [MarkerPoly()] * 4
+    for i in draw(st.sets(st.integers(1, 4), min_size=1, max_size=2)):
+        cs[i] = draw(polys(markers=names, max_terms=2))
+    return PowerSeries("z", cs).pad(draw(st.sampled_from(range(61))))  # uniform
+
+
+@settings(max_examples=150, deadline=None)
+@given(f=sparse_polys(), at=st.sampled_from([-2, 1, 3]))
+def test_sqrt_of_sparse_polynomials_matches_both_old_routes(f, at):
+    root = f.sqrt()
+    # Both oracles are quadratic in the order and in the terms of a
+    # coefficient, so a root in w is compared exactly up to order 16 and,
+    # through the full order, at a value of w: the root commutes with it.
+    low = f.truncate(min(f.order, 16))
+    _assert_same_series(root.truncate(low.order), _ref_sqrt(low))
+    _assert_same_series(root.truncate(low.order), _conv_sqrt(low))
+    at_w = f.subs_markers({"w": at})
+    root_at_w = root.subs_markers({"w": at})
+    _assert_same_series(root_at_w, _ref_sqrt(at_w))
+    _assert_same_series(root_at_w, _conv_sqrt(at_w))
+
+
+@pytest.mark.parametrize("cs,order", [
+    ([1, -4], 200),
+    ([1, -40, 144], 200),
+    ([1, -6, 5], 200),
+    ([1, 0, -6, 0, 5], 200),
+    ([1, -(4 + 2 * MarkerPoly.var("w")), 4 * MarkerPoly.var("w") + MarkerPoly.var("w") ** 2],
+     40),
+])
+def test_roots_of_integral_polynomials_have_int_coefficients(cs, order):
+    f = PowerSeries("z", cs).pad(order)
+    root = f.sqrt()
+    assert all(type(c) is int for p in root.coeffs for c in p.terms.values())
+    assert root.dump() == _conv_sqrt(f).dump()
+
+
+def test_sqrt_of_a_quadratic_makes_linearly_many_products(monkeypatch):
+    # a return to the convolution, about order^2 / 4 products, fails here
+    calls = []
+    real = series_module._mac
+
+    def counting(acc, p, q):
+        calls.append(None)
+        real(acc, p, q)
+
+    monkeypatch.setattr(series_module, "_mac", counting)
+    PowerSeries("z", [1, -6, 5]).pad(400).sqrt()
+    assert 400 <= len(calls) <= 2 * 400
 
 
 @settings(max_examples=200, deadline=None)

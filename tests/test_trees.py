@@ -99,6 +99,14 @@ def test_ternary_counts():
     assert [len(gen_ternary(n)) for n in range(6)] == want
 
 
+@pytest.mark.parametrize("gen", [gen_binary, lambda n: gen_unary_binary(n, 1),
+                                 lambda n: gen_unary_binary(n, 2), gen_hex, gen_ternary],
+                         ids=["binary", "unary_binary-a1", "unary_binary-a2", "hex", "ternary"])
+@pytest.mark.parametrize("n", [-1, -5])
+def test_negative_sizes_have_no_trees(gen, n):
+    assert gen(n) == []
+
+
 # ----------------------------------------------------------------------
 # sizes
 # ----------------------------------------------------------------------

@@ -364,9 +364,8 @@ def _check_bijections(budget: int) -> List[CheckResult]:
             u = rotation_multiedge_to_unarybinary(t)
             if rotation_unarybinary_to_multiedge(u) != t:
                 ok = False
-            images.add(tree_to_str(u, "unary_binary"))
-        codomain = {tree_to_str(u, "unary_binary") for u in gen_unary_binary(w, 1)}
-        if images != codomain:
+            images.add(u)
+        if images != set(gen_unary_binary(w, 1)):
             ok = False
     out.append((ok, f"rotation multi-edge <-> unary-binary: round trip and sets, weight <= {wtop}"))
     return out

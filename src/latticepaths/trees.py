@@ -16,18 +16,50 @@ Representations (all nested tuples, hashable, comparable):
 Sizes count internal nodes (binary, unary_binary, ternary), all nodes (hex,
 ordered, marked), or total edge weight (multiedge).
 
-Binary, unary-binary, hex and ternary trees of size n are streamed by one
-generator each (`_iter_*`) from the cached levels below n.  Each statistic is
-one node rule, rule(node, val), that reads its children's values through val:
-`reg` and `tree_stats` evaluate it by recursion on any tree, and `tally` over a
-whole level with the children's values looked up in a memo.
+Binary, unary-binary, hex and ternary trees are declared once, as productions:
+a tree of size n >= 1 is a head (the tuple entries before its children)
+followed by children whose sizes sum to n - 1, and the empty tree is the only
+one of size 0.  The declaration is evaluated in two algebras.  In the tree
+algebra (`gen_*`) an object is its head plus its children, built from the
+cached smaller levels.  In a value algebra (`tally`) an object is a node
+rule's value, rule(head, child values), and each size keeps only its list of
+values, so no tree is built.  `reg`, `tree_stats` and `tree_size` fold the
+same rules over one tree, each node standing in for its own head.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from itertools import repeat
+from itertools import chain, product, repeat
+from operator import itemgetter
+
+# Per declared family, the productions of size n >= 1 in generation order:
+# (head, child sizes).  A child of size 0 is the empty tree.
+_PRODUCTIONS = {
+    "binary": lambda n, a: [((), (i, n - 1 - i)) for i in range(n)],
+    "unary_binary": lambda n, a: ([(("2",), (i, n - 1 - i)) for i in range(n)]
+                                  + [(("u", color), (n - 1,)) for color in range(a) if n > 1]),
+    "hex": lambda n, a: ([((".",), ())] if n == 1 else
+                         [((slot,), (n - 1,)) for slot in "LMR" if n > 1]
+                         + [(("2",), (i, n - 1 - i)) for i in range(1, n - 1)]),
+    "ternary": lambda n, a: [((), (i, j, n - 1 - i - j)) for i in range(n) for j in range(n - i)],
+}
+
+
+def _construct(family: str, n: int, a: int, level, make):
+    """The size-n objects of a declared family in one algebra, in production
+    order: level(m) lists the objects of size m < n, and make(head, children)
+    assembles one object from each choice of children."""
+    return chain.from_iterable(map(make, repeat(head), product(*map(level, sizes)))
+                               for head, sizes in _PRODUCTIONS[family](n, a))
+
+
+def _trees(family: str, n: int, a: int, level) -> tuple:
+    """The trees of size n, each its head followed by its children."""
+    if n == 0:
+        return (None,)
+    return tuple(_construct(family, n, a, level, tuple.__add__))
 
 
 def gen_binary(n: int) -> list:
@@ -36,18 +68,7 @@ def gen_binary(n: int) -> list:
 
 @lru_cache(maxsize=None)
 def _binary(n: int) -> tuple:
-    return tuple(_iter_binary(n))
-
-
-def _iter_binary(n: int):
-    if n == 0:
-        yield None
-        return
-    for i in range(n):
-        rights = _binary(n - 1 - i)
-        for left in _binary(i):
-            for right in rights:
-                yield (left, right)
+    return _trees("binary", n, 0, _binary)
 
 
 def gen_unary_binary(n: int, a: int = 1) -> list:
@@ -56,24 +77,7 @@ def gen_unary_binary(n: int, a: int = 1) -> list:
 
 @lru_cache(maxsize=None)
 def _unary_binary(n: int, a: int) -> tuple:
-    return tuple(_iter_unary_binary(n, a))
-
-
-def _iter_unary_binary(n: int, a: int):
-    if n < 0:  # no trees; the unary step below would recurse without end
-        return
-    if n == 0:
-        yield None
-        return
-    for i in range(n):
-        rights = _unary_binary(n - 1 - i, a)
-        for left in _unary_binary(i, a):
-            for right in rights:
-                yield ("2", left, right)
-    for color in range(a):
-        for child in _unary_binary(n - 1, a):
-            if child is not None:
-                yield ("u", color, child)
+    return _trees("unary_binary", n, a, lambda m: _unary_binary(m, a))
 
 
 def gen_hex(n: int) -> list:
@@ -82,27 +86,16 @@ def gen_hex(n: int) -> list:
 
 @lru_cache(maxsize=None)
 def _hex(n: int) -> tuple:
-    return tuple(_iter_hex(n))
+    return _trees("hex", n, 0, _hex)
 
 
-def _iter_hex(n: int):
-    if n < 0:  # no trees; the unary step below would recurse without end
-        return
-    if n == 0:
-        yield None
-        return
-    if n == 1:
-        yield (".",)
-        return
-    # every child has size >= 1 here, so none is empty
-    for slot in ("L", "M", "R"):
-        for child in _hex(n - 1):
-            yield (slot, child)
-    for i in range(1, n - 1):
-        rights = _hex(n - 1 - i)
-        for left in _hex(i):
-            for right in rights:
-                yield ("2", left, right)
+def gen_ternary(n: int) -> list:
+    return list(_ternary(n))
+
+
+@lru_cache(maxsize=None)
+def _ternary(n: int) -> tuple:
+    return _trees("ternary", n, 0, _ternary)
 
 
 def gen_ordered(n: int) -> list:
@@ -167,44 +160,67 @@ def _multiedge(w: int) -> tuple:
     return tuple(out)
 
 
-def gen_ternary(n: int) -> list:
-    return list(_ternary(n))
+# Per family, a non-empty node's children, empty ones included.  For the
+# declared families a node is its head followed by these children.
+_CHILDREN = {
+    "binary": lambda t: t,
+    "unary_binary": lambda t: t[1:] if t[0] == "2" else t[2:],
+    "hex": lambda t: t[1:],
+    "ternary": lambda t: t,
+    "ordered": lambda t: t,
+    "marked": lambda t: [child for _, child in t],
+    "multiedge": lambda t: [child for _, child in t],
+}
 
 
-@lru_cache(maxsize=None)
-def _ternary(n: int) -> tuple:
-    return tuple(_iter_ternary(n))
+def _fold(children, rule, empty, t):
+    """Evaluate a node rule bottom-up over t, with an explicit stack of the
+    unfinished ancestors instead of recursion, so the depth is not limited.
 
-
-def _iter_ternary(n: int):
-    if n == 0:
-        yield None
-        return
-    for i in range(n):
-        for j in range(n - i):
-            middles = _ternary(j)
-            rights = _ternary(n - 1 - i - j)
-            for left in _ternary(i):
-                for middle in middles:
-                    for right in rights:
-                        yield (left, middle, right)
+    Each non-empty node gets rule(node, its children's values).  The rules of
+    the declared families read only the node's head entries, so `tally` can
+    pass a production's head in its place.  The empty tree (None) has value
+    empty.
+    """
+    if t is None:
+        return empty
+    stack = []  # (node, its remaining children, their values so far) per ancestor
+    node, kids, vals = t, iter(children(t)), []
+    while True:
+        for kid in kids:
+            if kid is None:
+                vals.append(empty)
+            else:
+                stack.append((node, kids, vals))
+                node, kids, vals = kid, iter(children(kid)), []
+                break
+        else:
+            value = rule(node, vals)
+            if not stack:
+                return value
+            node, kids, vals = stack.pop()
+            vals.append(value)
 
 
 def tree_size(t, family: str) -> int:
-    if family == "multiedge":
-        return sum(m + tree_size(c, family) for m, c in t)
-    split = _SPLIT.get(family)
-    if split is None:
+    children = _CHILDREN.get(family)
+    if children is None:
         raise ValueError(f"unknown family {family!r}")
-    return 0 if t is None else 1 + sum(tree_size(kid, family) for kid in split(t)[0])
+    if family == "multiedge":
+        return _fold(children, lambda node, kids: sum(m for m, _ in node) + sum(kids), 0, t)
+    return _fold(children, lambda node, kids: 1 + sum(kids), 0, t)
 
 
-def _fold(rule, empty, t):
-    """Evaluate a node rule on t by recursion: rule(node, val) reads each
-    child's value through val; the empty tree has value empty."""
-    def val(child):
-        return empty if child is None else rule(child, val)
-    return val(t)
+def _register(head, kids) -> int:
+    """Register rule: a node's value from its children's values (a node
+    without children is a bare hex node)."""
+    if len(kids) == 2:
+        a, b = kids
+        return a + 1 if a == b else (a if a > b else b)
+    return kids[0] if kids else 1
+
+
+_REG = dict.fromkeys(("binary", "unary_binary", "hex"), _register)
 
 
 def reg(t, family: str = "binary") -> int:
@@ -213,64 +229,18 @@ def reg(t, family: str = "binary") -> int:
     rule = _REG.get(family)
     if rule is None:
         raise ValueError(f"register number not defined for family {family!r}")
-    return _fold(rule, 0, t)
+    return _fold(_CHILDREN[family], rule, 0, t)
 
 
-# Register rules: a non-empty node's value from its children's values.
-
-def _reg_binary(t, val) -> int:
-    a = val(t[0])
-    b = val(t[1])
-    return a + 1 if a == b else (a if a > b else b)
-
-
-def _reg_unary_binary(t, val) -> int:
-    if t[0] == "u":
-        return val(t[2])
-    a = val(t[1])
-    b = val(t[2])
-    return a + 1 if a == b else (a if a > b else b)
-
-
-def _reg_hex(t, val) -> int:
-    tag = t[0]
-    if tag == ".":
-        return 1
-    if tag != "2":
-        return val(t[1])
-    a = val(t[1])
-    b = val(t[2])
-    return a + 1 if a == b else (a if a > b else b)
-
-
-_REG = {"binary": _reg_binary, "unary_binary": _reg_unary_binary, "hex": _reg_hex}
-
-
-def _nonempty(kids) -> list:
-    return [c for c in kids if c is not None]
-
-
-# Per family, a node's split: (non-empty children, middle edges leaving the
-# node, marked edges leaving the node).
-_SPLIT = {
-    "binary": lambda t: (_nonempty(t), 0, 0),
-    "unary_binary": lambda t: (_nonempty(t[1:] if t[0] == "2" else t[2:]), 0, 0),
-    "hex": lambda t: ([] if t[0] == "." else _nonempty(t[1:]), int(t[0] == "M"), 0),
-    "ordered": lambda t: (t, 0, 0),
-    "marked": lambda t: ([c for _, c in t], 0, sum(1 for m, _ in t if m)),
-    "multiedge": lambda t: ([c for _, c in t], 0, 0),
-    "ternary": lambda t: (_nonempty(t), int(t[1] is not None), 0),
-}
-
-
-def _stats_rule(split):
+def _stats_rule(own):
     """The statistics rule of one family: a non-empty node's
-    (leaves, height_nodes, middle_edges, mark_count) from its children's."""
-    def rule(t, val) -> tuple:
-        kids, middles, marks = split(t)
+    (leaves, height_nodes, middle_edges, mark_count) from its children's.
+    own(head, kids), if given, counts the node's own middle edges and marks;
+    an empty child has the value (0, 0, 0, 0) and adds nothing."""
+    def rule(head, kids) -> tuple:
+        middles, marks = own(head, kids) if own else (0, 0)
         leaves = height = 0
-        for kid in kids:
-            kid_leaves, kid_height, kid_middles, kid_marks = val(kid)
+        for kid_leaves, kid_height, kid_middles, kid_marks in kids:
             leaves += kid_leaves
             middles += kid_middles
             marks += kid_marks
@@ -280,7 +250,13 @@ def _stats_rule(split):
     return rule
 
 
-_STATS = {family: _stats_rule(split) for family, split in _SPLIT.items()}
+_OWN = {
+    "hex": lambda head, kids: (int(head[0] == "M"), 0),
+    # a child's height is 0 exactly when it is empty
+    "ternary": lambda head, kids: (int(kids[1][1] > 0), 0),
+    "marked": lambda node, kids: (0, sum(1 for mark, _ in node if mark)),
+}
+_STATS = {family: _stats_rule(_OWN.get(family)) for family in _CHILDREN}
 STAT_FIELDS = ("leaves", "height_nodes", "middle_edges", "mark_count")
 
 
@@ -292,7 +268,7 @@ def tree_stats(t, family: str) -> dict:
     rule = _STATS.get(family)
     if rule is None:
         raise ValueError(f"unknown family {family!r}")
-    leaves, height_nodes, middles, marks = _fold(rule, (0, 0, 0, 0), t)
+    leaves, height_nodes, middles, marks = _fold(_CHILDREN[family], rule, (0, 0, 0, 0), t)
     return {
         "leaves": leaves,
         "height_nodes": height_nodes,
@@ -302,28 +278,16 @@ def tree_stats(t, family: str) -> dict:
     }
 
 
-# Families whose size-n trees are assembled from the cached smaller levels:
-# (cached level, streamed level), both called with (n, a) for unary-binary.
-_BUILT = {
-    "binary": (_binary, _iter_binary),
-    "unary_binary": (_unary_binary, _iter_unary_binary),
-    "hex": (_hex, _iter_hex),
-    "ternary": (_ternary, _iter_ternary),
-}
-
-
 def tally(family: str, top: int, stat: str, a: int = 1) -> list:
     """Distribution of one statistic over the trees of each size 0..top.
 
-    stat is "reg" or one of STAT_FIELDS.  Every tree is built and classified
-    by the same node rule as `reg` / `tree_stats`, but a child's value is
-    looked up instead of recomputed.  Sizes below top come from the cached
-    levels, and their values are kept by id for the next sizes: the ids stay
-    valid because the unbounded caches keep those trees alive.  Size top is
-    streamed, and no id of a streamed tree is kept.
+    stat is "reg" or one of STAT_FIELDS.  The family's productions are
+    evaluated in the statistic's value algebra: every tree is visited once, as
+    one call of the same node rule as `reg` / `tree_stats` on its children's
+    values, drawn from the lists kept for the smaller sizes.  No tree is
+    built, and the values of size top are counted as they are made.
     """
-    built = _BUILT.get(family)
-    if built is None:
+    if family not in _PRODUCTIONS:
         raise ValueError(f"no level-by-level construction for family {family!r}")
     if stat == "reg" and family in _REG:
         rule, empty, field = _REG[family], 0, None
@@ -333,21 +297,14 @@ def tally(family: str, top: int, stat: str, a: int = 1) -> list:
         raise ValueError(f"statistic {stat!r} not defined for family {family!r}")
     if top < 0:
         return []
-    cached, stream = built
-    args = (a,) if family == "unary_binary" else ()
-    values = {id(None): empty}
 
-    def val(child):
-        return values[id(child)]
+    def count(values) -> Counter:
+        return Counter(values if field is None else map(itemgetter(field), values))
 
-    dists = [Counter([empty if field is None else empty[field]])]  # size 0: the empty tree
-    for size in range(1, top + 1):
-        if size < top:
-            level = cached(size, *args)
-            level_values = list(map(rule, level, repeat(val)))
-            values.update(zip(map(id, level), level_values))
-        else:
-            level_values = map(rule, stream(size, *args), repeat(val))
-        dists.append(Counter(level_values if field is None
-                             else [v[field] for v in level_values]))
+    levels = [[empty]]  # the values of each size below top
+    for size in range(1, top):
+        levels.append(list(_construct(family, size, a, levels.__getitem__, rule)))
+    dists = [count(values) for values in levels]
+    if top:
+        dists.append(count(_construct(family, top, a, levels.__getitem__, rule)))
     return dists

@@ -253,14 +253,14 @@ def test_tree_statistics_property(case):
 # ----------------------------------------------------------------------
 
 def test_check_horton_calls_reg_once_per_enumerated_tree(monkeypatch, capsys):
-    # the tally applies the register rule once per non-empty tree and reads
-    # each child's value from its memo instead of recursing into the child
+    # the tally applies the register rule once per non-empty tree, to the
+    # node's head and its children's values, never recursing into a child
     calls = Counter()
     rule = trees._REG["unary_binary"]
 
-    def counting_rule(t, val):
-        calls[t[0]] += 1
-        return rule(t, val)
+    def counting_rule(head, kids):
+        calls[head[0]] += 1
+        return rule(head, kids)
 
     monkeypatch.setitem(trees._REG, "unary_binary", counting_rule)
     assert cli.main(["check", "--family", "horton"]) == 0

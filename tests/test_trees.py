@@ -1,12 +1,13 @@
 """Tree generators: counts against reference sequences, register numbers,
 and statistics on small exhaustive sets.
 
-Each size of a binary, unary-binary, hex or ternary tree is one streamed
-construction from the cached smaller sizes, and `reg` / `tree_stats` / `tally`
-evaluate one node rule per statistic, by recursion or from a memo of the
-children's values.  The builders and recursive statistics they replaced stay
-below as oracles, and so do the per-object bodies of `check --family horton`
-and `check --family ternary`.
+Binary, unary-binary, hex and ternary trees are declared once as productions
+and evaluated in two algebras: `gen_*` builds the trees, `tally` computes one
+node rule's values without building them, and `reg` / `tree_stats` /
+`tree_size` fold the same rules over one tree.  The list builders, the
+per-family streamed generators, the build-and-fold tally and the recursive
+statistics they replaced stay below as oracles, and so do the per-object
+bodies of `check --family horton` and `check --family ternary`.
 """
 
 import math
@@ -15,6 +16,7 @@ import subprocess
 import sys
 from collections import Counter
 from functools import lru_cache
+from itertools import repeat
 from pathlib import Path
 
 import pytest
@@ -225,6 +227,27 @@ def test_marked_tree_leaves_ignore_marks():
         assert plain["height_nodes"] <= 4
 
 
+def _deep(make, depth):
+    t = None
+    for _ in range(depth):
+        t = make(t)
+    return t
+
+
+@pytest.mark.parametrize("family,make,depth", [
+    ("unary_binary", lambda t: ("u", 0, t) if t else ("2", None, None), 10_000),
+    ("unary_binary", lambda t: ("2", t, None), 5_000),
+    ("binary", lambda t: (t, None), 5_000),
+], ids=["unary_binary-chain", "unary_binary-comb", "binary-comb"])
+def test_folds_have_no_depth_limit(family, make, depth):
+    t = _deep(make, depth)
+    assert tree_size(t, family) == depth
+    assert reg(t, family) == 1
+    assert tree_stats(t, family) == {"leaves": 1, "height_nodes": depth,
+                                     "height_edges": depth - 1, "middle_edges": 0,
+                                     "mark_count": 0}
+
+
 # ----------------------------------------------------------------------
 # oracles: the list builders and the recursive statistics that the streamed
 # levels and the node rules replaced
@@ -299,18 +322,16 @@ OLD_BUILDERS = {
     "hex": lambda n, a: old_hex(n),
     "ternary": lambda n, a: old_ternary(n),
 }
-STREAMED = {
-    "binary": lambda n, a: trees._iter_binary(n),
-    "unary_binary": trees._iter_unary_binary,
-    "hex": lambda n, a: trees._iter_hex(n),
-    "ternary": lambda n, a: trees._iter_ternary(n),
-}
 CACHED = {
     "binary": lambda n, a: trees._binary(n),
     "unary_binary": trees._unary_binary,
     "hex": lambda n, a: trees._hex(n),
     "ternary": lambda n, a: trees._ternary(n),
 }
+# one level evaluated afresh in the tree algebra, from the cached levels below it
+STREAMED = {family: lambda n, a, family=family: trees._trees(
+                family, n, a, lambda m: CACHED[family](m, a))
+            for family in CACHED}
 
 
 def old_reg_binary(t):
@@ -370,8 +391,196 @@ def old_stats(t, split):
 def old_stat(t, family, stat):
     if stat == "reg":
         return old_reg(t, family)
-    values = (0, 0, 0, 0) if t is None else old_stats(t, trees._SPLIT[family])
+    values = (0, 0, 0, 0) if t is None else old_stats(t, OLD_SPLIT[family])
     return values[STAT_FIELDS.index(stat)]
+
+
+# ----------------------------------------------------------------------
+# oracles: the per-family streamed generators and the build-and-fold tally
+# (cached levels, children's values in an id memo, streamed largest size)
+# that the productions and their value algebra replaced
+# ----------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def level_binary(n):
+    return tuple(iter_binary(n))
+
+
+def iter_binary(n):
+    if n == 0:
+        yield None
+        return
+    for i in range(n):
+        rights = level_binary(n - 1 - i)
+        for left in level_binary(i):
+            for right in rights:
+                yield (left, right)
+
+
+@lru_cache(maxsize=None)
+def level_unary_binary(n, a):
+    return tuple(iter_unary_binary(n, a))
+
+
+def iter_unary_binary(n, a):
+    if n < 0:
+        return
+    if n == 0:
+        yield None
+        return
+    for i in range(n):
+        rights = level_unary_binary(n - 1 - i, a)
+        for left in level_unary_binary(i, a):
+            for right in rights:
+                yield ("2", left, right)
+    for color in range(a):
+        for child in level_unary_binary(n - 1, a):
+            if child is not None:
+                yield ("u", color, child)
+
+
+@lru_cache(maxsize=None)
+def level_hex(n):
+    return tuple(iter_hex(n))
+
+
+def iter_hex(n):
+    if n < 0:
+        return
+    if n == 0:
+        yield None
+        return
+    if n == 1:
+        yield (".",)
+        return
+    for slot in ("L", "M", "R"):
+        for child in level_hex(n - 1):
+            yield (slot, child)
+    for i in range(1, n - 1):
+        rights = level_hex(n - 1 - i)
+        for left in level_hex(i):
+            for right in rights:
+                yield ("2", left, right)
+
+
+@lru_cache(maxsize=None)
+def level_ternary(n):
+    return tuple(iter_ternary(n))
+
+
+def iter_ternary(n):
+    if n == 0:
+        yield None
+        return
+    for i in range(n):
+        for j in range(n - i):
+            middles = level_ternary(j)
+            rights = level_ternary(n - 1 - i - j)
+            for left in level_ternary(i):
+                for middle in middles:
+                    for right in rights:
+                        yield (left, middle, right)
+
+
+# (cached level, streamed level), both called with (n, a)
+OLD_BUILT = {
+    "binary": (lambda n, a: level_binary(n), lambda n, a: iter_binary(n)),
+    "unary_binary": (level_unary_binary, iter_unary_binary),
+    "hex": (lambda n, a: level_hex(n), lambda n, a: iter_hex(n)),
+    "ternary": (lambda n, a: level_ternary(n), lambda n, a: iter_ternary(n)),
+}
+
+
+def old_branch(a, b):
+    return a + 1 if a == b else (a if a > b else b)
+
+
+def old_rule_reg_binary(t, val):
+    return old_branch(val(t[0]), val(t[1]))
+
+
+def old_rule_reg_unary_binary(t, val):
+    return val(t[2]) if t[0] == "u" else old_branch(val(t[1]), val(t[2]))
+
+
+def old_rule_reg_hex(t, val):
+    if t[0] == ".":
+        return 1
+    return val(t[1]) if t[0] != "2" else old_branch(val(t[1]), val(t[2]))
+
+
+OLD_RULE_REG = {"binary": old_rule_reg_binary, "unary_binary": old_rule_reg_unary_binary,
+                "hex": old_rule_reg_hex}
+
+
+def _nonempty(kids):
+    return [c for c in kids if c is not None]
+
+
+# a node's (non-empty children, middle edges leaving it, marked edges leaving it)
+OLD_SPLIT = {
+    "binary": lambda t: (_nonempty(t), 0, 0),
+    "unary_binary": lambda t: (_nonempty(t[1:] if t[0] == "2" else t[2:]), 0, 0),
+    "hex": lambda t: ([] if t[0] == "." else _nonempty(t[1:]), int(t[0] == "M"), 0),
+    "ordered": lambda t: (t, 0, 0),
+    "marked": lambda t: ([c for _, c in t], 0, sum(1 for m, _ in t if m)),
+    "multiedge": lambda t: ([c for _, c in t], 0, 0),
+    "ternary": lambda t: (_nonempty(t), int(t[1] is not None), 0),
+}
+
+
+def old_rule_stats(split):
+    def rule(t, val):
+        kids, middles, marks = split(t)
+        leaves = height = 0
+        for kid in kids:
+            kid_leaves, kid_height, kid_middles, kid_marks = val(kid)
+            leaves += kid_leaves
+            middles += kid_middles
+            marks += kid_marks
+            if kid_height > height:
+                height = kid_height
+        return leaves or 1, height + 1, middles, marks
+    return rule
+
+
+OLD_RULE_STATS = {family: old_rule_stats(split) for family, split in OLD_SPLIT.items()}
+
+
+def old_tally(family, top, stat, a=1):
+    """Build every tree and classify it by one node rule, reading its
+    children's values by id from the levels below (kept alive by their
+    caches).  stat is "reg" or "stats"; the Counters are of whole values."""
+    rule, empty = (OLD_RULE_REG[family], 0) if stat == "reg" else (OLD_RULE_STATS[family],
+                                                                    (0, 0, 0, 0))
+    cached, stream = OLD_BUILT[family]
+    values = {id(None): empty}
+
+    def val(child):
+        return values[id(child)]
+
+    dists = [Counter([empty])]
+    for size in range(1, top + 1):
+        if size < top:
+            level = cached(size, a)
+            level_values = list(map(rule, level, repeat(val)))
+            values.update(zip(map(id, level), level_values))
+        else:
+            level_values = map(rule, stream(size, a), repeat(val))
+        dists.append(Counter(level_values))
+    return dists
+
+
+def marginal(dist, field):
+    out = Counter()
+    for value, count in dist.items():
+        out[value[STAT_FIELDS.index(field)]] += count
+    return out
+
+
+def clear_old_levels():
+    for level in (level_binary, level_unary_binary, level_hex, level_ternary):
+        level.cache_clear()
 
 
 # ----------------------------------------------------------------------
@@ -387,8 +596,9 @@ def old_stat(t, family, stat):
 def test_streamed_levels_equal_the_old_builders(family, top, colors):
     for a in colors:
         for n in range(top + 1):
-            streamed = tuple(STREAMED[family](n, a))
+            streamed = STREAMED[family](n, a)
             assert streamed == CACHED[family](n, a) == OLD_BUILDERS[family](n, a), (n, a)
+            assert streamed == tuple(OLD_BUILT[family][1](n, a)), (n, a)
     assert gen_unary_binary(5, 2) == list(old_unary_binary(5, 2))
     assert gen_ternary(5) == list(old_ternary(5))
 
@@ -407,11 +617,32 @@ def test_register_tally_matches_old_helper_on_unary_binary_trees(a):
     assert len(dists) == top + 1
     for n in range(top):
         assert dists[n] == Counter(old_reg(t, "unary_binary") for t in old_unary_binary(n, a))
-    # the largest size is streamed here as in the tally, to keep it out of memory
-    assert dists[top] == Counter(old_reg_unary_binary(t)
-                                 for t in trees._iter_unary_binary(top, a))
+    # the largest size is streamed here, to keep it out of memory
+    try:
+        assert dists[top] == Counter(old_reg_unary_binary(t)
+                                     for t in iter_unary_binary(top, a))
+    finally:
+        clear_old_levels()
     assert [sum(d.values()) for d in dists] == [unary_binary_count(n, a)
                                                 for n in range(top + 1)]
+
+
+@pytest.mark.parametrize("family,top,a", [
+    ("binary", 10, 0),
+    ("hex", 10, 0),
+    ("ternary", 7, 0),
+    *(("unary_binary", 9, a) for a in range(3)),
+    ("unary_binary", 8, 3),
+])
+def test_tally_matches_the_build_and_fold_tally(family, top, a):
+    try:
+        if family != "ternary":
+            assert tally(family, top, "reg", a) == old_tally(family, top, "reg", a)
+        want = old_tally(family, top, "stats", a)
+    finally:
+        clear_old_levels()
+    for field in STAT_FIELDS:
+        assert tally(family, top, field, a) == [marginal(d, field) for d in want], field
 
 
 def test_middle_edge_tally_matches_tree_stats_on_ternary_trees():
@@ -511,5 +742,5 @@ def test_check_horton_never_caches_its_largest_size():
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    # sizes 0..8 for each of a = 0, 1, 2; ternary sizes 0..6
-    assert proc.stdout.split() == ["27", "7"]
+    # the tallies build no tree, so no level of either family is cached
+    assert proc.stdout.split() == ["0", "0"]

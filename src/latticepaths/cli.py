@@ -16,7 +16,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
-from .asymptotics import LAW_KINDS, _decimal, _exact_str, trend_check
+from .asymptotics import _decimal, _exact_str, trend_check
 from .bijections import (
     marked_to_skew,
     motzkin3_to_multiedge,
@@ -126,23 +126,49 @@ def _series_rows(ser, lo: int, n_max: int) -> List[Tuple[int, object]]:
     return [(n, _coeff_value(ser.coeff(n))) for n in range(lo, n_max + 1)]
 
 
-# The integer flags every subcommand parses.  A family gets the ones it reads
-# (SEQ_FLAGS, CHECK_FLAGS) as keyword arguments; a given flag that neither
-# the command nor the family reads is rejected.
-SHARED_FLAGS = ("n", "j", "k", "a", "m", "t", "max")
+# The flags every subcommand parses, each None unless given.  A family reads
+# its command's size flag, the command's own flag and the parameters of its
+# runner after the size; any other given flag is rejected.
+OPTIONS: Dict[str, dict] = {
+    "tolerance": {"type": float, "help": "allowed fractional step-up in relative deviation"},
+    "n": {"type": int, "help": "size / order limit"},
+    "j": {"type": int, "help": "end level / layer index"},
+    "k": {"type": int, "help": "up-step height"},
+    "a": {"type": int, "help": "extra unary colours"},
+    "m": {"type": int, "help": "strip width / index"},
+    "t": {"type": int, "help": "starting level"},
+    "max": {"type": int, "help": "size budget"},
+    "format": {"choices": ("tsv", "csv", "json-lines"), "help": "seq output format"},
+}
 
 
-def _unread_flags(args, reads: Sequence[str]) -> bool:
-    """Print one line and return True when a flag outside `reads` is given."""
-    unread = [f"--{flag}" for flag in SHARED_FLAGS
-              if getattr(args, flag) is not None and flag not in reads]
+def reads(runner: Callable) -> Tuple[str, ...]:
+    """The flags a family's runner reads: its parameters after the size."""
+    code = runner.__code__
+    return code.co_varnames[1:code.co_argcount]
+
+
+def _setup(args, families: Dict[str, Callable], size_flag: str, default: int,
+           least: int, own: str = "") -> Tuple[Callable, int, Dict[str, object]]:
+    """The family's runner, the size and the given flags the runner reads.
+
+    Raises ValueError (one line, exit 2) when the size is below `least` or a
+    given flag is read neither by the command nor by the family.
+    """
+    runner = families[args.family]
+    size = _or(getattr(args, size_flag), default)
+    if size < least:
+        raise ValueError(f"--{size_flag} must be >= {least}")
+    read = reads(runner)
+    given = {flag: getattr(args, flag) for flag in OPTIONS if getattr(args, flag) is not None}
+    unread = [f"--{flag}" for flag in given if flag not in (size_flag, own) + read]
     if unread:
-        print(f"{args.command} --family {args.family} does not read {', '.join(unread)}",
-              file=sys.stderr)
-    return bool(unread)
+        raise ValueError(
+            f"{args.command} --family {args.family} does not read {', '.join(unread)}")
+    return runner, size, {flag: given[flag] for flag in read if flag in given}
 
 
-# family -> rows(n_max, **flags in SEQ_FLAGS)
+# family -> rows(n_max, **the flags it reads)
 SEQS: Dict[str, Callable[..., Iterable[Tuple[int, object]]]] = {
     "a002212": lambda n: enumerate(a002212_terms(n)),
     "skew-sj": lambda n, j=0: _parity_rows(skew_sj_coeff, j, n),
@@ -157,24 +183,11 @@ SEQS: Dict[str, Callable[..., Iterable[Tuple[int, object]]]] = {
     "marked-ph": lambda n, j=1: _series_rows(marked_height_ph(j, n), 0, n),
     "retakh": lambda n: _series_rows(retakh_full(n), 0, n),
 }
-SEQ_FAMILIES = tuple(SEQS)
-SEQ_FLAGS = {"skew-sj": ("j",), "dual-gj": ("j",), "hoppy-neg": ("k",),
-             "deutsch-phi": ("t", "j"), "horton-Rp": ("j", "a"), "marked-ph": ("j",)}
-
-
-def _given(args, flags: Sequence[str]) -> Dict[str, int]:
-    return {flag: getattr(args, flag) for flag in flags if getattr(args, flag) is not None}
 
 
 def cmd_seq(args) -> int:
-    n_max = _or(args.n, 10)
-    if n_max < 0:
-        print("--n must be >= 0", file=sys.stderr)
-        return 2
-    reads = SEQ_FLAGS.get(args.family, ())
-    if _unread_flags(args, ("n",) + reads):
-        return 2
-    _emit_rows(SEQS[args.family](n_max, **_given(args, reads)), args.format)
+    rows, n_max, flags = _setup(args, SEQS, "n", 10, 0, "format")
+    _emit_rows(rows(n_max, **flags), _or(args.format, "tsv"))
     return 0
 
 
@@ -444,21 +457,12 @@ CHECKS: Dict[str, Callable[..., List[CheckResult]]] = {
     "marked": _check_marked,
     "retakh": _check_retakh,
 }
-CHECK_FAMILIES = tuple(CHECKS)
-CHECK_FLAGS = {"deutsch-strip": ("m",)}
 
 
 def cmd_check(args) -> int:
-    budget = _or(args.max, 10)
-    if budget < 1:
-        print("--max must be >= 1", file=sys.stderr)
-        return 2
-    reads = CHECK_FLAGS.get(args.family, ())
-    if _unread_flags(args, ("max",) + reads):
-        return 2
-    results = CHECKS[args.family](budget, **_given(args, reads))
+    check, budget, flags = _setup(args, CHECKS, "max", 10, 1)
     failed = False
-    for ok, label in results:
+    for ok, label in check(budget, **flags):
         print(("ok   " if ok else "FAIL ") + label)
         failed = failed or not ok
     return 1 if failed else 0
@@ -476,82 +480,62 @@ BIJS: Dict[str, Callable[[int], Iterable[Tuple[str, str]]]] = {
          tree_to_str(rotation_multiedge_to_unarybinary(t), "unary_binary"))
         for t in gen_multiedge(n)),
 }
-BIJ_FAMILIES = tuple(BIJS)
 
 
 def cmd_bij(args) -> int:
-    size = args.n if args.n is not None else 3
-    if size < 1:
-        print("--n must be >= 1", file=sys.stderr)
-        return 2
-    if _unread_flags(args, ("n",)):
-        return 2
-    for left, right in BIJS[args.family](size):
+    pairs, size, _ = _setup(args, BIJS, "n", 3, 1)
+    for left, right in pairs(size):
         print(f"{left} -> {right}")
     return 0
 
 
-def _over_motzkin(total, ns: List[int], top: int) -> List[Tuple[int, object]]:
-    mo = motzkin_numbers(top)
+def _over_motzkin(total, ns: List[int]) -> List[Tuple[int, object]]:
+    mo = motzkin_numbers(ns[-1])
     return [(n, Fraction(total(n), mo[n - 1])) for n in ns]
 
 
-def _kemp_rows(ns: List[int], top: int, gap: bool) -> List[Tuple[int, object]]:
-    val = kemp_valley_series(top)
+def _kemp_rows(ns: List[int], gap: bool) -> List[Tuple[int, object]]:
+    val = kemp_valley_series(ns[-1])
     if not gap:
         return [(m, val.coeff(m).constant()) for m in ns]
-    pk = kemp_peak_series(top)
+    pk = kemp_peak_series(ns[-1])
     return [(m, pk.coeff(m).constant() - val.coeff(m).constant()) for m in ns]
 
 
-# law kind -> exact ladder rows(sizes, top size, extra unary colours a)
-ASYM_LADDERS: Dict[str, Callable[[List[int], int, int], List[Tuple[int, object]]]] = {
-    "horton_avg": lambda ns, top, a: [(n, horton_avg_reg(n, a)) for n in ns],
-    "node_count_growth": lambda ns, top, a: [(n, unary_binary_count(n, a)) for n in ns],
-    "marked_leaves": lambda ns, top, a: [
+# law kind -> exact ladder rows(sizes in increasing order, **the flags it reads)
+ASYM_LADDERS: Dict[str, Callable[..., List[Tuple[int, object]]]] = {
+    "horton_avg": lambda ns, a=0: [(n, horton_avg_reg(n, a)) for n in ns],
+    "node_count_growth": lambda ns, a=0: [(n, unary_binary_count(n, a)) for n in ns],
+    "marked_leaves": lambda ns: [
         (n, Fraction(marked_leaf_total(n), marked_count(n))) for n in ns],
-    "marked_height": lambda ns, top, a: [
+    "marked_height": lambda ns: [
         (n, Fraction(marked_height_total(n), marked_count(n))) for n in ns],
-    "red_edges": lambda ns, top, a: [
+    "red_edges": lambda ns: [
         (n, Fraction(skew_red_total(n), skew_sj_coeff(2 * n, 0))) for n in ns],
-    "retakh_height": lambda ns, top, a: _over_motzkin(retakh_height_total, ns, top),
-    "retakh_leaves": lambda ns, top, a: _over_motzkin(retakh_leaf_total, ns, top),
-    "motzkin_height": lambda ns, top, a: [
+    "retakh_height": lambda ns: _over_motzkin(retakh_height_total, ns),
+    "retakh_leaves": lambda ns: _over_motzkin(retakh_leaf_total, ns),
+    "motzkin_height": lambda ns: [
         (n, Fraction(motzkin_height_total(n), motzkin_bounded_coeff(n, n))) for n in ns],
-    "amplitude_avg": lambda ns, top, a: [(n, amplitude_average(n)) for n in ns],
-    "amplitude_split": lambda ns, top, a: [
+    "amplitude_avg": lambda ns: [(n, amplitude_average(n)) for n in ns],
+    "amplitude_split": lambda ns: [
         (n, Fraction(sum(amplitude_coeff(n, h, "horiz") for h in range(n + 1)),
                      motzkin_bounded_coeff(n, n))) for n in ns],
-    "kemp_valley": lambda ns, top, a: _kemp_rows(ns, top, gap=False),
-    "kemp_gap": lambda ns, top, a: _kemp_rows(ns, top, gap=True),
+    "kemp_valley": lambda ns: _kemp_rows(ns, gap=False),
+    "kemp_gap": lambda ns: _kemp_rows(ns, gap=True),
 }
-# the kinds whose ladder and law read --a; every kind reads --n (and --tolerance)
-ASYM_FLAGS = {"horton_avg": ("a",), "node_count_growth": ("a",)}
 
 
 def cmd_asym(args) -> int:
-    kind = args.family
-    top = args.n if args.n is not None else 160
-    a = args.a if args.a is not None else 0
-    tol = args.tolerance if args.tolerance is not None else 0.2
+    ladder, top, flags = _setup(args, ASYM_LADDERS, "n", 160, 2, "tolerance")
+    tol = _or(args.tolerance, 0.2)
     if not tol >= 0:  # also rejects nan
-        print("--tolerance must be >= 0", file=sys.stderr)
-        return 2
-    if _unread_flags(args, ("n",) + ASYM_FLAGS.get(kind, ())):
-        return 2
+        raise ValueError("--tolerance must be >= 0")
     ns = sorted({max(1, top // 8), max(1, top // 4), max(1, top // 2), top})
+    rows = ladder(ns, **flags)
     try:
-        ladder = ASYM_LADDERS[kind](ns, top, a)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    if len(ladder) < 2:
-        print("--n is too small: the ladder needs at least two sizes", file=sys.stderr)
-        return 2
-    try:
-        report = trend_check(kind, ladder, tolerance=tol, a=a)
+        report = trend_check(args.family, rows, tolerance=tol, **flags)
     except OverflowError:  # the float law, or float(exact), past about 1e308
-        print(f"{kind} at --n {top}: a value overflows a float; use a smaller --n",
+        print(f"{args.family} at --n {top}: a value overflows a float; use a smaller --n",
               file=sys.stderr)
         return 2
     sys.stdout.write(report.to_csv())
@@ -565,40 +549,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact lattice-path and tree enumeration workbench.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--n", type=int, default=None, help="size / order limit")
-        p.add_argument("--j", type=int, default=None, help="end level / layer index")
-        p.add_argument("--k", type=int, default=None, help="up-step height")
-        p.add_argument("--a", type=int, default=None, help="extra unary colours")
-        p.add_argument("--m", type=int, default=None, help="strip width / index")
-        p.add_argument("--t", type=int, default=None, help="starting level")
-        p.add_argument("--max", type=int, default=None, help="size budget")
-        p.add_argument("--format", choices=("tsv", "csv", "json-lines"),
-                       default="tsv", help="seq output format")
-
-    p_seq = sub.add_parser("seq", help="stream an exact sequence")
-    p_seq.add_argument("--family", required=True, choices=SEQ_FAMILIES)
-    add_common(p_seq)
-    p_seq.set_defaults(func=cmd_seq)
-
-    p_check = sub.add_parser("check", help="run formula = series = brute checks")
-    p_check.add_argument("--family", required=True, choices=CHECK_FAMILIES)
-    add_common(p_check)
-    p_check.set_defaults(func=cmd_check)
-
-    p_bij = sub.add_parser("bij", help="print a bijection pairing table")
-    p_bij.add_argument("--family", required=True, choices=BIJ_FAMILIES)
-    add_common(p_bij)
-    p_bij.set_defaults(func=cmd_bij)
-
-    p_asym = sub.add_parser("asym", help="CSV trend report for a growth law")
-    p_asym.add_argument("--family", required=True,
-                        choices=LAW_KINDS)
-    p_asym.add_argument("--tolerance", type=float, default=None,
-                        help="allowed fractional step-up in relative deviation")
-    add_common(p_asym)
-    p_asym.set_defaults(func=cmd_asym)
+    for command, families, func, summary in (
+            ("seq", SEQS, cmd_seq, "stream an exact sequence"),
+            ("check", CHECKS, cmd_check, "run formula = series = brute checks"),
+            ("bij", BIJS, cmd_bij, "print a bijection pairing table"),
+            ("asym", ASYM_LADDERS, cmd_asym, "CSV trend report for a growth law")):
+        p = sub.add_parser(command, help=summary)
+        p.add_argument("--family", required=True, choices=tuple(families))
+        for flag, spec in OPTIONS.items():
+            p.add_argument(f"--{flag}", default=None, **spec)
+        p.set_defaults(func=func)
     return parser
 
 

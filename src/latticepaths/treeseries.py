@@ -8,13 +8,12 @@ can confront them with each other and with exhaustive generation.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from operator import add
 from typing import List
 
 from .combinat import binomial, motzkin_numbers, trinomial
 from .pathseries import motzkin_bounded_coeff
-from .series import AlgebraicSubstitution, Kernel, MarkerPoly, PowerSeries
+from .series import Kernel, MarkerPoly, PowerSeries
 
 # z = v/(1 + 3v + v^2) for marked trees; z = v/(1 + v + v^2) for the
 # restricted-path trees
@@ -240,15 +239,6 @@ def ternary_t_power(n: int, k: int, l: int) -> int:
     return num // n
 
 
-@lru_cache(maxsize=None)
-def _t_of_x(order: int) -> PowerSeries:
-    """Invert t = x (1 - t + u t)/(1 - t)^2 with marker u."""
-    u = MarkerPoly.var("u")
-    geom2 = PowerSeries("t", [i + 1 for i in range(order + 1)], order)
-    phi = PowerSeries("t", [1, u - 1]).pad(order) * geom2
-    return AlgebraicSubstitution("x", "t", phi).invert(order)
-
-
 def ternary_root_series(which: str, order: int) -> PowerSeries:
     """Kernel roots of the ternary cubic u x G^3 + (1-u) x G^2 - G + 1 = 0.
 
@@ -258,8 +248,11 @@ def ternary_root_series(which: str, order: int) -> PowerSeries:
     1/r_{2,3} = t/2 -+ s * Xi(tau).
     """
     if which == "r1":
-        geom = PowerSeries("t", [1] * (order + 1), order)
-        return geom.compose(_t_of_x(order))
+        # [x^n u^k] 1/(1-t) = sum over l >= 1 of [x^n u^k] t^l, zero past l = n - k
+        return PowerSeries("x", [1] + [
+            MarkerPoly({(("u", k),): sum(ternary_t_power(n, k, l) for l in range(1, n - k + 1))
+                        for k in range(n)})
+            for n in range(1, order + 1)], order)
     if which not in ("r2", "r3"):
         raise ValueError(f"unknown root {which!r}")
     sign = -1 if which == "r2" else 1

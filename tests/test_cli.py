@@ -10,8 +10,7 @@ import pytest
 
 import latticepaths
 from latticepaths.asymptotics import LAW_KINDS, eval_law
-from latticepaths.cli import (ASYM_FLAGS, CHECK_FAMILIES, SEQ_FAMILIES, SEQ_FLAGS,
-                              main)
+from latticepaths.cli import ASYM_LADDERS, BIJS, CHECKS, OPTIONS, SEQS, main, reads
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -58,7 +57,7 @@ def test_json_lines_parse(capsys):
     assert rows[1] == {"n": 2, "value": "13/3"}
 
 
-@pytest.mark.parametrize("family", CHECK_FAMILIES)
+@pytest.mark.parametrize("family", tuple(CHECKS))
 def test_check_families_pass(family, capsys):
     argv = ["check", "--family", family, "--max", "8"]
     if family == "deutsch-strip":
@@ -138,6 +137,10 @@ def test_usage_errors_exit_2(argv, capsys):
     ["asym", "--family", "horton_avg", "--n", "64", "--a", "1", "--j", "1"],
     ["asym", "--family", "node_count_growth", "--n", "64", "--t", "0"],
     ["asym", "--family", "marked_height", "--max", "5", "--tolerance", "0.6"],
+    ["check", "--family", "skew", "--max", "3", "--format", "csv"],
+    ["bij", "--family", "rotation", "--n", "2", "--format", "json-lines"],
+    ["asym", "--family", "red_edges", "--n", "40", "--format", "csv"],
+    ["seq", "--family", "a002212", "--tolerance", "0.1"],
 ])
 def test_bad_parameters_exit_2_with_a_message(argv):
     src = Path(latticepaths.__file__).resolve().parents[1]
@@ -149,10 +152,10 @@ def test_bad_parameters_exit_2_with_a_message(argv):
     assert proc.stderr.strip() and "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("family", SEQ_FAMILIES)
+@pytest.mark.parametrize("family", tuple(SEQS))
 def test_seq_accepts_the_flags_it_reads(family, capsys):
     argv = ["seq", "--family", family, "--n", "4"]
-    for flag in SEQ_FLAGS.get(family, ()):
+    for flag in reads(SEQS[family]):
         argv += [f"--{flag}", "2"]
     assert main(argv) == 0
     out, err = capsys.readouterr()
@@ -185,19 +188,56 @@ def test_asym_past_the_float_range_exits_2_with_one_line(capsys):
     assert capsys.readouterr().out.endswith("trend ok\n")
 
 
+def test_asym_ladders_are_the_law_kinds():
+    assert tuple(ASYM_LADDERS) == LAW_KINDS
+
+
 def test_asym_reads_a_for_the_kinds_whose_law_reads_it():
     reads_a = {kind for kind in LAW_KINDS if eval_law(kind, 16, 0) != eval_law(kind, 16, 1)}
-    assert reads_a == {kind for kind, flags in ASYM_FLAGS.items() if "a" in flags}
+    assert reads_a == {kind for kind, ladder in ASYM_LADDERS.items() if "a" in reads(ladder)}
+    assert all(reads(ladder) in ((), ("a",)) for ladder in ASYM_LADDERS.values())
 
 
-@pytest.mark.parametrize("kind", sorted(ASYM_FLAGS))
+@pytest.mark.parametrize("kind", sorted(kind for kind, ladder in ASYM_LADDERS.items()
+                                        if reads(ladder)))
 def test_asym_accepts_the_flags_it_reads(kind, capsys):
     argv = ["asym", "--family", kind, "--n", "32", "--tolerance", "0.6"]
-    for flag in ASYM_FLAGS[kind]:
+    for flag in reads(ASYM_LADDERS[kind]):
         argv += [f"--{flag}", "1"]
     assert main(argv) in (0, 1)
     out, err = capsys.readouterr()
     assert out.startswith("n,exact,asymptotic,rel_dev\n") and not err
+
+
+# command -> (families, size flag, the command's own flag)
+COMMANDS = {"seq": (SEQS, "n", "format"), "check": (CHECKS, "max", None),
+            "bij": (BIJS, "n", None), "asym": (ASYM_LADDERS, "n", "tolerance")}
+# a valid value of every flag at a small size
+VALID = {"tolerance": "0.6", "n": "4", "j": "2", "k": "2", "a": "1", "m": "2", "t": "1",
+         "max": "2", "format": "csv"}
+MATRIX = [(command, family, flag) for command, (families, _, _) in COMMANDS.items()
+          for family in families for flag in OPTIONS]
+
+
+@pytest.mark.parametrize("command,family,flag", MATRIX,
+                         ids=[" ".join(case) for case in MATRIX])
+def test_a_family_reads_exactly_its_flags(command, family, flag, capsys):
+    families, size_flag, own = COMMANDS[command]
+    code = main([command, "--family", family, f"--{flag}", VALID[flag]])
+    out, err = capsys.readouterr()
+    if flag in (size_flag, own) + reads(families[family]):
+        assert code in (0, 1) and out and err == ""
+    else:
+        assert code == 2 and out == ""
+        assert err.splitlines() == [f"{command} --family {family} does not read --{flag}"]
+
+
+@pytest.mark.parametrize("kind", LAW_KINDS)
+def test_asym_below_two_sizes_exits_2_with_one_line(kind, capsys):
+    for n in (-3, 0, 1):
+        assert main(["asym", "--family", kind, "--n", str(n)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "--n must be >= 2\n"
 
 
 @pytest.mark.parametrize("fmt", ["tsv", "json-lines"])

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-import latticepaths.cli  # noqa: F401  (bench/child.py finds the modules in sys.modules)
+import latticepaths.cli  # bench/child.py also finds the modules in sys.modules
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -39,6 +39,13 @@ DIVISION_CLI = {("seq", "kemp-valley"), ("seq", "kemp-peak"),
 OPS = [op for group in ops.groups("bivariate") for op in group] + [
     op for workload in ("sequences", "ladders") for group in ops.groups(workload)
     for op in group if (op["argv"][0], op["argv"][2]) in DIVISION_CLI]
+
+
+def test_the_benchmark_draws_every_cli_family():
+    # bench/ops.py keeps its own copies of the family lists; a family added to
+    # the CLI and not to the benchmark fails here
+    assert ops.CHECK_FAMILIES == tuple(latticepaths.cli.CHECKS)
+    assert ops.ASYM_KINDS == tuple(latticepaths.cli.ASYM_LADDERS)
 
 
 def test_the_selection_covers_every_division_cli_op():

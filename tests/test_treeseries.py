@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from latticepaths.paths import gen_retakh, levels, path_stats
-from latticepaths.series import MarkerPoly, PowerSeries
+from latticepaths.series import AlgebraicSubstitution, MarkerPoly, PowerSeries
 from latticepaths.trees import (
     gen_marked,
     gen_ternary,
@@ -284,6 +284,23 @@ def test_ternary_t_powers_sum_to_table():
         for k in range(n):
             total = sum(ternary_t_power(n, k, l) for l in range(1, n + 1))
             assert total == ternary_T(n, k)
+
+
+def _r1_by_reversion(order: int) -> PowerSeries:
+    """r1 as it used to be built: invert t = x(1 - t + ut)/(1 - t)^2 by
+    fixed point and compose 1/(1-t) with the result."""
+    u = MarkerPoly.var("u")
+    geom2 = PowerSeries("t", [i + 1 for i in range(order + 1)], order)
+    phi = PowerSeries("t", [1, u - 1]).pad(order) * geom2
+    t_of_x = AlgebraicSubstitution("x", "t", phi).invert(order)
+    return PowerSeries("t", [1] * (order + 1), order).compose(t_of_x)
+
+
+@pytest.mark.parametrize("order", range(17))
+def test_ternary_r1_matches_the_reversion_route(order):
+    got, want = ternary_root_series("r1", order), _r1_by_reversion(order)
+    assert (got.var, got.order) == (want.var, want.order)
+    assert got.dump() == want.dump()
 
 
 def test_ternary_xi_golden_coefficients():

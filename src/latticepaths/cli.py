@@ -28,17 +28,8 @@ from .bijections import (
     tree_to_str,
 )
 from .combinat import a002212_terms, motzkin_numbers
-from .paths import (
-    gen_deutsch,
-    gen_dual_skew,
-    gen_kdyck,
-    gen_motzkin,
-    gen_retakh,
-    gen_skew,
-    last_downrun_len,
-    levels,
-    path_stats,
-)
+from .paths import gen_dual_skew, gen_motzkin, gen_skew
+from .paths import tally as tally_paths
 from .pathseries import (
     amplitude_average,
     amplitude_coeff,
@@ -62,7 +53,8 @@ from .pathseries import (
     skew_sj_coeff,
     skew_sj_series,
 )
-from .trees import gen_marked, gen_multiedge, gen_unary_binary, tally, tree_stats
+from .trees import gen_marked, gen_multiedge, gen_unary_binary, tree_stats
+from .trees import tally as tally_trees
 from .treeseries import (
     horton_Rp,
     horton_avg_reg,
@@ -198,10 +190,14 @@ def cmd_seq(args) -> int:
 CheckResult = Tuple[bool, str]
 
 
+def _total(dist: Counter) -> int:
+    return sum(value * count for value, count in dist.items())
+
+
 def _check_end_levels(name: str, series, coeff, gen, budget: int) -> List[CheckResult]:
     out = []
     top = min(budget, 12)
-    for j in range(4):
+    for j in range(min(top, 3) + 1):
         ser = series(j, top)
         ok = all(coeff(n, j) == _coeff_value(ser.coeff(n)) == len(gen(n, j))
                  for n in range(j, top + 1, 2))
@@ -214,14 +210,13 @@ def _check_hoppy(budget: int) -> List[CheckResult]:
     top = min(budget, 6)
     for k in (2, 3):
         ok = True
+        dists = tally_paths("kdyck", top, "last_downrun_len", k=k)
         for n_up in range(1, top + 1):
-            paths = gen_kdyck(k, n_up)
-            dist = Counter(last_downrun_len(p) for p in paths)
+            dist = dists[n_up]
             for j in range(0, k * n_up + 2):
-                if deng_mansour_count(n_up, j, k) != dist.get(j, 0):
+                if deng_mansour_count(n_up, j, k) != dist[j]:
                     ok = False
-            total = sum(j * c for j, c in dist.items())
-            if total != last_downrun_total(n_up, k):
+            if _total(dist) != last_downrun_total(n_up, k):
                 ok = False
         out.append((ok, f"k={k} last-down-run distribution and total, rises <= {top}"))
         ser = hoppy_negative_series(k, budget)
@@ -242,7 +237,7 @@ def _check_ternary(budget: int) -> List[CheckResult]:
     out = []
     top = min(budget, 7)
     ok = True
-    dists = tally("ternary", top, "middle_edges")
+    dists = tally_trees("ternary", top, "middle_edges")
     for n in range(1, top + 1):
         dist = dists[n]
         for kk in range(n):
@@ -260,22 +255,11 @@ def _check_amplitude(budget: int) -> List[CheckResult]:
     out = []
     top = min(budget, 10)
     ok = True
-    for n in range(top + 1):
-        horiz: Counter = Counter()
-        nohoriz: Counter = Counter()
-        for p in gen_motzkin(n):
-            stats = path_stats(p)
-            h = stats["height"]
-            lv = levels(p)
-            top_flat = any(tok.startswith("H") and lv[i] == h
-                           for i, tok in enumerate(p))
-            # amplitude is 2h+1 with a flat step at the top level, 2h without
-            if stats["amplitude"] != 2 * h + (1 if top_flat else 0):
-                ok = False
-            (horiz if top_flat else nohoriz)[h] += 1
+    # a Motzkin path of height h has amplitude 2h+1 with a flat step at the top level, 2h without
+    for n, dist in enumerate(tally_paths("motzkin", top, "amplitude")):
         for h in range(n + 1):
-            if amplitude_coeff(n, h, "horiz") != horiz.get(h, 0) \
-                    or amplitude_coeff(n, h, "no-horiz") != nohoriz.get(h, 0):
+            if amplitude_coeff(n, h, "horiz") != dist[2 * h + 1] \
+                    or amplitude_coeff(n, h, "no-horiz") != dist[2 * h]:
                 ok = False
     out.append((ok, f"amplitude distribution = brute classification, n <= {top}"))
     ok = True
@@ -295,8 +279,9 @@ def _check_motzkin_bounded(budget: int) -> List[CheckResult]:
     ok = True
     for h in range(4):
         ser = motzkin_bounded(h, top)
+        dists = tally_paths("motzkin", top, "height", max_height=h)
         for n in range(top + 1):
-            brute = len(gen_motzkin(n, max_height=h))
+            brute = dists[n].total()
             if _coeff_value(ser.coeff(n)) != brute \
                     or motzkin_bounded_coeff(n, h) != brute:
                 ok = False
@@ -322,10 +307,9 @@ def _check_deutsch(budget: int, m: int = 5) -> List[CheckResult]:
     for t in range(min(m, 3)):
         for j in range(min(m, 3)):
             closed = deutsch_phi(t, j, top, bound=m)
+            dists = tally_paths("deutsch", top, "height", start=t, ceiling=m - 1, end_level=j)
             for n in range(top + 1):
-                brute = sum(1 for p in gen_deutsch(n, start=t, ceiling=m - 1,
-                                                   end_level=j))
-                if _coeff_value(closed.coeff(n)) != brute:
+                if _coeff_value(closed.coeff(n)) != dists[n].total():
                     ok = False
     out.append((ok, f"strip m={m}: closed forms = brute force, n <= {top}"))
     return out
@@ -389,7 +373,7 @@ def _check_horton(budget: int) -> List[CheckResult]:
     counts_ok = regs_ok = True
     for a in (0, 1, 2):
         layers = {p: horton_Rp(p, a, top) for p in range(1, 4)}
-        for n, dist in enumerate(tally("unary_binary", top, "reg", a)):
+        for n, dist in enumerate(tally_trees("unary_binary", top, "reg", a)):
             if unary_binary_count(n, a) != sum(dist.values()):
                 counts_ok = False
             if any(_coeff_value(ser.coeff(n)) != dist.get(p, 0)
@@ -422,17 +406,17 @@ def _check_retakh(budget: int) -> List[CheckResult]:
     top = min(budget, 8)
     mo = motzkin_numbers(top + 1)
     ok = True
+    heights = tally_paths("retakh", top, "height")
+    peaks = tally_paths("retakh", top, "peak_count")
     for m in range(1, top + 1):
-        paths = gen_retakh(m)
-        if len(paths) != mo[m]:
+        dist = heights[m]
+        if dist.total() != mo[m]:
             ok = False
-        stats = [path_stats(p) for p in paths]
         # a leaf of the encoded tree is a peak, a rise followed by a fall
-        if sum(len(s["peak_heights"]) for s in stats) != retakh_leaf_total(m + 1):
+        if _total(peaks[m]) != retakh_leaf_total(m + 1):
             ok = False
-        if sum(s["height"] for s in stats) != retakh_height_total(m + 1):
+        if _total(dist) != retakh_height_total(m + 1):
             ok = False
-        dist = Counter(s["height"] for s in stats)
         for h in range(m + 2):
             if retakh_bounded_count(m + 1, h) != sum(c for hh, c in dist.items()
                                                      if hh <= h):

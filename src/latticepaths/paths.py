@@ -9,14 +9,20 @@ Paths are tuples of step tokens:
     Hc  horizontal step with color c (H0, H1, H2, ...)
     Dr  down-jump by r (D1, D2, ...), bounded-jump model
 
-Every generator is a move rule on one depth-first walker, `_walk`, so the
-i-th path of a family is reproducible.  These exist to cross-check the
-generating function catalogs, not to be fast.
+Each family is declared once, as a move rule and the bounds of its walk, and
+the declaration is evaluated in two algebras.  In the path algebra (`gen_*`)
+the depth-first walker `_walk` lists the paths of one size as tuples, so the
+i-th path of a family is reproducible.  In a value algebra (`tally`) a path
+is a step rule's value, rule(step, level, value of its suffix), each suffix
+value listed once per walk state, so no path is built.  `path_stats` reads
+one built path, as the oracle of the step rules.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
+from collections import Counter
+from functools import partial
+from itertools import accumulate, chain
 
 
 def step_delta(token: str, up: int = 1) -> int:
@@ -41,6 +47,18 @@ def levels(path, up: int = 1, start: int = 0) -> list:
     return out
 
 
+def _windows(n_steps, start=0, end_level=0, floor=0, ceiling=None, rise=1, fall=1):
+    """Per number of steps left after a step (0..n_steps-1), the levels that
+    step may enter: inside [floor, ceiling] with end_level still in reach.
+    None when end_level is not within n_steps steps of start."""
+    if not end_level - rise * n_steps <= start <= end_level + fall * n_steps:
+        return None
+    return [(max(floor, end_level - rise * left),
+             end_level + fall * left if ceiling is None
+             else min(ceiling, end_level + fall * left))
+            for left in range(n_steps)]
+
+
 def _walk(n_steps, moves, start=0, end_level=0, floor=0, ceiling=None, rise=1, fall=1):
     """Every path of n_steps steps from start to end_level, depth first.
 
@@ -48,14 +66,11 @@ def _walk(n_steps, moves, start=0, end_level=0, floor=0, ceiling=None, rise=1, f
     (None first) at level.  rise and fall bound one step's climb and drop, so a
     step enters a level only if end_level stays reachable inside [floor, ceiling].
     """
-    if not end_level - rise * n_steps <= start <= end_level + fall * n_steps:
+    windows = _windows(n_steps, start, end_level, floor, ceiling, rise, fall)
+    if windows is None:
         return []
     if n_steps == 0:
         return [()]
-    windows = [(max(floor, end_level - rise * left),
-                end_level + fall * left if ceiling is None
-                else min(ceiling, end_level + fall * left))
-               for left in range(n_steps)]
     out = []
     prefix = []
 
@@ -76,72 +91,185 @@ def _walk(n_steps, moves, start=0, end_level=0, floor=0, ceiling=None, rise=1, f
     return out
 
 
+# Per family, the walk of one size: (steps, moves(prev, level), whether the
+# moves read prev, the bounds of `_walk`).
+
+def _kdyck(n_up, k, end_level=0, floor=0):
+    steps = (("U", k), ("d", -1))
+    return ((k + 1) * n_up - end_level, lambda prev, level: steps, False,
+            {"end_level": end_level, "floor": floor, "rise": k})
+
+
+def _skew(n_steps, end_level=0):
+    after = {"U": (("U", 1), ("d", -1)), "r": (("d", -1), ("r", -1))}
+    steps = (("U", 1), ("d", -1), ("r", -1))
+    return n_steps, lambda prev, level: after.get(prev, steps), True, {"end_level": end_level}
+
+
+def _dual_skew(n_steps, end_level=0):
+    after = {"d": (("U", 1), ("d", -1)), "b": (("U", 1), ("b", 1))}
+    steps = (("U", 1), ("b", 1), ("d", -1))
+    return n_steps, lambda prev, level: after.get(prev, steps), True, {"end_level": end_level}
+
+
+def _motzkin(n_steps, horiz_colors=1, max_height=None, end_level=0):
+    steps = (("U", 1), *((f"H{c}", 0) for c in range(horiz_colors)), ("d", -1))
+    return (n_steps, lambda prev, level: steps, False,
+            {"end_level": end_level, "ceiling": max_height})
+
+
+def _deutsch(n_steps, start=0, floor=0, ceiling=None, end_level=0):
+    top = start + n_steps  # no drop exceeds top - floor; below the floor only U
+    steps = [("U", 1)] + [(f"D{drop}", -drop) for drop in range(1, top - floor + 1)]
+    return (n_steps, lambda prev, level: steps[:max(level - floor, 0) + 1], False,
+            {"start": start, "end_level": end_level, "floor": min(floor, start),
+             "ceiling": ceiling, "fall": max(top - floor, 0)})
+
+
+def _retakh(n_pairs):
+    steps = (("U", 1), ("d", -1))  # no fall right after a rise to an odd level above 1
+    return (2 * n_pairs, lambda prev, level:
+            steps[:1] if prev == "U" and level > 1 and level % 2 else steps, True, {})
+
+
+_FAMILIES = {"kdyck": _kdyck, "skew": _skew, "dual_skew": _dual_skew,
+             "motzkin": _motzkin, "deutsch": _deutsch, "retakh": _retakh}
+
+
+def _paths(family, size, **params) -> list:
+    n_steps, moves, _, bounds = _FAMILIES[family](size, **params)
+    return _walk(n_steps, moves, **bounds)
+
+
 def gen_kdyck(k: int, n_up: int, end_level: int = 0, floor: int = 0,
               require_last_up: bool = False) -> list:
     """Paths with n_up rises of +k and unit falls, from 0 to end_level, level >= floor."""
-    n_down = k * n_up - end_level
-    if n_down < 0:
-        return []
-    steps = (("U", k), ("d", -1))
-    paths = _walk(n_up + n_down, lambda prev, level: steps, end_level=end_level,
-                  floor=floor, rise=k)
+    paths = _paths("kdyck", n_up, k=k, end_level=end_level, floor=floor)
     return [p for p in paths if p and p[-1] == "U"] if require_last_up else paths
 
 
 def gen_skew(n_steps: int, end_level: int = 0) -> list:
     """Skew paths: steps U/d/r, never r right after U or U right after r."""
-
-    def moves(prev, level):
-        if prev != "r":
-            yield "U", 1
-        yield "d", -1
-        if prev != "U":
-            yield "r", -1
-
-    return _walk(n_steps, moves, end_level=end_level)
+    return _paths("skew", n_steps, end_level=end_level)
 
 
 def gen_dual_skew(n_steps: int, end_level: int = 0) -> list:
     """Dual model: steps U/b/d where blue rises and falls are never adjacent."""
-
-    def moves(prev, level):
-        yield "U", 1
-        if prev != "d":
-            yield "b", 1
-        if prev != "b":
-            yield "d", -1
-
-    return _walk(n_steps, moves, end_level=end_level)
+    return _paths("dual_skew", n_steps, end_level=end_level)
 
 
 def gen_motzkin(n_steps: int, horiz_colors: int = 1, max_height: int | None = None,
                 end_level: int = 0) -> list:
     """Motzkin paths with colored level steps, optional height cap."""
-    steps = (("U", 1), *((f"H{c}", 0) for c in range(horiz_colors)), ("d", -1))
-    return _walk(n_steps, lambda prev, level: steps, end_level=end_level,
-                 ceiling=max_height)
+    return _paths("motzkin", n_steps, horiz_colors=horiz_colors, max_height=max_height,
+                  end_level=end_level)
 
 
 def gen_deutsch(n_steps: int, start: int = 0, floor: int = 0,
                 ceiling: int | None = None, end_level: int = 0) -> list:
     """Unit rises and down-jumps of any size, levels kept inside [floor, ceiling]."""
-    top = start + n_steps  # no drop exceeds top - floor; below the floor only U
-    steps = [("U", 1)] + [(f"D{drop}", -drop) for drop in range(1, top - floor + 1)]
-    return _walk(n_steps, lambda prev, level: steps[:max(level - floor, 0) + 1],
-                 start=start, end_level=end_level, floor=min(floor, start),
-                 ceiling=ceiling, fall=max(top - floor, 0))
+    return _paths("deutsch", n_steps, start=start, floor=floor, ceiling=ceiling,
+                  end_level=end_level)
 
 
 def gen_retakh(n_pairs: int) -> list:
     """Dyck paths of n_pairs rises whose peaks sit at level 1 or at even levels."""
-    up, down = ("U", 1), ("d", -1)
+    return _paths("retakh", n_pairs)
 
-    def moves(prev, level):
-        if prev == "U" and level > 1 and level % 2:
-            return (up,)
-        return up, down
 
-    return _walk(2 * n_pairs, moves)
+# Step rules: a path's value from its first step, the level that step starts
+# from and the value of the rest of the path.  Per statistic: (rule, the
+# value of an empty rest at end level e, the statistic of a value or None
+# when the value is the statistic).
+
+def _height(tok, level, rest):
+    return level if level > rest else rest
+
+
+def _amplitude(tok, level, rest):
+    top, bottom, flat = rest  # flat: a horizontal step runs at level top
+    if level > top or level == top and not flat and tok[0] == "H":  # a new top or flat
+        return level, bottom, tok[0] == "H"
+    return rest if level >= bottom else (top, level, flat)
+
+
+def _downrun(tok, level, rest):
+    # rest is 2 * its last down-run, plus one if it is unit down-steps only
+    if rest & 1:
+        return rest + 2 if tok == "d" else rest - 1
+    return rest
+
+
+def _peaks(tok, level, rest):
+    # rest is 2 * its peaks, plus one if it starts with a fall
+    peaks = rest >> 1
+    if rest & 1 and tok in ("U", "b"):
+        peaks += 1
+    return 2 * peaks + (tok[0] in "drD")
+
+
+def _halve(value):
+    return value >> 1
+
+
+_STEP_RULES = {
+    "height": (_height, lambda e: e, None),
+    "amplitude": (_amplitude, lambda e: (e, e, False), lambda v: 2 * (v[0] - v[1]) + v[2]),
+    "last_downrun_len": (_downrun, lambda e: 1, _halve),
+    "peak_count": (_peaks, lambda e: 0, _halve),
+}
+
+
+def tally(family: str, top: int, stat: str, **params) -> list:
+    """Distribution of one statistic over the paths of each size 0..top.
+
+    Sizes and params are those of `gen_<family>`, bar `require_last_up`.  stat
+    is "height", "amplitude", "last_downrun_len" (as in `path_stats`) or
+    "peak_count".  The family's move rule is evaluated in the statistic's
+    value algebra: a path's value is rule(step, level, value of its suffix),
+    the suffix values from each state (steps left, level, and the previous
+    token where the moves read it) listed once per call, so no path is built.
+    Each path still gets its own value, counted only at its size's start
+    (those of size top as they are made).
+    """
+    if family not in _FAMILIES or stat not in _STEP_RULES:
+        raise ValueError(f"no tally of {stat!r} over {family!r} paths")
+    rule, empty, finish = _STEP_RULES[stat]
+    walks = [_FAMILIES[family](size, **params) for size in range(top + 1)]
+    if not walks:
+        return []
+    # the walk of size top serves every size: no smaller one takes a step it lacks
+    most, moves, keyed, bounds = walks[-1]
+    windows = _windows(most, **bounds) or []
+    start, base = bounds.get("start", 0), [empty(bounds.get("end_level", 0))]
+    memo = {}
+
+    def values(left, level, prev):
+        """The values of the paths from a state, one iterable per move."""
+        low, high = windows[left - 1]
+        for tok, delta in moves(prev, level):
+            nl = level + delta
+            if low <= nl <= high:
+                yield map(partial(rule, tok, level), listed(left - 1, nl, tok if keyed else None))
+
+    def listed(left, level, prev):
+        if not left:
+            return base
+        key = (left, level, prev)
+        if key not in memo:
+            memo[key] = list(chain.from_iterable(values(*key)))
+        return memo[key]
+
+    dists = []
+    for size, (n_steps, *_) in enumerate(walks):
+        if _windows(n_steps, **bounds) is None:
+            found = ()
+        elif size < top or not n_steps:
+            found = listed(n_steps, start, None)
+        else:
+            found = chain.from_iterable(values(n_steps, start, None))
+        dists.append(Counter(found if finish is None else map(finish, found)))
+    return dists
 
 
 def last_downrun_len(path) -> int:

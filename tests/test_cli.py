@@ -4,11 +4,13 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import latticepaths
+from latticepaths import cli
 from latticepaths.asymptotics import LAW_KINDS, eval_law
 from latticepaths.cli import ASYM_LADDERS, BIJS, CHECKS, OPTIONS, SEQS, main, reads
 
@@ -66,6 +68,46 @@ def test_check_families_pass(family, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines
     assert all(line.startswith("ok   ") for line in lines)
+
+
+# Per check family, the inputs whose faults each of its lines must report.
+FAULTS = {
+    "skew": ("gen_skew",),
+    "dual": ("gen_dual_skew",),
+    "hoppy": ("tally_paths", "hoppy_negative_coeff", "denom_Sj"),
+    "ternary": ("ternary_row_sum",),
+    "amplitude": ("amplitude_coeff",),
+    "motzkin-bounded": ("motzkin_bounded_coeff",),
+    "deutsch-strip": ("deutsch_phi",),
+    "bijections": ("gen_motzkin", "gen_skew", "gen_unary_binary"),
+    "horton": ("unary_binary_count", "horton_Rp"),
+    "marked": ("marked_count",),
+    "retakh": ("tally_paths",),
+}
+
+
+def _faulty(func):
+    """func with a wrong result: one more (a count or a series), one more
+    value of 0 in each distribution, or no objects."""
+    def wrong(*args, **kwargs):
+        value = func(*args, **kwargs)
+        if isinstance(value, list):
+            return [dist + Counter({0: 1}) for dist in value
+                    if isinstance(dist, Counter)]
+        return value + 1
+    return wrong
+
+
+@pytest.mark.parametrize("family", tuple(CHECKS))
+def test_every_check_line_compares_a_value(family, monkeypatch, capsys):
+    # a line that compared nothing would stay "ok" whatever its inputs
+    assert set(FAULTS) == set(CHECKS)
+    for name in FAULTS[family]:
+        monkeypatch.setattr(cli, name, _faulty(getattr(cli, name)))
+    for budget in (1, 2, 3):
+        assert main(["check", "--family", family, "--max", str(budget)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines and all(line.startswith("FAIL ") for line in lines), (budget, lines)
 
 
 def test_asym_report(capsys):

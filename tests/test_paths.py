@@ -223,10 +223,12 @@ def test_path_stats_color_aliases():
 
 
 def test_amplitude_definition_against_levels():
-    for n in range(7):
-        for path in gen_motzkin(n):
-            lv = levels(path)
-            top = max(lv)
-            flat_top = any(tok.startswith("H") and lv[i] == top
-                           for i, tok in enumerate(path))
-            assert path_stats(path)["amplitude"] == 2 * top + (1 if flat_top else 0)
+    # amplitude is 2h+1 with a flat step at the top level h, 2h without
+    for colors, top in ((1, 10), (2, 7), (3, 6)):
+        for n in range(top + 1):
+            for path in gen_motzkin(n, horiz_colors=colors):
+                lv = levels(path)
+                height = max(lv)
+                flat_top = any(tok.startswith("H") and lv[i] == height
+                               for i, tok in enumerate(path))
+                assert path_stats(path)["amplitude"] == 2 * height + (1 if flat_top else 0)

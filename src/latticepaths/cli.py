@@ -4,16 +4,18 @@ Four subcommands: `seq` streams exact coefficient sequences, `check` runs
 formula = series = brute-force agreement for a family within a size budget,
 `bij` prints bijection pairing tables, and `asym` emits CSV trend reports
 comparing exact averages against their growth laws.  Exit codes: 0 success,
-1 a check or trend failed, 2 usage error.  Everything except `asym` prints
-exact integers or rationals, never floats.
+1 a check or trend failed or stdout closed, 2 usage error.  Only `asym` prints
+floats.  `COMMAND --family F [--FLAG VALUE]...` skips argparse unless a value
+starts with `-` (none is valid); argparse takes any other argv and writes all help and errors.
 """
 
 from __future__ import annotations
 
-import argparse
+import os
 import sys
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 from .asymptotics import _decimal, _exact_str, trend_check
@@ -527,17 +529,42 @@ def cmd_asym(args) -> int:
     return 0 if report.ok else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+# command -> (families, runner, summary)
+COMMANDS: Dict[str, Tuple[Dict[str, Callable], Callable[..., int], str]] = {
+    "seq": (SEQS, cmd_seq, "stream an exact sequence"),
+    "check": (CHECKS, cmd_check, "run formula = series = brute checks"),
+    "bij": (BIJS, cmd_bij, "print a bijection pairing table"),
+    "asym": (ASYM_LADDERS, cmd_asym, "CSV trend report for a growth law"),
+}
+
+
+def parse_canonical(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The namespace `build_parser` gives for a canonical argv, or None for any other."""
+    if not argv or argv[0] not in COMMANDS or len(argv) % 2 == 0:
+        return None
+    families, func, _ = COMMANDS[argv[0]]
+    specs = dict(OPTIONS, family={"choices": families})
+    args = dict(dict.fromkeys(specs), command=argv[0], func=func)
+    for flag, value in zip(argv[1::2], argv[2::2]):
+        spec = specs.get(flag[2:])
+        if spec is None or not flag.startswith("--") or value.startswith("-") \
+                or value not in spec.get("choices", (value,)):
+            return None
+        try:
+            args[flag[2:]] = spec.get("type", str)(value)
+        except ValueError:
+            return None
+    return None if args["family"] is None else SimpleNamespace(**args)
+
+
+def build_parser():
+    import argparse
     parser = argparse.ArgumentParser(
         prog="latticepaths",
         description="Exact lattice-path and tree enumeration workbench.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, families, func, summary in (
-            ("seq", SEQS, cmd_seq, "stream an exact sequence"),
-            ("check", CHECKS, cmd_check, "run formula = series = brute checks"),
-            ("bij", BIJS, cmd_bij, "print a bijection pairing table"),
-            ("asym", ASYM_LADDERS, cmd_asym, "CSV trend report for a growth law")):
+    for command, (families, func, summary) in COMMANDS.items():
         p = sub.add_parser(command, help=summary)
         p.add_argument("--family", required=True, choices=tuple(families))
         for flag, spec in OPTIONS.items():
@@ -547,9 +574,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    args = parse_canonical(sys.argv[1:] if argv is None else argv)
     try:
-        args = parser.parse_args(argv)
+        args = args or build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
@@ -557,6 +584,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, NotImplementedError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
+    except BrokenPipeError:  # stdout was closed: the rest and the exit flush go nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

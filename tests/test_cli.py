@@ -137,7 +137,7 @@ def test_asym_amplitude_split(capsys):
     assert lines[-1] == "trend ok"
 
 
-@pytest.mark.parametrize("argv", [
+USAGE_ERRORS = [
     [],
     ["seq"],
     ["seq", "--family", "bogus"],
@@ -145,13 +145,16 @@ def test_asym_amplitude_split(capsys):
     ["bij", "--family", "rotation", "--n", "0"],
     ["seq", "--family", "marked-ph", "--j", "0", "--n", "6"],
     ["asym", "--family", "kemp_valley", "--n", "0"],
-])
+]
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS)
 def test_usage_errors_exit_2(argv, capsys):
     assert main(argv) == 2
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("argv", [
+BAD_PARAMETERS = [
     ["seq", "--family", "hoppy-neg", "--k", "-2"],
     ["seq", "--family", "hoppy-neg", "--k", "0"],
     ["check", "--family", "deutsch-strip", "--m", "0"],
@@ -183,7 +186,10 @@ def test_usage_errors_exit_2(argv, capsys):
     ["bij", "--family", "rotation", "--n", "2", "--format", "json-lines"],
     ["asym", "--family", "red_edges", "--n", "40", "--format", "csv"],
     ["seq", "--family", "a002212", "--tolerance", "0.1"],
-])
+]
+
+
+@pytest.mark.parametrize("argv", BAD_PARAMETERS)
 def test_bad_parameters_exit_2_with_a_message(argv):
     src = Path(latticepaths.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))

@@ -3,7 +3,8 @@
 `TrendReport` is a plain class instead of a dataclass (`dataclasses` loads
 `inspect`, `ast`, `dis` and `tokenize`), and `--format json-lines` records
 are written by hand instead of through `json`.  The old dataclass and
-`json.dumps` stay here as oracles.
+`json.dumps` stay here as oracles.  A canonical command line is parsed
+without `argparse` (and its `gettext`), which only help and errors load.
 """
 
 import json
@@ -197,7 +198,8 @@ def test_emit_rows_writes_json_lines_records(capsys):
 # import creep
 # ----------------------------------------------------------------------
 
-NOT_AT_START_UP = ("dataclasses", "inspect", "ast", "dis", "tokenize", "json")
+NOT_AT_START_UP = ("dataclasses", "inspect", "ast", "dis", "tokenize", "json", "argparse",
+                   "gettext")
 
 
 def test_cli_import_loads_no_unneeded_stdlib_module():
@@ -215,3 +217,24 @@ def test_cli_import_loads_no_unneeded_stdlib_module():
     assert "latticepaths.cli" in submodules and len(submodules) >= 9
     # every module is still imported eagerly: none was made lazy
     assert submodules <= loaded
+
+
+def test_canonical_argv_leaves_argparse_unloaded_and_help_loads_it():
+    # the command output goes to stdout, the loaded modules to stderr
+    script = (
+        "import sys\n"
+        "from latticepaths.cli import main\n"
+        "codes = [main(argv.split()) for argv in (\n"
+        "    'seq --family a002212 --n 3', 'check --family skew --max 2',\n"
+        "    'bij --family rotation --n 2', 'asym --family red_edges --n 8')]\n"
+        "print(*codes, 'argparse' in sys.modules, 'gettext' in sys.modules, file=sys.stderr)\n"
+        "print(main(['seq', '--help']), 'argparse' in sys.modules, file=sys.stderr)\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-S", "-c", script],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    canonical, helped = proc.stderr.splitlines()
+    assert canonical.split()[:3] == ["0", "0", "0"]
+    assert canonical.split()[4:] == ["False", "False"]
+    assert helped == "0 True"
+    assert "usage: latticepaths seq" in proc.stdout

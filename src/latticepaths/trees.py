@@ -16,15 +16,15 @@ Representations (all nested tuples, hashable, comparable):
 Sizes count internal nodes (binary, unary_binary, ternary), all nodes (hex,
 ordered, marked), or total edge weight (multiedge).
 
-Binary, unary-binary, hex and ternary trees are declared once, as productions:
-a tree of size n >= 1 is a head (the tuple entries before its children)
-followed by children whose sizes sum to n - 1, and the empty tree is the only
-one of size 0.  The declaration is evaluated in two algebras.  In the tree
-algebra (`gen_*`) an object is its head plus its children, built from the
-cached smaller levels.  In a value algebra (`tally`) an object is a node
-rule's value, rule(head, child values), and each size keeps only its list of
-values, so no tree is built.  `reg`, `tree_stats` and `tree_size` fold the
-same rules over one tree, each node standing in for its own head.
+All seven families are declared once, as productions: a head (the entries an
+object adds) and children, each a class at a size.  A node (binary,
+unary-binary, hex, ternary) is its head then its children, and None is the
+empty one.  An ordered, marked or multi-edge tree is a cons, its first edge
+then the edges of the rest tree, so a sequence of subtrees is "first plus
+the rest".  `gen_*` read one cached evaluator.  `tally` evaluates the node
+classes in a value algebra, an object being a node rule's value from its
+children's, so no tree is built.  `reg`, `tree_stats` and `tree_size` fold
+the same rules over one tree, each node standing in for its own head.
 """
 
 from __future__ import annotations
@@ -34,142 +34,106 @@ from functools import lru_cache
 from itertools import chain, product, repeat
 from operator import itemgetter
 
-# Per declared family, the productions of size n >= 1 in generation order:
-# (head, child sizes).  A child of size 0 is the empty tree.
+
+def _colours(a: int) -> range:
+    if a < 0:
+        raise ValueError("number of extra unary colours a must be >= 0")
+    return range(a)
+
+
+# Per class, its productions of size n in generation order: (head, children),
+# each child a (class, size).  A cons class's leaf has no children.  The last
+# edge of a marked tree, over a child of size n, comes from `marked_last`:
+# unmarked, then marked if the child is internal, so the mark varies fastest.
 _PRODUCTIONS = {
-    "binary": lambda n, a: [((), (i, n - 1 - i)) for i in range(n)],
-    "unary_binary": lambda n, a: ([(("2",), (i, n - 1 - i)) for i in range(n)]
-                                  + [(("u", color), (n - 1,)) for color in range(a) if n > 1]),
+    "binary": lambda n, a: [((), (("binary", i), ("binary", n - 1 - i))) for i in range(n)],
+    "unary_binary": lambda n, a: (
+        [(("2",), (("unary_binary", i), ("unary_binary", n - 1 - i))) for i in range(n)]
+        + [(("u", color), (("unary_binary", n - 1),)) for color in _colours(a) if n > 1]),
     "hex": lambda n, a: ([((".",), ())] if n == 1 else
-                         [((slot,), (n - 1,)) for slot in "LMR" if n > 1]
-                         + [(("2",), (i, n - 1 - i)) for i in range(1, n - 1)]),
-    "ternary": lambda n, a: [((), (i, j, n - 1 - i - j)) for i in range(n) for j in range(n - i)],
+                         [((slot,), (("hex", n - 1),)) for slot in "LMR"]
+                         + [(("2",), (("hex", i), ("hex", n - 1 - i))) for i in range(1, n - 1)]),
+    "ternary": lambda n, a: [((), (("ternary", i), ("ternary", j), ("ternary", n - 1 - i - j)))
+                             for i in range(n) for j in range(n - i)],
+    "ordered": lambda n, a: ([((), ())] if n == 1 else
+                             [((), (("ordered", s), ("ordered", n - s))) for s in range(1, n)]),
+    "marked": lambda n, a: ([((), ())] if n == 1 else
+                            [((False,), (("marked", s), ("marked", n - s))) for s in range(1, n - 1)]
+                            + [((), (("marked_last", n - 1), ("marked", 1)))]),
+    "marked_last": lambda n, a: [((), (("marked", n), ("mark", n)))],
+    "mark": lambda n, a: [((False,), ()), ((True,), ())][:1 + (n > 1)],
+    "multiedge": lambda n, a: ([((), ())] if n == 0 else
+                               [((m,), (("multiedge", c), ("multiedge", n - m - c)))
+                                for m in range(1, n + 1) for c in range(n - m + 1)]),
 }
+_NODE_CLASSES = ("binary", "unary_binary", "hex", "ternary")
 
 
-def _construct(family: str, n: int, a: int, level, make):
-    """The size-n objects of a declared family in one algebra, in production
-    order: level(m) lists the objects of size m < n, and make(head, children)
-    assembles one object from each choice of children."""
-    return chain.from_iterable(map(make, repeat(head), product(*map(level, sizes)))
-                               for head, sizes in _PRODUCTIONS[family](n, a))
+def _cons(head, kids):
+    """First edge (head entries then the first child, or under an empty head
+    the bare child), then the rest tree's edges; no children make a leaf."""
+    return (head + kids[:1] if head else kids[0],) + kids[1] if kids else head
 
 
-def _trees(family: str, n: int, a: int, level) -> tuple:
-    """The trees of size n, each its head followed by its children."""
-    if n == 0:
+# Per class, make(head, children); the classes not named here are cons classes
+_MAKE = {**dict.fromkeys(_NODE_CLASSES + ("mark",), tuple.__add__),
+         "marked_last": lambda head, kids: kids[1] + kids[:1]}
+
+
+def _construct(productions, level, make):
+    """The objects of one size in one algebra, in production order:
+    level(child) lists the objects of a child (class, size), and
+    make(head, children) assembles one object from each choice of children."""
+    return chain.from_iterable(map(make, repeat(head), product(*map(level, children)))
+                               for head, children in productions)
+
+
+@lru_cache(maxsize=None)
+def _level(cls: str, n: int, a: int) -> tuple:
+    """The objects of class cls and size n in the tree algebra."""
+    if n < 0:
+        return ()
+    if n == 0 and cls in _NODE_CLASSES:
         return (None,)
-    return tuple(_construct(family, n, a, level, tuple.__add__))
+    return tuple(_construct(_PRODUCTIONS[cls](n, a), lambda child: _level(*child, a),
+                            _MAKE.get(cls, _cons)))
 
 
 def gen_binary(n: int) -> list:
-    return list(_binary(n))
-
-
-@lru_cache(maxsize=None)
-def _binary(n: int) -> tuple:
-    return _trees("binary", n, 0, _binary)
+    return list(_level("binary", n, 0))
 
 
 def gen_unary_binary(n: int, a: int = 1) -> list:
-    return list(_unary_binary(n, a))
-
-
-@lru_cache(maxsize=None)
-def _unary_binary(n: int, a: int) -> tuple:
-    return _trees("unary_binary", n, a, lambda m: _unary_binary(m, a))
+    return list(_level("unary_binary", n, a))
 
 
 def gen_hex(n: int) -> list:
-    return list(_hex(n))
-
-
-@lru_cache(maxsize=None)
-def _hex(n: int) -> tuple:
-    return _trees("hex", n, 0, _hex)
+    return list(_level("hex", n, 0))
 
 
 def gen_ternary(n: int) -> list:
-    return list(_ternary(n))
-
-
-@lru_cache(maxsize=None)
-def _ternary(n: int) -> tuple:
-    return _trees("ternary", n, 0, _ternary)
+    return list(_level("ternary", n, 0))
 
 
 def gen_ordered(n: int) -> list:
-    return list(_ordered(n)) if n >= 1 else []
-
-
-@lru_cache(maxsize=None)
-def _ordered(n: int) -> tuple:
-    return tuple(_forests(n - 1, _ordered))
-
-
-def _forests(total: int, gen_one) -> list:
-    """All tuples of trees whose sizes (>= 1 each) sum to total."""
-    if total == 0:
-        return [()]
-    out = []
-    for first_size in range(1, total + 1):
-        for first in gen_one(first_size):
-            for rest in _forests(total - first_size, gen_one):
-                out.append((first,) + rest)
-    return out
+    return list(_level("ordered", n, 0))
 
 
 def gen_marked(n: int) -> list:
-    return list(_marked(n))
-
-
-@lru_cache(maxsize=None)
-def _marked(n: int) -> tuple:
-    # n nodes; the last edge of a node may be marked if its child is internal
-    if n < 1:
-        return ()
-    if n == 1:
-        return ((),)
-    out = []
-    for plain in _marked_forests(n - 1):
-        out.append(plain)
-        last_child = plain[-1][1]
-        if last_child != ():
-            out.append(plain[:-1] + ((True, last_child),))
-    return tuple(out)
-
-
-def _marked_forests(total: int) -> list:
-    return [tuple((False, child) for child in forest) for forest in _forests(total, _marked)]
+    return list(_level("marked", n, 0))
 
 
 def gen_multiedge(total_weight: int) -> list:
-    return list(_multiedge(total_weight))
+    return list(_level("multiedge", total_weight, 0))
 
 
-@lru_cache(maxsize=None)
-def _multiedge(w: int) -> tuple:
-    if w == 0:
-        return ((),)
-    out = []
-    for first_mult in range(1, w + 1):
-        for first_weight in range(0, w - first_mult + 1):
-            for child in _multiedge(first_weight):
-                for rest in _multiedge(w - first_mult - first_weight):
-                    out.append(((first_mult, child),) + rest)
-    return tuple(out)
-
-
-# Per family, a non-empty node's children, empty ones included.  For the
-# declared families a node is its head followed by these children.
+# Per family, a non-empty tree's children, empty ones included.  A node is
+# its head followed by these children.
 _CHILDREN = {
-    "binary": lambda t: t,
+    **dict.fromkeys(("binary", "ternary", "ordered"), lambda t: t),
     "unary_binary": lambda t: t[1:] if t[0] == "2" else t[2:],
     "hex": lambda t: t[1:],
-    "ternary": lambda t: t,
-    "ordered": lambda t: t,
-    "marked": lambda t: [child for _, child in t],
-    "multiedge": lambda t: [child for _, child in t],
+    **dict.fromkeys(("marked", "multiedge"), lambda t: [child for _, child in t]),
 }
 
 
@@ -178,8 +142,8 @@ def _fold(children, rule, empty, t):
     unfinished ancestors instead of recursion, so the depth is not limited.
 
     Each non-empty node gets rule(node, its children's values).  The rules of
-    the declared families read only the node's head entries, so `tally` can
-    pass a production's head in its place.  The empty tree (None) has value
+    the node classes read only the node's head entries, so `tally` can pass a
+    production's head in its place.  The empty tree (None) has value
     empty.
     """
     if t is None:
@@ -287,8 +251,8 @@ def tally(family: str, top: int, stat: str, a: int = 1) -> list:
     values, drawn from the lists kept for the smaller sizes.  No tree is
     built, and the values of size top are counted as they are made.
     """
-    if family not in _PRODUCTIONS:
-        raise ValueError(f"no level-by-level construction for family {family!r}")
+    if family not in _NODE_CLASSES:
+        raise ValueError(f"no value algebra for family {family!r}: its trees are not nodes")
     if stat == "reg" and family in _REG:
         rule, empty, field = _REG[family], 0, None
     elif stat in STAT_FIELDS:
@@ -298,13 +262,9 @@ def tally(family: str, top: int, stat: str, a: int = 1) -> list:
     if top < 0:
         return []
 
-    def count(values) -> Counter:
-        return Counter(values if field is None else map(itemgetter(field), values))
-
-    levels = [[empty]]  # the values of each size below top
-    for size in range(1, top):
-        levels.append(list(_construct(family, size, a, levels.__getitem__, rule)))
-    dists = [count(values) for values in levels]
-    if top:
-        dists.append(count(_construct(family, top, a, levels.__getitem__, rule)))
-    return dists
+    levels = [[empty]]  # the values of each size, those of size top as they are made
+    for size in range(1, top + 1):
+        values = _construct(_PRODUCTIONS[family](size, a), lambda child: levels[child[1]], rule)
+        levels.append(list(values) if size < top else values)
+    return [Counter(values if field is None else map(itemgetter(field), values))
+            for values in levels]

@@ -1,5 +1,6 @@
 """Command-line surface: golden outputs, exit codes, check runners."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -49,6 +50,26 @@ def test_golden_output(fixture, argv, capsys):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert out == (FIXTURES / fixture).read_text()
+
+
+# SHA-256 of stdout past the golden fixtures' sizes: `bij` lists the trees in
+# generation order, so these pin that order (543 lines each)
+BIJ_DIGESTS = [
+    (["bij", "--family", "marked-skew", "--n", "7"],
+     "0c9125bbf46080a0eb992210717019a8e798bd0b876d4b72f4dba8d8ed476c0f"),
+    (["bij", "--family", "multiedge-motzkin", "--n", "6"],
+     "8fb49875d48fcc600e15629238b9fdc71ded07ebbc1750d45c1be7c9479ab521"),
+    (["bij", "--family", "rotation", "--n", "6"],
+     "7acb65cc51d1c03d4abc0096832d3fc261f39c4536af734addd2ba0cc6c3d081"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", BIJ_DIGESTS, ids=[c[0][2] for c in BIJ_DIGESTS])
+def test_bij_output_digest(argv, digest, capsys):
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == 543
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_json_lines_parse(capsys):

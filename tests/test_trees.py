@@ -1,13 +1,14 @@
 """Tree generators: counts against reference sequences, register numbers,
 and statistics on small exhaustive sets.
 
-Binary, unary-binary, hex and ternary trees are declared once as productions
-and evaluated in two algebras: `gen_*` builds the trees, `tally` computes one
-node rule's values without building them, and `reg` / `tree_stats` /
-`tree_size` fold the same rules over one tree.  The list builders, the
-per-family streamed generators, the build-and-fold tally and the recursive
-statistics they replaced stay below as oracles, and so do the per-object
-bodies of `check --family horton` and `check --family ternary`.
+All seven tree families are declared once as productions.  One cached
+evaluator builds their trees (`gen_*`); for the node families `tally`
+computes one node rule's values without building them, and `reg` /
+`tree_stats` / `tree_size` fold the same rules over one tree.  The list
+builders (node families and the hand-written ordered, marked and multi-edge
+generators), the per-family streamed generators, the build-and-fold tally
+and the recursive statistics they replaced stay below as oracles, and so do
+the per-object bodies of `check --family horton` and `check --family ternary`.
 """
 
 import math
@@ -102,11 +103,34 @@ def test_ternary_counts():
 
 
 @pytest.mark.parametrize("gen", [gen_binary, lambda n: gen_unary_binary(n, 1),
-                                 lambda n: gen_unary_binary(n, 2), gen_hex, gen_ternary],
-                         ids=["binary", "unary_binary-a1", "unary_binary-a2", "hex", "ternary"])
-@pytest.mark.parametrize("n", [-1, -5])
+                                 lambda n: gen_unary_binary(n, 2), gen_hex, gen_ternary,
+                                 gen_ordered, gen_marked, gen_multiedge],
+                         ids=["binary", "unary_binary-a1", "unary_binary-a2", "hex", "ternary",
+                              "ordered", "marked", "multiedge"])
+@pytest.mark.parametrize("n", [-1, -2, -5])
 def test_negative_sizes_have_no_trees(gen, n):
     assert gen(n) == []
+
+
+def test_size_zero():
+    # sizes count nodes (ordered, marked), internal nodes (binary ...) or edge weight
+    assert gen_ordered(0) == gen_marked(0) == []
+    assert gen_multiedge(0) == [()]
+    assert gen_binary(0) == gen_hex(0) == gen_ternary(0) == [None]
+    assert gen_unary_binary(0, 0) == gen_unary_binary(0, 2) == [None]
+
+
+def test_negative_colour_count_is_rejected():
+    message = "number of extra unary colours a must be >= 0"
+    for a in (-1, -2):
+        with pytest.raises(ValueError, match=message):
+            gen_unary_binary(3, a)
+        with pytest.raises(ValueError, match=message):
+            tally("unary_binary", 3, "reg", a)
+        with pytest.raises(ValueError, match=message):
+            tally("unary_binary", 4, "leaves", a)
+        with pytest.raises(ValueError, match=message):
+            unary_binary_count(3, a)
 
 
 # ----------------------------------------------------------------------
@@ -322,16 +346,88 @@ OLD_BUILDERS = {
     "hex": lambda n, a: old_hex(n),
     "ternary": lambda n, a: old_ternary(n),
 }
-CACHED = {
-    "binary": lambda n, a: trees._binary(n),
-    "unary_binary": trees._unary_binary,
-    "hex": lambda n, a: trees._hex(n),
-    "ternary": lambda n, a: trees._ternary(n),
+CACHED = {family: lambda n, a, family=family: trees._level(family, n, a)
+          for family in OLD_BUILDERS}
+
+
+def streamed(family, n, a):
+    """One level evaluated afresh in the tree algebra, from the cached levels
+    below it."""
+    if n == 0:
+        return (None,)
+    return tuple(trees._construct(trees._PRODUCTIONS[family](n, a),
+                                  lambda child: trees._level(*child, a), trees._MAKE[family]))
+
+
+STREAMED = {family: lambda n, a, family=family: streamed(family, n, a) for family in CACHED}
+
+
+# The hand-written generators of the cons families, verbatim but for the
+# old_ prefix
+
+@lru_cache(maxsize=None)
+def old_ordered(n: int) -> tuple:
+    return tuple(old_forests(n - 1, old_ordered))
+
+
+def old_forests(total: int, gen_one) -> list:
+    """All tuples of trees whose sizes (>= 1 each) sum to total."""
+    if total == 0:
+        return [()]
+    out = []
+    for first_size in range(1, total + 1):
+        for first in gen_one(first_size):
+            for rest in old_forests(total - first_size, gen_one):
+                out.append((first,) + rest)
+    return out
+
+
+@lru_cache(maxsize=None)
+def old_marked(n: int) -> tuple:
+    # n nodes; the last edge of a node may be marked if its child is internal
+    if n < 1:
+        return ()
+    if n == 1:
+        return ((),)
+    out = []
+    for plain in old_marked_forests(n - 1):
+        out.append(plain)
+        last_child = plain[-1][1]
+        if last_child != ():
+            out.append(plain[:-1] + ((True, last_child),))
+    return tuple(out)
+
+
+def old_marked_forests(total: int) -> list:
+    return [tuple((False, child) for child in forest) for forest in old_forests(total, old_marked)]
+
+
+@lru_cache(maxsize=None)
+def old_multiedge(w: int) -> tuple:
+    if w == 0:
+        return ((),)
+    out = []
+    for first_mult in range(1, w + 1):
+        for first_weight in range(0, w - first_mult + 1):
+            for child in old_multiedge(first_weight):
+                for rest in old_multiedge(w - first_mult - first_weight):
+                    out.append(((first_mult, child),) + rest)
+    return tuple(out)
+
+
+OLD_CONS_BUILDERS = {
+    # the old public wrappers: gen_ordered(n) was list(_ordered(n)) if n >= 1 else []
+    "ordered": (gen_ordered, lambda n: list(old_ordered(n)) if n >= 1 else [], 10),
+    "marked": (gen_marked, lambda n: list(old_marked(n)), 9),
+    "multiedge": (gen_multiedge, lambda n: list(old_multiedge(n)), 8),
 }
-# one level evaluated afresh in the tree algebra, from the cached levels below it
-STREAMED = {family: lambda n, a, family=family: trees._trees(
-                family, n, a, lambda m: CACHED[family](m, a))
-            for family in CACHED}
+
+
+@pytest.mark.parametrize("family", sorted(OLD_CONS_BUILDERS))
+def test_cons_families_equal_the_old_generators(family):
+    gen, old, top = OLD_CONS_BUILDERS[family]
+    for n in range(-2, top + 1):
+        assert gen(n) == old(n), n
 
 
 def old_reg_binary(t):
@@ -669,8 +765,12 @@ def test_tally_property(family, top, a, stat):
 
 
 def test_tally_rejects_families_and_statistics_it_cannot_build():
-    with pytest.raises(ValueError):
-        tally("ordered", 3, "leaves")
+    # a cons tree is not a node, so tally takes no cons family nor the
+    # helper classes of the marked declaration
+    for family in ("ordered", "marked", "multiedge", "marked_last", "mark", "nosuch"):
+        for stat in ("reg",) + STAT_FIELDS:
+            with pytest.raises(ValueError):
+                tally(family, 3, stat)
     with pytest.raises(ValueError):
         tally("binary", 3, "height_edges")
     assert tally("binary", -1, "reg") == []
@@ -736,11 +836,13 @@ def test_check_horton_never_caches_its_largest_size():
               "with contextlib.redirect_stdout(io.StringIO()):\n"
               "    assert cli.main(['check', '--family', 'horton']) == 0\n"
               "    assert cli.main(['check', '--family', 'ternary']) == 0\n"
-              "print(trees._unary_binary.cache_info().currsize,"
-              " trees._ternary.cache_info().currsize)")
+              "print(trees._level.cache_info().currsize)\n"
+              "trees.gen_unary_binary(2, 1)\n"
+              "print(trees._level.cache_info().currsize)")
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    # the tallies build no tree, so no level of either family is cached
-    assert proc.stdout.split() == ["0", "0"]
+    # the tallies build no tree, so the one tree cache holds no level at all,
+    # and it is the cache that a generator fills (sizes 0, 1 and 2)
+    assert proc.stdout.split() == ["0", "3"]

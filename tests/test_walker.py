@@ -9,7 +9,7 @@ every constraint it takes.
 
 import pytest
 
-from latticepaths import paths, trees
+from latticepaths import paths
 from latticepaths.paths import (
     gen_deutsch,
     gen_dual_skew,
@@ -194,7 +194,7 @@ def old_marked_forests(total):
         return [()]
     out = []
     for first_size in range(1, total + 1):
-        for first in trees._marked(first_size):
+        for first in gen_marked(first_size):
             for rest in old_marked_forests(total - first_size):
                 out.append(((False, first),) + rest)
     return out
@@ -287,5 +287,8 @@ def test_tree_size_matches_the_chain(family, gen, sizes):
 
 
 def test_marked_forests_match_the_copy():
+    # the forests of total nodes are the trees of total + 1 nodes whose last
+    # edge is unmarked, in the same order
     for total in range(7):
-        assert trees._marked_forests(total) == old_marked_forests(total), total
+        assert [t for t in gen_marked(total + 1) if not t or not t[-1][0]] == \
+            old_marked_forests(total), total

@@ -13,16 +13,15 @@ Each family is declared once, as a move rule and the bounds of its walk, and
 the declaration is evaluated in two algebras.  In the path algebra (`gen_*`)
 the depth-first walker `_walk` lists the paths of one size as tuples, so the
 i-th path of a family is reproducible.  In a value algebra (`tally`) a path
-is a step rule's value, rule(step, level, value of its suffix), each suffix
-value listed once per walk state, so no path is built.  `path_stats` reads
-one built path, as the oracle of the step rules.
+is a step rule's value, rule(step, level, value of its suffix), and a walk
+state holds value -> number of suffixes, so equal values merge and no path
+is built.  `path_stats` reads one built path, as the oracle of the step rules.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from functools import partial
-from itertools import accumulate, chain
+from itertools import accumulate
 
 
 def step_delta(token: str, up: int = 1) -> int:
@@ -226,11 +225,11 @@ def tally(family: str, top: int, stat: str, **params) -> list:
     Sizes and params are those of `gen_<family>`, bar `require_last_up`.  stat
     is "height", "amplitude", "last_downrun_len" (as in `path_stats`) or
     "peak_count".  The family's move rule is evaluated in the statistic's
-    value algebra: a path's value is rule(step, level, value of its suffix),
-    the suffix values from each state (steps left, level, and the previous
-    token where the moves read it) listed once per call, so no path is built.
-    Each path still gets its own value, counted only at its size's start
-    (those of size top as they are made).
+    value algebra: a path's value is rule(step, level, value of its suffix).
+    Each walk state (steps left, level, and the previous token where the
+    moves read it) holds value -> number of suffixes, each move mapping the
+    entered state's values through the rule once, so equal values merge and
+    no path is built.
     """
     if family not in _FAMILIES or stat not in _STEP_RULES:
         raise ValueError(f"no tally of {stat!r} over {family!r} paths")
@@ -241,34 +240,37 @@ def tally(family: str, top: int, stat: str, **params) -> list:
     # the walk of size top serves every size: no smaller one takes a step it lacks
     most, moves, keyed, bounds = walks[-1]
     windows = _windows(most, **bounds) or []
-    start, base = bounds.get("start", 0), [empty(bounds.get("end_level", 0))]
-    memo = {}
+    start, end, memo = bounds.get("start", 0), bounds.get("end_level", 0), {}
+    base = Counter([empty(end)])
 
-    def values(left, level, prev):
-        """The values of the paths from a state, one iterable per move."""
-        low, high = windows[left - 1]
-        for tok, delta in moves(prev, level):
-            nl = level + delta
-            if low <= nl <= high:
-                yield map(partial(rule, tok, level), listed(left - 1, nl, tok if keyed else None))
+    def counted(state):
+        """value -> number of suffixes from a state, from a stack, not recursion."""
+        stack = [state]
+        while stack:
+            left, level, prev = key = stack.pop()
+            if key in memo or not left:
+                memo.setdefault(key, base)
+                continue
+            low, high = windows[left - 1]
+            entered = [(tok, (left - 1, level + delta, tok if keyed else None))
+                       for tok, delta in moves(prev, level) if low <= level + delta <= high]
+            below = [after for _, after in entered if after not in memo]
+            if below:
+                stack += [key, *below]
+                continue
+            dist = memo[key] = Counter()
+            for tok, after in entered:
+                for value, count in memo[after].items():
+                    dist[rule(tok, level, value)] += count
+        return memo[state]
 
-    def listed(left, level, prev):
-        if not left:
-            return base
-        key = (left, level, prev)
-        if key not in memo:
-            memo[key] = list(chain.from_iterable(values(*key)))
-        return memo[key]
-
-    dists = []
-    for size, (n_steps, *_) in enumerate(walks):
-        if _windows(n_steps, **bounds) is None:
-            found = ()
-        elif size < top or not n_steps:
-            found = listed(n_steps, start, None)
-        else:
-            found = chain.from_iterable(values(n_steps, start, None))
-        dists.append(Counter(found if finish is None else map(finish, found)))
+    dists = [Counter() for _ in walks]
+    for dist, (n_steps, *_) in zip(dists, walks):
+        # an end out of reach leaves no first step inside a window (and no windows at
+        # all when even size top cannot reach it); an empty walk must start at the end
+        if 0 < n_steps <= len(windows) or n_steps == 0 and start == end:
+            for value, count in counted((n_steps, start, None)).items():
+                dist[value if finish is None else finish(value)] += count
     return dists
 
 

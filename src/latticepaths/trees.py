@@ -22,8 +22,8 @@ unary-binary, hex, ternary) is its head then its children, and None is the
 empty one.  An ordered, marked or multi-edge tree is a cons, its first edge
 then the edges of the rest tree, so a sequence of subtrees is "first plus
 the rest".  `gen_*` read one cached evaluator.  `tally` evaluates the node
-classes in a value algebra, an object being a node rule's value from its
-children's, so no tree is built.  `reg`, `tree_stats` and `tree_size` fold
+classes in a value algebra, a size as value -> number of trees, so equal
+values merge and no tree is built.  `reg`, `tree_stats` and `tree_size` fold
 the same rules over one tree, each node standing in for its own head.
 """
 
@@ -32,7 +32,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from itertools import chain, product, repeat
-from operator import itemgetter
+from math import prod
 
 
 def _colours(a: int) -> range:
@@ -104,6 +104,7 @@ def gen_binary(n: int) -> list:
 
 
 def gen_unary_binary(n: int, a: int = 1) -> list:
+    _colours(a)  # size 0 reads no production
     return list(_level("unary_binary", n, a))
 
 
@@ -242,14 +243,23 @@ def tree_stats(t, family: str) -> dict:
     }
 
 
+def _merged(pairs) -> Counter:
+    """value -> the sum of its counts, over (value, count) pairs."""
+    out = Counter()
+    for value, count in pairs:
+        out[value] += count
+    return out
+
+
 def tally(family: str, top: int, stat: str, a: int = 1) -> list:
     """Distribution of one statistic over the trees of each size 0..top.
 
     stat is "reg" or one of STAT_FIELDS.  The family's productions are
-    evaluated in the statistic's value algebra: every tree is visited once, as
-    one call of the same node rule as `reg` / `tree_stats` on its children's
-    values, drawn from the lists kept for the smaller sizes.  No tree is
-    built, and the values of size top are counted as they are made.
+    evaluated in the statistic's value algebra, each size held as value ->
+    number of trees.  Each choice of (value, count) pairs for a production's
+    children is one call of the same node rule as `reg` / `tree_stats`,
+    weighed by the product of the counts, so equal values merge and no tree
+    is built.
     """
     if family not in _NODE_CLASSES:
         raise ValueError(f"no value algebra for family {family!r}: its trees are not nodes")
@@ -259,12 +269,15 @@ def tally(family: str, top: int, stat: str, a: int = 1) -> list:
         rule, empty, field = _STATS[family], (0, 0, 0, 0), STAT_FIELDS.index(stat)
     else:
         raise ValueError(f"statistic {stat!r} not defined for family {family!r}")
+    if family == "unary_binary":
+        _colours(a)  # size 0 reads no production
     if top < 0:
         return []
 
-    levels = [[empty]]  # the values of each size, those of size top as they are made
+    levels = [Counter([empty])]  # per size, value -> number of trees
     for size in range(1, top + 1):
-        values = _construct(_PRODUCTIONS[family](size, a), lambda child: levels[child[1]], rule)
-        levels.append(list(values) if size < top else values)
-    return [Counter(values if field is None else map(itemgetter(field), values))
-            for values in levels]
+        levels.append(_merged(_construct(
+            _PRODUCTIONS[family](size, a), lambda child: levels[child[1]].items(),
+            lambda head, kids: (rule(head, [v for v, _ in kids]), prod(c for _, c in kids)))))
+    return levels if field is None else [_merged((v[field], c) for v, c in level.items())
+                                         for level in levels]

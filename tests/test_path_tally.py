@@ -2,11 +2,13 @@
 
 `paths.tally` evaluates a family's move rule in a statistic's value algebra:
 a path's value is a step rule's value on its first step, that step's level
-and the value of its suffix, and the suffix values of each walk state are
-listed once per call.  Here it is compared with per-path classification of
-the `gen_*` output on a grid that exercises every walk bound, and the
-per-path bodies of the `check` families that now read it stay below as
-oracles for their output.
+and the value of its suffix, and each walk state holds value -> number of
+suffixes, so equal values merge.  Here it is compared with per-path
+classification of the `gen_*` output and with the list tally it replaced
+(`old_tallies`) on a grid that exercises every walk bound, and with the
+closed forms far beyond enumeration.  The per-path bodies of the `check`
+families that now read it, and both list tallies patched into `check`,
+stay below as oracles for their output.
 """
 
 import os
@@ -22,6 +24,7 @@ from hypothesis import strategies as st
 
 import latticepaths
 from latticepaths import cli, paths
+from latticepaths.combinat import motzkin_numbers
 from latticepaths.paths import (
     gen_deutsch,
     gen_dual_skew,
@@ -32,8 +35,12 @@ from latticepaths.paths import (
     last_downrun_len,
     levels,
     path_stats,
+    step_delta,
     tally,
 )
+from latticepaths.pathseries import motzkin_bounded_coeff, skew_sj_coeff
+from latticepaths.trees import tally as trees_tally
+from old_tallies import old_paths_tally, old_trees_tally
 
 SRC = Path(latticepaths.__file__).resolve().parents[1]
 STATS = ("height", "amplitude", "last_downrun_len", "peak_count")
@@ -58,6 +65,8 @@ def classify(path, params):
 
 def assert_tally_classifies(family, top, params, stats=STATS):
     dists = {stat: tally(family, top, stat, **params) for stat in stats}
+    for stat in stats:
+        assert dists[stat] == old_paths_tally(family, top, stat, **params), (family, params, stat)
     for size in range(top + 1):
         built = gen(family, size, params)
         classified = [classify(p, params) for p in built]
@@ -142,33 +151,47 @@ def test_tally_rejects_what_it_cannot_count():
 
 
 # ----------------------------------------------------------------------
-# enumeration, not a DP: one value per suffix of an enumerated path
+# a DP over merged values: one rule call per state, move and distinct value
+# of the rest, counted from the enumerated paths
 # ----------------------------------------------------------------------
 
 KEYED = {"skew", "dual_skew", "retakh"}
 
 
-def suffix_states(family, top, params):
-    """Each distinct suffix of the paths of sizes 0..top with the state it
-    starts from: (level, previous token where the moves read it, suffix)."""
-    found = set()
+def peak_value(rest, up, level):
+    """The peak-count rule's value of a rest of a path: twice its peaks, plus
+    one if it starts with a fall."""
+    falls_first = bool(rest) and step_delta(rest[0], up) < 0
+    return 2 * len(path_stats(rest, up, level)["peak_heights"]) + falls_first
+
+
+def downrun_value(rest, up, level):
+    """The last-down-run rule's value of a rest of a path: twice its last run
+    of unit falls, plus one if it is unit falls only."""
+    return 2 * last_downrun_len(rest) + all(tok == "d" for tok in rest)
+
+
+def rule_calls(family, top, params, value):
+    """The distinct (steps left, level, previous token where the moves read
+    it, step, value of the rest) over every step of the paths of sizes
+    0..top: the rule calls of a tally that merges equal values."""
+    up, found = params.get("k", 1), set()
     for size in range(top + 1):
         for path in gen(family, size, params):
-            lv = levels(path, up=params.get("k", 1), start=params.get("start", 0))
-            for i in range(len(path)):
+            lv = levels(path, up=up, start=params.get("start", 0))
+            for i, tok in enumerate(path):
                 prev = path[i - 1] if i and family in KEYED else None
-                found.add((lv[i], prev, path[i:]))
-    return found
+                found.add((len(path) - i, lv[i], prev, tok, value(path[i + 1:], up, lv[i + 1])))
+    return len(found)
 
 
 def count_rule_calls(monkeypatch, stat):
-    """Record the level of each call of stat's step rule, and each value counted."""
-    calls, counted = [], []
+    """Record the level of each call of stat's step rule."""
+    calls = []
     rule, empty, finish = paths._STEP_RULES[stat]
     monkeypatch.setitem(paths._STEP_RULES, stat, (
-        lambda tok, level, rest: calls.append(level) or rule(tok, level, rest), empty,
-        lambda value: counted.append(value) or finish(value)))
-    return calls, counted
+        lambda tok, level, rest: calls.append(level) or rule(tok, level, rest), empty, finish))
+    return calls
 
 
 @pytest.mark.parametrize("family,top,params", [
@@ -177,25 +200,58 @@ def count_rule_calls(monkeypatch, stat):
     ("motzkin", 8, {"horiz_colors": 2, "max_height": 3}),
     ("deutsch", 7, {"start": 2, "ceiling": 4, "end_level": 1}),
     ("retakh", 7, {}),
+    ("kdyck", 5, {"k": 2, "floor": -1, "end_level": 1}),
 ])
-def test_the_rule_forms_one_value_per_suffix_and_the_tally_one_per_path(
+def test_the_rule_runs_once_per_state_move_and_distinct_value_of_the_rest(
         family, top, params, monkeypatch):
-    calls, counted = count_rule_calls(monkeypatch, "peak_count")
+    calls = count_rule_calls(monkeypatch, "peak_count")
     dists = tally(family, top, "peak_count", **params)
+    assert len(calls) == rule_calls(family, top, params, peak_value)
+    # the counts still total the paths
     n_paths = sum(len(gen(family, size, params)) for size in range(top + 1))
-    # every suffix of every path is one rule call: equal values are never merged
-    assert len(calls) == len(suffix_states(family, top, params))
-    # and every path is counted once, at its size's start
-    assert len(counted) == n_paths == sum(d.total() for d in dists)
+    assert sum(d.total() for d in dists) == n_paths
 
 
-def test_check_hoppy_forms_one_value_per_suffix_and_counts_each_path_once(monkeypatch,
-                                                                         capsys):
-    calls, counted = count_rule_calls(monkeypatch, "last_downrun_len")
+def test_check_hoppy_runs_the_rule_once_per_state_move_and_distinct_value(monkeypatch,
+                                                                          capsys):
+    calls = count_rule_calls(monkeypatch, "last_downrun_len")
+    totals = []
+
+    def totalled(*args, **params):
+        dists = tally(*args, **params)
+        totals.append(sum(d.total() for d in dists))
+        return dists
+
+    monkeypatch.setattr(cli, "tally_paths", totalled)
     assert cli.main(["check", "--family", "hoppy"]) == 0
     capsys.readouterr()
-    assert len(calls) == sum(len(suffix_states("kdyck", 6, {"k": k})) for k in (2, 3))
-    assert len(counted) == sum(len(gen_kdyck(k, n_up)) for k in (2, 3) for n_up in range(7))
+    assert len(calls) == sum(rule_calls("kdyck", 6, {"k": k}, downrun_value) for k in (2, 3))
+    assert totals == [sum(len(gen_kdyck(k, n_up)) for n_up in range(7)) for k in (2, 3)]
+
+
+# ----------------------------------------------------------------------
+# reach: the DP totals against the closed forms, beyond enumeration
+# ----------------------------------------------------------------------
+
+def test_motzkin_height_totals_are_the_motzkin_numbers_to_60():
+    dists = tally("motzkin", 60, "height")
+    assert [d.total() for d in dists] == motzkin_numbers(60)
+    assert dists[60][0] == 1 and max(dists[60]) == 30
+
+
+def test_skew_height_totals_equal_the_closed_form_to_60():
+    for j in range(4):
+        dists = tally("skew", 60, "height", end_level=j)
+        assert [d.total() for d in dists] == [skew_sj_coeff(n, j) for n in range(61)], j
+
+
+def test_a_walk_deeper_than_the_recursion_limit():
+    top = 1200
+    assert top > sys.getrecursionlimit()
+    dists = tally("motzkin", top, "height", max_height=1)
+    sizes = [*range(0, top, 50), top - 1, top]
+    assert [dists[n].total() for n in sizes] == [motzkin_bounded_coeff(n, 1) for n in sizes]
+    assert dists[top][0] == 1
 
 
 def test_check_hoppy_keeps_no_path_values_after_it_returns():
@@ -406,12 +462,50 @@ def without_vacuous_end_levels(out, budget):
                    if not any(f"end-level {j}:" in line for j in range(top + 1, 4)))
 
 
-@pytest.mark.parametrize("family", sorted(OLD_BODIES))
+def run_list_tallies(argv, monkeypatch, capsys):
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "tally_paths", old_paths_tally)
+        patch.setattr(cli, "tally_trees", old_trees_tally)
+        assert cli.main(argv) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("family", sorted(OLD_BODIES) + ["horton", "ternary"])
 def test_check_stdout_matches_per_path_body(family, computed_once, monkeypatch, capsys):
+    # and the list tallies, the tree one for horton and ternary
     for budget in range(1, 13):
         argv = ["check", "--family", family, "--max", str(budget)]
-        got, old = run_both(family, argv, monkeypatch, capsys)
-        assert got == without_vacuous_end_levels(old, budget), budget
+        if family in OLD_BODIES:
+            got, old = run_both(family, argv, monkeypatch, capsys)
+            assert got == without_vacuous_end_levels(old, budget), budget
+        else:
+            assert cli.main(argv) == 0
+            got = capsys.readouterr().out
+        assert got == run_list_tallies(argv, monkeypatch, capsys), budget
+
+
+def test_every_tally_a_check_reads_equals_the_list_tally(monkeypatch, capsys):
+    read = {"tally_paths": set(), "tally_trees": set()}
+    for name, calls in read.items():
+        def recorded(*args, calls=calls, tally=getattr(cli, name), **params):
+            calls.add((args, tuple(sorted(params.items()))))
+            return tally(*args, **params)
+        monkeypatch.setattr(cli, name, recorded)
+    argvs = [["check", "--family", family, "--max", str(budget)]
+             for family in cli.CHECKS for budget in range(1, 13)]
+    argvs += [["check", "--family", "deutsch-strip", "--m", str(m)] for m in range(1, 7)]
+    for argv in argvs:
+        assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert {args[0] for args, _ in read["tally_paths"]} == {"kdyck", "motzkin", "deutsch",
+                                                            "retakh"}
+    assert {args[:3] for args, _ in read["tally_trees"]} == {
+        *(("unary_binary", top, "reg") for top in range(1, 10)),
+        *(("ternary", top, "middle_edges") for top in range(1, 8))}
+    for args, params in read["tally_paths"]:
+        assert tally(*args, **dict(params)) == old_paths_tally(*args, **dict(params)), args
+    for args, _ in read["tally_trees"]:
+        assert trees_tally(*args) == old_trees_tally(*args), args
 
 
 def test_check_deutsch_stdout_matches_per_path_body_at_every_width(computed_once, monkeypatch,

@@ -249,12 +249,13 @@ def test_tree_statistics_property(case):
 
 
 # ----------------------------------------------------------------------
-# the brute route classifies each enumerated object once
+# the brute route classifies each production's distinct child values once
 # ----------------------------------------------------------------------
 
-def test_check_horton_calls_reg_once_per_enumerated_tree(monkeypatch, capsys):
-    # the tally applies the register rule once per non-empty tree, to the
-    # node's head and its children's values, never recursing into a child
+def test_check_horton_calls_reg_once_per_production_and_distinct_child_values(monkeypatch,
+                                                                             capsys):
+    # the tally applies the register rule once per production of a size and
+    # choice of distinct child values, never recursing into a child
     calls = Counter()
     rule = trees._REG["unary_binary"]
 
@@ -262,12 +263,28 @@ def test_check_horton_calls_reg_once_per_enumerated_tree(monkeypatch, capsys):
         calls[head[0]] += 1
         return rule(head, kids)
 
+    totals = []
+
+    def totalled(*args):
+        dists = trees.tally(*args)
+        totals.append([d.total() for d in dists])
+        return dists
+
     monkeypatch.setitem(trees._REG, "unary_binary", counting_rule)
+    monkeypatch.setattr(cli, "tally_trees", totalled)
     assert cli.main(["check", "--family", "horton"]) == 0
     capsys.readouterr()
-    total = sum(unary_binary_count(n, a) for a in range(3) for n in range(1, 10))
-    assert sum(calls.values()) == total
-    assert set(calls) == {"2", "u"}
+    want = Counter()
+    for a in range(3):
+        # the distinct register numbers of each size, from the trees themselves
+        regs = [len({ref_reg(t, "unary_binary") for t in gen_unary_binary(n, a)})
+                for n in range(9)]
+        for n in range(1, 10):
+            want["2"] += sum(regs[i] * regs[n - 1 - i] for i in range(n))
+            want["u"] += a * regs[n - 1] if n > 1 else 0
+    assert calls == want
+    # the counts still total the trees
+    assert totals == [[unary_binary_count(n, a) for n in range(10)] for a in range(3)]
 
 
 def test_check_deutsch_solves_the_band_system_once_per_start_level(monkeypatch, capsys):

@@ -3,12 +3,13 @@ and statistics on small exhaustive sets.
 
 All seven tree families are declared once as productions.  One cached
 evaluator builds their trees (`gen_*`); for the node families `tally`
-computes one node rule's values without building them, and `reg` /
-`tree_stats` / `tree_size` fold the same rules over one tree.  The list
-builders (node families and the hand-written ordered, marked and multi-edge
-generators), the per-family streamed generators, the build-and-fold tally
-and the recursive statistics they replaced stay below as oracles, and so do
-the per-object bodies of `check --family horton` and `check --family ternary`.
+counts one node rule's values per size, value -> number of trees, without
+building them, and `reg` / `tree_stats` / `tree_size` fold the same rules
+over one tree.  The list builders (node families and the hand-written
+ordered, marked and multi-edge generators), the per-family streamed
+generators, the build-and-fold tally, the list tally (`old_tallies`) and the
+recursive statistics they replaced stay below as oracles, and so do the
+per-object bodies of `check --family horton` and `check --family ternary`.
 """
 
 import math
@@ -17,7 +18,7 @@ import subprocess
 import sys
 from collections import Counter
 from functools import lru_cache
-from itertools import repeat
+from itertools import product, repeat
 from pathlib import Path
 
 import pytest
@@ -48,6 +49,7 @@ from latticepaths.trees import (
     tree_size,
     tree_stats,
 )
+from old_tallies import old_trees_tally
 
 SRC = Path(latticepaths.__file__).resolve().parents[1]
 
@@ -121,16 +123,17 @@ def test_size_zero():
 
 
 def test_negative_colour_count_is_rejected():
+    # size 0 reads no production, so the count is checked before it
     message = "number of extra unary colours a must be >= 0"
-    for a in (-1, -2):
+    for n, a in product((0, 1, 3), (-1, -2)):
         with pytest.raises(ValueError, match=message):
-            gen_unary_binary(3, a)
+            gen_unary_binary(n, a)
         with pytest.raises(ValueError, match=message):
-            tally("unary_binary", 3, "reg", a)
+            tally("unary_binary", n, "reg", a)
         with pytest.raises(ValueError, match=message):
-            tally("unary_binary", 4, "leaves", a)
+            tally("unary_binary", n + 1, "leaves", a)
         with pytest.raises(ValueError, match=message):
-            unary_binary_count(3, a)
+            unary_binary_count(n, a)
 
 
 # ----------------------------------------------------------------------
@@ -731,14 +734,19 @@ def test_register_tally_matches_old_helper_on_unary_binary_trees(a):
     ("unary_binary", 8, 3),
 ])
 def test_tally_matches_the_build_and_fold_tally(family, top, a):
+    # and the list tally, statistic by statistic
     try:
         if family != "ternary":
-            assert tally(family, top, "reg", a) == old_tally(family, top, "reg", a)
+            got = tally(family, top, "reg", a)
+            assert got == old_tally(family, top, "reg", a)
+            assert got == old_trees_tally(family, top, "reg", a)
         want = old_tally(family, top, "stats", a)
     finally:
         clear_old_levels()
     for field in STAT_FIELDS:
-        assert tally(family, top, field, a) == [marginal(d, field) for d in want], field
+        got = tally(family, top, field, a)
+        assert got == [marginal(d, field) for d in want], field
+        assert got == old_trees_tally(family, top, field, a), field
 
 
 def test_middle_edge_tally_matches_tree_stats_on_ternary_trees():
@@ -759,9 +767,21 @@ def test_tally_property(family, top, a, stat):
             tally(family, top, stat, a)
         return
     dists = tally(family, top, stat, a)
+    assert dists == old_trees_tally(family, top, stat, a)
     for n in range(top + 1):
         assert dists[n] == Counter(old_stat(t, family, stat)
                                    for t in OLD_BUILDERS[family](n, a)), n
+
+
+@pytest.mark.parametrize("a", range(3))
+def test_register_tally_reaches_size_60(a):
+    top = 60
+    dists = tally("unary_binary", top, "reg", a)
+    assert [d.total() for d in dists] == [unary_binary_count(n, a) for n in range(top + 1)]
+    for p in range(1, 4):
+        layer = horton_Rp(p, a, top)
+        assert [d[p] for d in dists] == [cli._coeff_value(layer.coeff(n))
+                                         for n in range(top + 1)], p
 
 
 def test_tally_rejects_families_and_statistics_it_cannot_build():

@@ -10,12 +10,13 @@ Paths are tuples of step tokens:
     Dr  down-jump by r (D1, D2, ...), bounded-jump model
 
 Each family is declared once, as a move rule and the bounds of its walk, and
-the declaration is evaluated in two algebras.  In the path algebra (`gen_*`)
-the depth-first walker `_walk` lists the paths of one size as tuples, so the
-i-th path of a family is reproducible.  In a value algebra (`tally`) a path
-is a step rule's value, rule(step, level, value of its suffix), and a walk
-state holds value -> number of suffixes, so equal values merge and no path
-is built.  `path_stats` reads one built path, as the oracle of the step rules.
+one evaluator, `_evaluate`, reads the declaration in any value algebra: a
+path's value is rule(step, level, value of its suffix), and a walk state
+holds value -> number of suffixes, so equal values merge.  In a statistic's
+algebra (`tally`) no path is built.  In the path algebra (`gen_*`) a path's
+value is the path itself, so each count is 1 and the paths come out in move
+order: the i-th path of a family is reproducible.  `path_stats` reads one
+built path, as the oracle of the step rules.
 """
 
 from __future__ import annotations
@@ -58,42 +59,12 @@ def _windows(n_steps, start=0, end_level=0, floor=0, ceiling=None, rise=1, fall=
             for left in range(n_steps)]
 
 
-def _walk(n_steps, moves, start=0, end_level=0, floor=0, ceiling=None, rise=1, fall=1):
-    """Every path of n_steps steps from start to end_level, depth first.
-
-    moves(prev, level) gives the (token, delta) pairs allowed after token prev
-    (None first) at level.  rise and fall bound one step's climb and drop, so a
-    step enters a level only if end_level stays reachable inside [floor, ceiling].
-    """
-    windows = _windows(n_steps, start, end_level, floor, ceiling, rise, fall)
-    if windows is None:
-        return []
-    if n_steps == 0:
-        return [()]
-    out = []
-    prefix = []
-
-    def rec(left, level, prev):
-        left -= 1
-        low, high = windows[left]
-        for tok, delta in moves(prev, level):
-            nl = level + delta
-            if low <= nl <= high:
-                prefix.append(tok)
-                if left:
-                    rec(left, nl, tok)
-                else:
-                    out.append(tuple(prefix))
-                prefix.pop()
-
-    rec(n_steps, start, None)
-    return out
-
-
 # Per family, the walk of one size: (steps, moves(prev, level), whether the
-# moves read prev, the bounds of `_walk`).
+# moves read prev, the bounds of `_windows`).
 
 def _kdyck(n_up, k, end_level=0, floor=0):
+    if k < 1:
+        raise ValueError("rise height k must be >= 1")
     steps = (("U", k), ("d", -1))
     return ((k + 1) * n_up - end_level, lambda prev, level: steps, False,
             {"end_level": end_level, "floor": floor, "rise": k})
@@ -112,6 +83,8 @@ def _dual_skew(n_steps, end_level=0):
 
 
 def _motzkin(n_steps, horiz_colors=1, max_height=None, end_level=0):
+    if horiz_colors < 0:
+        raise ValueError("horiz_colors must be >= 0")
     steps = (("U", 1), *((f"H{c}", 0) for c in range(horiz_colors)), ("d", -1))
     return (n_steps, lambda prev, level: steps, False,
             {"end_level": end_level, "ceiling": max_height})
@@ -135,9 +108,53 @@ _FAMILIES = {"kdyck": _kdyck, "skew": _skew, "dual_skew": _dual_skew,
              "motzkin": _motzkin, "deutsch": _deutsch, "retakh": _retakh}
 
 
+def _evaluate(family, sizes, params, rule, empty) -> list:
+    """Per size of sizes (ascending), value -> number of paths of that size.
+
+    A path's value is rule(step, level, value of its suffix) and empty(e)
+    that of the empty suffix at end level e.  Each walk state (steps left,
+    level, and the previous token where the moves read it) holds value ->
+    number of suffixes, each move mapping the entered state's values through
+    the rule once, so equal values merge.  The states are filled from a
+    stack, not by recursion, so a walk may outrun the recursion limit.
+    """
+    walks = [_FAMILIES[family](size, **params) for size in sizes]
+    if not walks:
+        return []
+    # the walk of the largest size serves every size: no smaller one takes a step it lacks
+    most, moves, keyed, bounds = walks[-1]
+    windows = _windows(most, **bounds) or []
+    start, end, memo = bounds.get("start", 0), bounds.get("end_level", 0), {}
+    base = {empty(end): 1}
+    firsts = [(n_steps, start, None) for n_steps, *_ in walks]
+    # an end out of reach leaves no first step inside a window (and no windows at
+    # all when even the largest size cannot reach it); an empty walk must start at the end
+    stack = [first for first in firsts if 0 < first[0] <= len(windows) or first == (0, end, None)]
+    while stack:
+        left, level, prev = key = stack.pop()
+        if key in memo or not left:
+            memo.setdefault(key, base)
+            continue
+        low, high = windows[left - 1]
+        entered = [(tok, (left - 1, level + delta, tok if keyed else None))
+                   for tok, delta in moves(prev, level) if low <= level + delta <= high]
+        below = [after for _, after in entered if after not in memo]
+        if below:
+            stack += [key, *below]
+            continue
+        dist = memo[key] = {}
+        for tok, after in entered:
+            for value, count in memo[after].items():
+                value = rule(tok, level, value)
+                dist[value] = dist.get(value, 0) + count
+    return [memo.get(first, {}) for first in firsts]
+
+
 def _paths(family, size, **params) -> list:
-    n_steps, moves, _, bounds = _FAMILIES[family](size, **params)
-    return _walk(n_steps, moves, **bounds)
+    """The paths of one size, in move order: each path is its own value."""
+    [dist] = _evaluate(family, [size], params, lambda tok, level, rest: (tok,) + rest,
+                       lambda end: ())
+    return list(dist)
 
 
 def gen_kdyck(k: int, n_up: int, end_level: int = 0, floor: int = 0,
@@ -224,53 +241,16 @@ def tally(family: str, top: int, stat: str, **params) -> list:
 
     Sizes and params are those of `gen_<family>`, bar `require_last_up`.  stat
     is "height", "amplitude", "last_downrun_len" (as in `path_stats`) or
-    "peak_count".  The family's move rule is evaluated in the statistic's
-    value algebra: a path's value is rule(step, level, value of its suffix).
-    Each walk state (steps left, level, and the previous token where the
-    moves read it) holds value -> number of suffixes, each move mapping the
-    entered state's values through the rule once, so equal values merge and
-    no path is built.
+    "peak_count".  `_evaluate` reads the family's walk in the statistic's
+    value algebra, so equal values merge and no path is built.
     """
     if family not in _FAMILIES or stat not in _STEP_RULES:
         raise ValueError(f"no tally of {stat!r} over {family!r} paths")
     rule, empty, finish = _STEP_RULES[stat]
-    walks = [_FAMILIES[family](size, **params) for size in range(top + 1)]
-    if not walks:
-        return []
-    # the walk of size top serves every size: no smaller one takes a step it lacks
-    most, moves, keyed, bounds = walks[-1]
-    windows = _windows(most, **bounds) or []
-    start, end, memo = bounds.get("start", 0), bounds.get("end_level", 0), {}
-    base = Counter([empty(end)])
-
-    def counted(state):
-        """value -> number of suffixes from a state, from a stack, not recursion."""
-        stack = [state]
-        while stack:
-            left, level, prev = key = stack.pop()
-            if key in memo or not left:
-                memo.setdefault(key, base)
-                continue
-            low, high = windows[left - 1]
-            entered = [(tok, (left - 1, level + delta, tok if keyed else None))
-                       for tok, delta in moves(prev, level) if low <= level + delta <= high]
-            below = [after for _, after in entered if after not in memo]
-            if below:
-                stack += [key, *below]
-                continue
-            dist = memo[key] = Counter()
-            for tok, after in entered:
-                for value, count in memo[after].items():
-                    dist[rule(tok, level, value)] += count
-        return memo[state]
-
-    dists = [Counter() for _ in walks]
-    for dist, (n_steps, *_) in zip(dists, walks):
-        # an end out of reach leaves no first step inside a window (and no windows at
-        # all when even size top cannot reach it); an empty walk must start at the end
-        if 0 < n_steps <= len(windows) or n_steps == 0 and start == end:
-            for value, count in counted((n_steps, start, None)).items():
-                dist[value if finish is None else finish(value)] += count
+    dists = [Counter() for _ in range(top + 1)]
+    for dist, values in zip(dists, _evaluate(family, range(top + 1), params, rule, empty)):
+        for value, count in values.items():
+            dist[value if finish is None else finish(value)] += count
     return dists
 
 

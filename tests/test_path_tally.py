@@ -1,4 +1,4 @@
-"""Path statistics tallied over the walker's shared suffixes.
+"""Path statistics tallied over the walk's shared suffixes.
 
 `paths.tally` evaluates a family's move rule in a statistic's value algebra:
 a path's value is a step rule's value on its first step, that step's level

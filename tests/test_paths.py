@@ -16,6 +16,7 @@ from latticepaths.paths import (
     levels,
     path_stats,
     step_delta,
+    tally,
 )
 
 
@@ -80,6 +81,19 @@ def test_kdyck_require_last_up():
     assert got and all(p[-1] == "U" for p in got)
     everything = gen_kdyck(1, 3, end_level=1)
     assert len(got) == sum(1 for p in everything if p[-1] == "U")
+
+
+def test_bad_declaration_parameters_are_refused():
+    for k in (-1, 0):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            gen_kdyck(k, 2)
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            tally("kdyck", 3, "height", k=k)
+    with pytest.raises(ValueError, match="horiz_colors"):
+        gen_motzkin(2, horiz_colors=-1)
+    with pytest.raises(ValueError, match="horiz_colors"):
+        tally("motzkin", 3, "height", horiz_colors=-1)
+    assert gen_motzkin(2, horiz_colors=0) == [("U", "d")]
 
 
 def test_kdyck_enumeration_order_is_stable():

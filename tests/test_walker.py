@@ -1,11 +1,13 @@
-"""The shared path walker against the generators it replaced.
+"""The shared path evaluator against the generators it replaced.
 
-Every brute-force path generator is a move rule on `paths._walk`, and
-`trees.tree_size` reads a node's children from the per-family split.  The
-hand-written recursions they replaced are kept here as oracles: each
-generator must give the same paths in the same order on a grid that covers
-every constraint it takes.
+Every brute-force path generator is a move rule read by `paths._evaluate`
+in the path algebra, and `trees.tree_size` reads a node's children from the
+per-family split.  The hand-written recursions they replaced are kept here
+as oracles: each generator must give the same paths in the same order on a
+grid that covers every constraint it takes.
 """
+
+import sys
 
 import pytest
 
@@ -31,7 +33,7 @@ from latticepaths.trees import (
 
 
 # ----------------------------------------------------------------------
-# oracles: the recursions before the shared walker
+# oracles: the recursions the shared move rules replaced
 # ----------------------------------------------------------------------
 
 def old_kdyck(k, n_up, end_level=0, floor=0, require_last_up=False):
@@ -253,18 +255,26 @@ def test_retakh_matches_the_recursion():
         assert gen_retakh(m) == old_retakh(m), m
 
 
-def test_walker_reaches_only_live_levels():
-    # A dead prefix is never entered: every step is taken, so the walk calls
-    # the move rule once per node of the tree of live prefixes.
+def test_walker_reaches_only_live_levels(monkeypatch):
+    # A dead state is never entered: the evaluator calls the move rule only
+    # at live states (steps left, level), in both the path and a value algebra.
     calls = []
 
     def moves(prev, level):
         calls.append(level)
         return (("U", 1), ("d", -1))
 
-    got = paths._walk(6, moves)
-    assert len(got) == 5
+    monkeypatch.setitem(paths._FAMILIES, "counting", lambda n_steps: (n_steps, moves, False, {}))
+    assert len(paths._paths("counting", 6)) == 5
     assert max(calls) <= 3  # from level 4 the path cannot return in time
+    calls.clear()
+    assert paths.tally("counting", 6, "height")[6] == {1: 1, 2: 3, 3: 1}
+    assert max(calls) <= 3
+
+
+def test_paths_longer_than_the_recursion_limit():
+    assert 1200 > sys.getrecursionlimit()
+    assert gen_motzkin(1200, max_height=0) == [("H0",) * 1200]
 
 
 # ----------------------------------------------------------------------

@@ -13,11 +13,19 @@ Tree encodings follow the generator modules: a multiedge tree is a tuple of
 ``(multiplicity, child)`` pairs, a marked tree a tuple of ``(mark, child)``
 pairs, and a unary-binary tree is ``None`` or ``('2', left, right)`` or
 ``('u', color, child)``.
+
+Both path encoders read one walk around the tree, `_walk`, and both path
+decoders one parse of a Dyck word into labelled edges, `_parse`.  The
+rotation both ways, the mark rule of a decoded marked tree and
+`tree_to_str` are node rules folded bottom-up by `trees._fold`.  All of
+them keep an explicit stack, so no tree is too deep for them.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, List, Sequence, Tuple
+
+from .trees import _CHILDREN, _fold
 
 MultiedgeTree = Tuple  # nested tuples of (multiplicity, child)
 MarkedTree = Tuple  # nested tuples of (mark, child)
@@ -26,14 +34,45 @@ _PAIR_CODE = {("U", "U"): "U", ("d", "d"): "d", ("U", "d"): "H0", ("d", "U"): "H
 _CODE_PAIR = {v: k for k, v in _PAIR_CODE.items()}
 
 
-def _multiedge_walk(tree: MultiedgeTree, word: List[str], mults: List[int]) -> None:
-    # Pre-order: each edge contributes a descent now and an ascent after its
-    # subtree; multiplicities are recorded in the same pre-order.
-    for mult, child in tree:
-        mults.append(mult)
-        word.append("U")
-        _multiedge_walk(child, word, mults)
-        word.append("d")
+def _walk(tree, opening, closing) -> list:
+    """The tokens of a walk around the tree, edges in pre-order:
+    opening(label) down each edge and closing(label) back up it.  The
+    edges above are kept on an explicit stack instead of recursion."""
+    out, above, edges = [], [], iter(tree)
+    while True:
+        for label, child in edges:
+            out.append(opening(label))
+            if child:
+                above.append((edges, closing(label)))
+                edges = iter(child)
+                break
+            out.append(closing(label))
+        else:
+            if not above:
+                return out
+            edges, close = above.pop()
+            out.append(close)
+
+
+def _parse(word: Sequence[str], closings: Tuple[str, ...], label) -> tuple:
+    """The tree of a Dyck word whose rises are "U" and whose falls are the
+    tokens in closings, the inverse of `_walk`: the edge opened i-th and
+    closed by token c gets label(i, c).  The open edges are kept on an
+    explicit stack, each with its index and the siblings before it."""
+    above, edges, opened = [], [], 0
+    for tok in word:
+        if tok == "U":
+            above.append((opened, edges))
+            edges, opened = [], opened + 1
+        elif tok in closings and above:
+            index, siblings = above.pop()
+            siblings.append((label(index, tok), tuple(edges)))
+            edges = siblings
+        else:
+            raise ValueError("unbalanced path")
+    if above:
+        raise ValueError("unbalanced path")
+    return tuple(edges)
 
 
 def multiedge_to_3motzkin(tree: MultiedgeTree) -> Tuple[str, ...]:
@@ -47,14 +86,12 @@ def multiedge_to_3motzkin(tree: MultiedgeTree) -> Tuple[str, ...]:
     of H2 in gap i, where gap i sits before symbol i and the last gap is at
     the end of the path.  The result has length N - 1.
     """
-    word: List[str] = []
-    mults: List[int] = []
-    _multiedge_walk(tree, word, mults)
+    walk = _walk(tree, lambda mult: mult, lambda mult: "d")
+    mults = [tok for tok in walk if tok != "d"]
     if not mults:
         raise ValueError("the weight-0 tree has no path image")
-    inner = word[1:-1]
-    symbols = [_PAIR_CODE[(inner[2 * i], inner[2 * i + 1])]
-               for i in range(len(inner) // 2)]
+    inner = ["d" if tok == "d" else "U" for tok in walk[1:-1]]
+    symbols = [_PAIR_CODE[pair] for pair in zip(inner[::2], inner[1::2])]
     out: List[str] = []
     for i, mult in enumerate(mults):
         out.extend(["H2"] * (mult - 1))
@@ -90,37 +127,8 @@ def motzkin3_to_multiedge(path: Sequence[str]) -> MultiedgeTree:
     for tok in symbols:
         word.extend(_CODE_PAIR[tok])
     word.append("d")
-    mults = [b + 1 for b in blues]
-    # Parse the Dyck word back into an edge skeleton, attaching pre-order
-    # multiplicities as we open each edge.
-    pos = 0
-    edge = 0
-
-    def parse_forest() -> MultiedgeTree:
-        nonlocal pos, edge
-        children = []
-        while pos < len(word) and word[pos] == "U":
-            mult = mults[edge]
-            edge += 1
-            pos += 1
-            sub = parse_forest()
-            if pos >= len(word) or word[pos] != "d":
-                raise ValueError("unbalanced skeleton")
-            pos += 1
-            children.append((mult, sub))
-        return tuple(children)
-
-    tree = parse_forest()
-    if pos != len(word):
-        raise ValueError("unbalanced skeleton")
-    return tree
-
-
-def _marked_walk(tree: MarkedTree, out: List[str]) -> None:
-    for mark, child in tree:
-        out.append("U")
-        _marked_walk(child, out)
-        out.append("r" if mark else "d")
+    # the edge opened i-th carries the i-th multiplicity, pre-order
+    return _parse(word, ("d",), lambda index, tok: blues[index] + 1)
 
 
 def marked_to_skew(tree: MarkedTree) -> Tuple[str, ...]:
@@ -131,40 +139,33 @@ def marked_to_skew(tree: MarkedTree) -> Tuple[str, ...]:
     child is internal, so the red fall is never adjacent to a rise and the
     image is a legal skew path ending at level 0.
     """
-    out: List[str] = []
-    _marked_walk(tree, out)
-    return tuple(out)
+    return tuple(_walk(tree, lambda mark: "U", lambda mark: "r" if mark else "d"))
+
+
+def _check_marks(node, kids) -> None:
+    """Node rule of a decoded marked tree: a mark only on its last edge,
+    and only over an internal child."""
+    if node and (node[-1][0] and not node[-1][1] or any([mark for mark, _ in node[:-1]])):
+        raise ValueError("mark not on a last edge with internal child")
 
 
 def skew_to_marked(path: Sequence[str]) -> MarkedTree:
     """Inverse of :func:`marked_to_skew`; rejects ill-formed inputs."""
-    pos = 0
-
-    def parse_forest() -> MarkedTree:
-        nonlocal pos
-        children = []
-        while pos < len(path) and path[pos] == "U":
-            pos += 1
-            sub = parse_forest()
-            if pos >= len(path) or path[pos] not in ("d", "r"):
-                raise ValueError("unbalanced path")
-            mark = 1 if path[pos] == "r" else 0
-            pos += 1
-            children.append((mark, sub))
-        return tuple(children)
-
-    tree = parse_forest()
-    if pos != len(path):
-        raise ValueError("unbalanced path")
-
-    def check(t: MarkedTree) -> None:
-        for i, (mark, child) in enumerate(t):
-            if mark and (i != len(t) - 1 or child == ()):
-                raise ValueError("mark not on a last edge with internal child")
-            check(child)
-
-    check(tree)
+    tree = _parse(path, ("d", "r"), lambda index, tok: int(tok == "r"))
+    _fold(_CHILDREN["marked"], _check_marks, None, tree)
     return tree
+
+
+def _rotate_node(node, kids):
+    """Node rule of the rotation: the edges of a multiedge node, given the
+    rotations of their children (a list the rule may use up), become a right
+    chain of binary nodes, the edge of multiplicity m under m - 1 unary nodes."""
+    out = None
+    for mult, _ in reversed(node):
+        out = ("2", kids.pop(), out)
+        for _ in range(mult - 1):
+            out = ("u", 0, out)
+    return out
 
 
 def rotation_multiedge_to_unarybinary(tree: MultiedgeTree):
@@ -176,59 +177,48 @@ def rotation_multiedge_to_unarybinary(tree: MultiedgeTree):
     """
     if not tree:
         raise ValueError("the weight-0 tree has no rotation image")
-    return _rotate(tree)
+    return _fold(_CHILDREN["multiedge"], _rotate_node, None, tree)
 
 
-def _rotate(pairs: MultiedgeTree):
-    if not pairs:
-        return None
-    mult, child = pairs[0]
-    node = ("2", _rotate(child), _rotate(pairs[1:]))
-    for _ in range(mult - 1):
-        node = ("u", 0, node)
-    return node
+def _unrotate_node(node, kids) -> MultiedgeTree:
+    """Node rule of the inverse rotation: a node's value is the multiedge
+    forest of its first edge and that edge's next siblings.  A binary node
+    opens an edge of multiplicity 1, a unary node adds 1 to it."""
+    if node[0] == "2":
+        left, right = kids
+        return ((1, left),) + right
+    if node[1] != 0:
+        raise ValueError("rotation images use flat color 0 only")
+    [(mult, child), *rest] = kids[0]
+    return ((mult + 1, child), *rest)
 
 
 def rotation_unarybinary_to_multiedge(tree) -> MultiedgeTree:
     """Inverse rotation; accepts any unary-binary tree with color-0 flats."""
     if tree is None:
         raise ValueError("the empty tree has no rotation preimage")
-    return _unrotate(tree)
+    return _fold(_CHILDREN["unary_binary"], _unrotate_node, (), tree)
 
 
-def _unrotate(node) -> MultiedgeTree:
-    if node is None:
-        return ()
-    mult = 1
-    while node[0] == "u":
-        if node[1] != 0:
-            raise ValueError("rotation images use flat color 0 only")
-        mult += 1
-        node = node[2]
-    _, left, right = node
-    return ((mult, _unrotate(left)),) + _unrotate(right)
+# Per family, the node rule of its rendering and the rendering of the empty
+# tree.  An ordered tree renders as its edges, so a leaf is "", and a tree
+# that is one leaf "()".
+_RENDER = {
+    "multiedge": (lambda node, kids: "".join(
+        f"({mult}:{kid})" if kid else f"({mult})" for (mult, _), kid in zip(node, kids)), None),
+    "marked": (lambda node, kids: "".join(
+        ("*" if mark else "") + f"({kid})" for (mark, _), kid in zip(node, kids)), None),
+    "unary_binary": (lambda node, kids: f"u{node[1]}[{kids[0]}]" if node[0] == "u"
+                     else f"({kids[0]},{kids[1]})", "."),
+}
 
 
 def tree_to_str(tree, family: str) -> str:
     """Compact one-line rendering used by the pairing tables."""
-    if family == "multiedge":
-        if not tree:
-            return "()"
-        return "".join(f"({m}:{tree_to_str(c, family)})" if c else f"({m})"
-                       for m, c in tree)
-    if family == "marked":
-        if not tree:
-            return "()"
-        return "".join(
-            ("*" if mark else "") + (f"({tree_to_str(c, family)})" if c else "()")
-            for mark, c in tree)
-    if family == "unary_binary":
-        if tree is None:
-            return "."
-        if tree[0] == "u":
-            return f"u{tree[1]}[{tree_to_str(tree[2], family)}]"
-        return f"({tree_to_str(tree[1], family)},{tree_to_str(tree[2], family)})"
-    raise ValueError(f"unknown family {family!r}")
+    if family not in _RENDER:
+        raise ValueError(f"unknown family {family!r}")
+    rule, empty = _RENDER[family]
+    return _fold(_CHILDREN[family], rule, empty, tree) or "()"
 
 
 def path_to_str(path: Iterable[str]) -> str:

@@ -321,53 +321,39 @@ def _edge_count(tree) -> int:
     return sum(1 + _edge_count(sub) for _, sub in tree)
 
 
+def _bijection_ok(sizes, domain, forward, backward, kept, codomain) -> bool:
+    """Whether, for each n of sizes, forward maps domain(n) onto the set
+    codomain(n), backward undoes it, and kept(n, object, image) holds."""
+    ok = True
+    for n in sizes:
+        images = set()
+        for t in domain(n):
+            image = forward(t)
+            if backward(image) != t or not kept(n, t, image):
+                ok = False
+            images.add(image)
+        if images != codomain(n):
+            ok = False
+    return ok
+
+
 def _check_bijections(budget: int) -> List[CheckResult]:
-    out = []
-    wtop = min(budget, 6)
-    ok = True
-    for w in range(1, wtop + 1):
-        trees = gen_multiedge(w)
-        images = set()
-        for t in trees:
-            p = multiedge_to_3motzkin(t)
-            if motzkin3_to_multiedge(p) != t:
-                ok = False
-            if sum(1 for s in p if s == "H2") != w - _edge_count(t):
-                ok = False
-            images.add(p)
-        codomain = {tuple(p) for p in gen_motzkin(w - 1, horiz_colors=3)}
-        if images != codomain:
-            ok = False
-    out.append((ok, f"multi-edge <-> 3-Motzkin: round trip, statistics, sets, weight <= {wtop}"))
-    ntop = min(budget + 1, 7)
-    ok = True
-    for n in range(1, ntop + 1):
-        trees = gen_marked(n)
-        images = set()
-        for t in trees:
-            p = marked_to_skew(t)
-            if skew_to_marked(p) != t:
-                ok = False
-            if sum(1 for s in p if s == "r") != tree_stats(t, "marked")["mark_count"]:
-                ok = False
-            images.add(p)
-        codomain = {tuple(p) for p in gen_skew(2 * (n - 1))}
-        if images != codomain:
-            ok = False
-    out.append((ok, f"marked <-> skew: round trip, marks = red steps, sets, nodes <= {ntop}"))
-    ok = True
-    for w in range(1, wtop + 1):
-        trees = gen_multiedge(w)
-        images = set()
-        for t in trees:
-            u = rotation_multiedge_to_unarybinary(t)
-            if rotation_unarybinary_to_multiedge(u) != t:
-                ok = False
-            images.add(u)
-        if images != set(gen_unary_binary(w, 1)):
-            ok = False
-    out.append((ok, f"rotation multi-edge <-> unary-binary: round trip and sets, weight <= {wtop}"))
-    return out
+    wtop, ntop = min(budget, 6), min(budget + 1, 7)
+    weights = range(1, wtop + 1)
+    return [
+        (_bijection_ok(weights, gen_multiedge, multiedge_to_3motzkin, motzkin3_to_multiedge,
+                       lambda w, t, p: p.count("H2") == w - _edge_count(t),
+                       lambda w: set(gen_motzkin(w - 1, horiz_colors=3))),
+         f"multi-edge <-> 3-Motzkin: round trip, statistics, sets, weight <= {wtop}"),
+        (_bijection_ok(range(1, ntop + 1), gen_marked, marked_to_skew, skew_to_marked,
+                       lambda n, t, p: p.count("r") == tree_stats(t, "marked")["mark_count"],
+                       lambda n: set(gen_skew(2 * (n - 1)))),
+         f"marked <-> skew: round trip, marks = red steps, sets, nodes <= {ntop}"),
+        (_bijection_ok(weights, gen_multiedge, rotation_multiedge_to_unarybinary,
+                       rotation_unarybinary_to_multiedge, lambda w, t, u: True,
+                       lambda w: set(gen_unary_binary(w, 1))),
+         f"rotation multi-edge <-> unary-binary: round trip and sets, weight <= {wtop}"),
+    ]
 
 
 def _check_horton(budget: int) -> List[CheckResult]:

@@ -129,19 +129,22 @@ def _evaluate(family, sizes, params, rule, empty) -> list:
     firsts = [(n_steps, start, None) for n_steps, *_ in walks]
     # an end out of reach leaves no first step inside a window (and no windows at
     # all when even the largest size cannot reach it); an empty walk must start at the end
-    stack = [first for first in firsts if 0 < first[0] <= len(windows) or first == (0, end, None)]
+    stack = [(first, None) for first in firsts
+             if 0 < first[0] <= len(windows) or first == (0, end, None)]
     while stack:
-        left, level, prev = key = stack.pop()
-        if key in memo or not left:
-            memo.setdefault(key, base)
-            continue
-        low, high = windows[left - 1]
-        entered = [(tok, (left - 1, level + delta, tok if keyed else None))
-                   for tok, delta in moves(prev, level) if low <= level + delta <= high]
-        below = [after for _, after in entered if after not in memo]
-        if below:
-            stack += [key, *below]
-            continue
+        key, entered = stack.pop()
+        left, level, prev = key
+        if entered is None:
+            if key in memo or not left:
+                memo.setdefault(key, base)
+                continue
+            low, high = windows[left - 1]
+            entered = [(tok, (left - 1, level + delta, tok if keyed else None))
+                       for tok, delta in moves(prev, level) if low <= level + delta <= high]
+            below = [(after, None) for _, after in entered if after not in memo]
+            if below:  # wait under them, keeping the moves made
+                stack += [(key, entered), *below]
+                continue
         dist = memo[key] = {}
         for tok, after in entered:
             for value, count in memo[after].items():
@@ -248,7 +251,8 @@ def tally(family: str, top: int, stat: str, **params) -> list:
         raise ValueError(f"no tally of {stat!r} over {family!r} paths")
     rule, empty, finish = _STEP_RULES[stat]
     dists = [Counter() for _ in range(top + 1)]
-    for dist, values in zip(dists, _evaluate(family, range(top + 1), params, rule, empty)):
+    sizes = range(max(top, 0) + 1)  # a negative top still declares size 0, checking the params
+    for dist, values in zip(dists, _evaluate(family, sizes, params, rule, empty)):
         for value, count in values.items():
             dist[value if finish is None else finish(value)] += count
     return dists

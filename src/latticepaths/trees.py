@@ -30,9 +30,10 @@ the same rules over one tree, each node standing in for its own head.
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain, product, repeat
 from math import prod
+from operator import itemgetter
 
 
 def _colours(a: int) -> range:
@@ -134,7 +135,7 @@ _CHILDREN = {
     **dict.fromkeys(("binary", "ternary", "ordered"), lambda t: t),
     "unary_binary": lambda t: t[1:] if t[0] == "2" else t[2:],
     "hex": lambda t: t[1:],
-    **dict.fromkeys(("marked", "multiedge"), lambda t: [child for _, child in t]),
+    **dict.fromkeys(("marked", "multiedge"), partial(map, itemgetter(1))),
 }
 
 
@@ -155,6 +156,8 @@ def _fold(children, rule, empty, t):
         for kid in kids:
             if kid is None:
                 vals.append(empty)
+            elif not kid:  # a leaf of an edge-list tree, without children
+                vals.append(rule(kid, []))
             else:
                 stack.append((node, kids, vals))
                 node, kids, vals = kid, iter(children(kid)), []

@@ -146,6 +146,11 @@ def test_tally_rejects_what_it_cannot_count():
         tally("binary", 3, "height")
     with pytest.raises(ValueError):
         tally("motzkin", 3, "red_count")
+    # a negative top checks the params as any other top does
+    with pytest.raises(ValueError, match="rise height k must be >= 1"):
+        tally("kdyck", -1, "height", k=0)
+    with pytest.raises(ValueError, match="horiz_colors must be >= 0"):
+        tally("motzkin", -1, "height", horiz_colors=-1)
     assert tally("motzkin", -1, "height") == []
     assert tally("kdyck", 2, "height", k=2, end_level=9) == [Counter()] * 3
 

@@ -257,7 +257,8 @@ def test_retakh_matches_the_recursion():
 
 def test_walker_reaches_only_live_levels(monkeypatch):
     # A dead state is never entered: the evaluator calls the move rule only
-    # at live states (steps left, level), in both the path and a value algebra.
+    # at live states (steps left, level), in both the path and a value algebra,
+    # and once per state.
     calls = []
 
     def moves(prev, level):
@@ -267,9 +268,12 @@ def test_walker_reaches_only_live_levels(monkeypatch):
     monkeypatch.setitem(paths._FAMILIES, "counting", lambda n_steps: (n_steps, moves, False, {}))
     assert len(paths._paths("counting", 6)) == 5
     assert max(calls) <= 3  # from level 4 the path cannot return in time
+    assert len(calls) == 9  # (6, 0), (5, 1), (4, 0|2), (3, 1|3), (2, 0|2), (1, 1)
     calls.clear()
     assert paths.tally("counting", 6, "height")[6] == {1: 1, 2: 3, 3: 1}
     assert max(calls) <= 3
+    # sizes 0..6 enter every level from 0 to min(left, 6 - left) with left steps left
+    assert len(calls) == 15
 
 
 def test_paths_longer_than_the_recursion_limit():

@@ -86,17 +86,23 @@ def multiedge_to_3motzkin(tree: MultiedgeTree) -> Tuple[str, ...]:
     of H2 in gap i, where gap i sits before symbol i and the last gap is at
     the end of the path.  The result has length N - 1.
     """
-    walk = _walk(tree, lambda mult: mult, lambda mult: "d")
-    mults = [tok for tok in walk if tok != "d"]
+    mults: List[int] = []  # edge multiplicities in pre-order
+
+    def opening(mult):
+        mults.append(mult)
+        return "U"
+
+    word = _walk(tree, opening, lambda mult: "d")
     if not mults:
         raise ValueError("the weight-0 tree has no path image")
-    inner = ["d" if tok == "d" else "U" for tok in walk[1:-1]]
-    symbols = [_PAIR_CODE[pair] for pair in zip(inner[::2], inner[1::2])]
+    pairs = iter(word)
+    next(pairs)  # symbol i is the letter pair word[2i + 1], word[2i + 2]
     out: List[str] = []
-    for i, mult in enumerate(mults):
-        out.extend(["H2"] * (mult - 1))
-        if i < len(symbols):
-            out.append(symbols[i])
+    for mult, pair in zip(mults, zip(pairs, pairs)):
+        if mult > 1:
+            out += ["H2"] * (mult - 1)
+        out.append(_PAIR_CODE[pair])
+    out += ["H2"] * (mults[-1] - 1)
     return tuple(out)
 
 
@@ -180,24 +186,31 @@ def rotation_multiedge_to_unarybinary(tree: MultiedgeTree):
     return _fold(_CHILDREN["multiedge"], _rotate_node, None, tree)
 
 
-def _unrotate_node(node, kids) -> MultiedgeTree:
+def _unrotate_node(node, kids) -> list:
     """Node rule of the inverse rotation: a node's value is the multiedge
-    forest of its first edge and that edge's next siblings.  A binary node
+    forest of its first edge and that edge's next siblings, as a list in
+    reverse order, so that both steps take constant time.  A binary node
     opens an edge of multiplicity 1, a unary node adds 1 to it."""
     if node[0] == "2":
         left, right = kids
-        return ((1, left),) + right
+        forest = right or []  # the empty tree's value () is shared
+        forest.append((1, tuple(reversed(left))))
+        return forest
     if node[1] != 0:
         raise ValueError("rotation images use flat color 0 only")
-    [(mult, child), *rest] = kids[0]
-    return ((mult + 1, child), *rest)
+    forest = kids[0]
+    if not forest:
+        raise ValueError("a unary node needs a child")
+    mult, child = forest[-1]
+    forest[-1] = (mult + 1, child)
+    return forest
 
 
 def rotation_unarybinary_to_multiedge(tree) -> MultiedgeTree:
     """Inverse rotation; accepts any unary-binary tree with color-0 flats."""
     if tree is None:
         raise ValueError("the empty tree has no rotation preimage")
-    return _fold(_CHILDREN["unary_binary"], _unrotate_node, (), tree)
+    return tuple(reversed(_fold(_CHILDREN["unary_binary"], _unrotate_node, (), tree)))
 
 
 # Per family, the node rule of its rendering and the rendering of the empty

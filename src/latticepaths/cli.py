@@ -33,6 +33,7 @@ from .combinat import a002212_terms, motzkin_numbers
 from .paths import gen_dual_skew, gen_motzkin, gen_skew
 from .paths import tally as tally_paths
 from .pathseries import (
+    _deutsch_strip_solutions,
     amplitude_average,
     amplitude_coeff,
     amplitude_series,
@@ -40,7 +41,6 @@ from .pathseries import (
     deng_mansour_count,
     denom_Sj,
     deutsch_phi,
-    deutsch_strip_solve,
     dual_skew_Gj_series,
     dual_skew_coeff,
     hoppy_negative_coeff,
@@ -296,22 +296,19 @@ def _check_deutsch(budget: int, m: int = 5) -> List[CheckResult]:
         raise ValueError("strip width --m must be >= 1")
     out = []
     order = min(budget, 12)
-    ok = True
-    for t in range(m):
-        solved = deutsch_strip_solve(t, m, order)
-        for j in range(m):
-            closed = deutsch_phi(t, j, order, bound=m)
-            if not (closed - solved[j]).is_zero:
-                ok = False
+    closed = [[deutsch_phi(t, j, order, bound=m) for j in range(m)] for t in range(m)]
+    ok = all((phi - solved).is_zero
+             for row, solved_row in zip(closed, _deutsch_strip_solutions(m, order))
+             for phi, solved in zip(row, solved_row))
     out.append((ok, f"strip m={m}: kernel closed forms = band solve, order {order}"))
+    # the order-top closed forms are truncations of the order-`order` ones
     top = min(budget, 9)
     ok = True
     for t in range(min(m, 3)):
         for j in range(min(m, 3)):
-            closed = deutsch_phi(t, j, top, bound=m)
             dists = tally_paths("deutsch", top, "height", start=t, ceiling=m - 1, end_level=j)
             for n in range(top + 1):
-                if _coeff_value(closed.coeff(n)) != dists[n].total():
+                if _coeff_value(closed[t][j].coeff(n)) != dists[n].total():
                     ok = False
     out.append((ok, f"strip m={m}: closed forms = brute force, n <= {top}"))
     return out

@@ -719,6 +719,12 @@ def deutsch_strip_solve(t: int, m: int, order: int) -> List[PowerSeries]:
     """
     if not 0 <= t < m:
         raise ValueError("start level must lie inside the strip")
+    return _deutsch_strip_solutions(m, order)[t]
+
+
+def _deutsch_strip_solutions(m: int, order: int) -> List[List[PowerSeries]]:
+    """`deutsch_strip_solve(t, m, order)` for every start level t, from one
+    elimination of the band matrix with all m right-hand sides."""
     z = PowerSeries.identity("z", order)
     zero = PowerSeries.const("z", 0, order)
     one = PowerSeries.const("z", 1, order)
@@ -729,7 +735,7 @@ def deutsch_strip_solve(t: int, m: int, order: int) -> List[PowerSeries]:
             A[i][i - 1] = -z
         for k in range(i + 1, m):
             A[i][k] = -z
-    b = [one if i == t else zero for i in range(m)]
+    b = [[one if i == t else zero for t in range(m)] for i in range(m)]  # b[row][t]
     for col in range(m):
         inv = A[col][col].inverse()
         for row in range(col + 1, m):
@@ -738,11 +744,14 @@ def deutsch_strip_solve(t: int, m: int, order: int) -> List[PowerSeries]:
             f = A[row][col] * inv
             for k in range(col, m):
                 A[row][k] = A[row][k] - f * A[col][k]
-            b[row] = b[row] - f * b[col]
-    sol = [zero] * m
-    for row in range(m - 1, -1, -1):
-        acc = b[row]
-        for k in range(row + 1, m):
-            acc = acc - A[row][k] * sol[k]
-        sol[row] = acc / A[row][row]
-    return sol
+            b[row] = [x - f * y for x, y in zip(b[row], b[col])]
+    sols = []
+    for t in range(m):
+        sol = [zero] * m
+        for row in range(m - 1, -1, -1):
+            acc = b[row][t]
+            for k in range(row + 1, m):
+                acc = acc - A[row][k] * sol[k]
+            sol[row] = acc / A[row][row]
+        sols.append(sol)
+    return sols

@@ -6,16 +6,21 @@ coefficients.  That way bivariate generating functions never need a second
 series dimension.  Truncation order is explicit on every value and mixed-order
 arithmetic truncates to the shorter operand instead of inventing zeros.
 
-Every product of series or polynomials runs through one multiply-accumulate
-(`_mac`) into a plain dict per output coefficient, so no intermediate
-polynomial is built per pair of terms.
+Series whose coefficients are all marker-free run the arithmetic of
+`PowerSeries` (product, quotient, sum, negation, square root) and
+`Kernel.eval` on plain int/Fraction numbers, read by `_nums` and wrapped back
+by `_from_nums`.  Every other product of series or polynomials runs through
+one multiply-accumulate (`_mac`) into a plain dict per output coefficient, so
+no intermediate polynomial is built per pair of terms.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
+from operator import add, mul
 
-from .combinat import trinomial
+from .combinat import _half_row, trinomial
 
 
 def _mono(pairs) -> tuple:
@@ -262,6 +267,36 @@ _MP_ZERO = MarkerPoly()
 _MP_ONE = MarkerPoly.const(1)
 
 
+def _nums(s: "PowerSeries"):
+    """The coefficients of s as plain numbers when none of them carries a
+    marker, else None."""
+    out = []
+    for c in s.coeffs:
+        t = c.terms
+        if not t:
+            out.append(0)
+        elif len(t) == 1 and () in t:
+            out.append(t[()])
+        else:
+            return None
+    return out
+
+
+def _from_nums(var: str, nums, order: int) -> "PowerSeries":
+    """The series of plain numbers, each stored as `_poly` stores it."""
+    coeffs = []
+    for c in nums:
+        if c:
+            p = MarkerPoly.__new__(MarkerPoly)
+            p.terms = {(): c.numerator if type(c) is Fraction and c.denominator == 1 else c}
+            coeffs.append(p)
+        else:
+            coeffs.append(_MP_ZERO)
+    s = PowerSeries.__new__(PowerSeries)
+    s.var, s.order, s.coeffs = var, order, coeffs
+    return s
+
+
 class PowerSeries:
     """Series in one variable, truncated after the coefficient of var^order."""
 
@@ -335,11 +370,18 @@ class PowerSeries:
     def __add__(self, other):
         other = self._coerce_mate(other)
         n = min(self.order, other.order)
+        a = _nums(self)
+        b = a is not None and _nums(other)
+        if b:
+            return _from_nums(self.var, map(add, a, b), n)
         return PowerSeries(self.var, [self.coeffs[i] + other.coeffs[i] for i in range(n + 1)], n)
 
     __radd__ = __add__
 
     def __neg__(self):
+        a = _nums(self)
+        if a is not None:
+            return _from_nums(self.var, [-c for c in a], self.order)
         return PowerSeries(self.var, [-c for c in self.coeffs], self.order)
 
     def __sub__(self, other):
@@ -351,9 +393,25 @@ class PowerSeries:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, MarkerPoly)):
             m = MarkerPoly._coerce(other)
+            a = m.is_constant and _nums(self)
+            if a:
+                x = m.terms.get((), 0)
+                return _from_nums(self.var, [c * x for c in a], self.order)
             return PowerSeries(self.var, [c * m for c in self.coeffs], self.order)
         other = self._coerce_mate(other)
         n = min(self.order, other.order)
+        a = _nums(self)
+        b = a is not None and _nums(other)
+        if b:
+            # out += a_i * b shifted by i, over the sparser factor's nonzero terms
+            a, b = a[: n + 1], b[: n + 1]
+            if a.count(0) < b.count(0):
+                a, b = b, a
+            out = [0] * (n + 1)
+            for i, c in enumerate(a):
+                if c:
+                    out[i:] = map(add, out[i:], map(mul, repeat(c), b))
+            return _from_nums(self.var, out, n)
         a = [c.terms for c in self.coeffs[: n + 1]]
         b = [c.terms for c in other.coeffs[: n + 1]]
         nz = [i for i, t in enumerate(a) if t]
@@ -379,6 +437,21 @@ class PowerSeries:
         if isinstance(other, MarkerPoly):
             return self * (Fraction(1) / other.constant())
         other = self._coerce_mate(other)
+        n = min(self.order, other.order)
+        num = _nums(self)
+        den = num is not None and _nums(other)
+        if den and den[0]:
+            inv0 = _exact(Fraction(1, den[0]))
+            neg = [(i, -d) for i, d in enumerate(den[1: n + 1], 1) if d]
+            out = []
+            for k in range(n + 1):
+                acc = num[k]
+                for i, d in neg:
+                    if i > k:
+                        break
+                    acc += d * out[k - i]
+                out.append(acc * inv0 if inv0 != 1 else acc)
+            return _from_nums(self.var, out, n)
         c0 = other.coeffs[0]
         if not c0.is_constant or c0.is_zero:
             raise ZeroDivisionError(
@@ -387,7 +460,6 @@ class PowerSeries:
         inv0 = _exact(1 / c0.constant())
         # Long division: out_k = (num_k - sum_{1<=i<=k} den_i out_(k-i)) / den_0,
         # summed over the divisor's nonzero terms only.
-        n = min(self.order, other.order)
         neg = {i: {m: -c for m, c in other.coeffs[i].terms.items()}
                for i in range(1, n + 1) if other.coeffs[i].terms}
         out = []
@@ -431,6 +503,19 @@ class PowerSeries:
         """
         if self.coeffs[0] != _MP_ONE:
             raise ValueError("series sqrt requires constant term exactly 1")
+        p = _nums(self)
+        if p is not None:
+            nz = [(i, c) for i, c in enumerate(p) if i and c]
+            out = [1]
+            for n in range(1, self.order + 1):
+                acc = 0
+                for i, c in nz:
+                    if i > n:
+                        break
+                    acc += c * (3 * i - 2 * n) * out[n - i]
+                d = 2 * n
+                out.append(acc // d if type(acc) is int and not acc % d else Fraction(acc, d))
+            return _from_nums(self.var, out, self.order)
         nz = [(i, c.terms) for i, c in enumerate(self.coeffs) if i and c.terms]
         out = [_MP_ONE]
         for n in range(1, self.order + 1):
@@ -593,7 +678,24 @@ class Kernel:
 
         Equals expr.truncate(order).compose(v) for the inverse series v(var).
         """
-        f = [c.terms for c in expr.truncate(order).coeffs]
+        expr = expr.truncate(order)
+        f = _nums(expr)
+        if f is not None and isinstance(self.b, int):
+            # [var^m] v^k = T(m-1, m-k) - T(m-1, m-k-2), read from one half
+            # row per m: m - k never passes its centre m - 1
+            nz = [(k, c) for k, c in enumerate(f) if k and c]
+            out = [f[0]]
+            for m in range(1, order + 1):
+                row = _half_row(m - 1, self.b)
+                acc = 0
+                for k, c in nz:
+                    if k > m:
+                        break
+                    j = m - k
+                    acc += c * (row[j] - row[j - 2] if j > 1 else row[j])
+                out.append(acc)
+            return _from_nums(self.var, out, order)
+        f = [c.terms for c in expr.coeffs]
         nz = [k for k in range(1, order + 1) if f[k]]
         out = [_poly(f[0])]
         for m in range(1, order + 1):

@@ -472,6 +472,12 @@ def test_deep_multiedge_trees(tree, path, text, image):
     assert tree_to_str(rotation_unarybinary_to_multiedge(u), "multiedge") == text
 
 
+def test_rotation_round_trip_of_a_wide_star():
+    # copying the sibling forest at every edge would be quadratic in the leaves
+    star = ((1, ()),) * 8000
+    assert rotation_unarybinary_to_multiedge(rotation_multiedge_to_unarybinary(star)) == star
+
+
 @pytest.mark.parametrize("mark", [0, 1])
 def test_deep_marked_trees(mark):
     tree = chain(mark, bottom=0)  # a mark only over an internal child

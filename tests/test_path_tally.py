@@ -381,7 +381,7 @@ def old_check_deutsch(budget, m=5):
     order = min(budget, 12)
     ok = True
     for t in range(m):
-        solved = cli.deutsch_strip_solve(t, m, order)
+        solved = latticepaths.deutsch_strip_solve(t, m, order)
         for j in range(m):
             closed = cli.deutsch_phi(t, j, order, bound=m)
             if not (closed - solved[j]).is_zero:

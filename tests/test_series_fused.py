@@ -9,8 +9,13 @@ the fused results must equal them value for value and string for string.
 `sqrt` is now the P-recurrence of a square root.  The symmetric-pair
 convolution it replaced is kept below as a second oracle, next to the
 per-pair route.
+
+Marker-free series take a lane of plain numbers through the same
+arithmetic and `Kernel.eval`; it must give the oracles' results too, with
+the same coefficient types and the same errors.
 """
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -20,11 +25,13 @@ from hypothesis import strategies as st
 from latticepaths import pathseries, series as series_module, treeseries
 from latticepaths.series import (
     AlgebraicSubstitution,
+    Kernel,
     MarkerPoly,
     PowerSeries,
     _mac,
     _mono,
     _poly,
+    poly_substitution,
 )
 
 
@@ -82,6 +89,31 @@ def _ref_series_mul(self, other):
             if cj.terms:
                 out[i + j] = _ref_add(out[i + j], _ref_poly_mul(ci, cj))
     return PowerSeries(self.var, out, n)
+
+
+def _ref_series_add(self, other):
+    n = min(self.order, other.order)
+    return PowerSeries(self.var, [_ref_add(self.coeffs[i], other.coeffs[i])
+                                  for i in range(n + 1)], n)
+
+
+def _ref_series_pow(self, e):
+    base = _ref_inverse(self) if e < 0 else self
+    out = PowerSeries.const(self.var, 1, self.order)
+    for _ in range(abs(e)):
+        out = _ref_series_mul(out, base)
+    return out
+
+
+def _ref_eval(expr, b, order):
+    """expr(v) for the inverse series v of var = v/(1 + bv + v^2), composed
+    by Horner's rule on the per-pair route."""
+    v = poly_substitution("z", "v", [1, b, 1], order).invert(order)
+    out = PowerSeries.const("z", expr.coeffs[order], order)
+    for k in range(order - 1, -1, -1):
+        out = _ref_series_add(_ref_series_mul(out, v),
+                              PowerSeries.const("z", expr.coeffs[k], order))
+    return out
 
 
 def _ref_inverse(self):
@@ -316,8 +348,72 @@ def test_sqrt_of_a_quadratic_makes_linearly_many_products(monkeypatch):
         real(acc, p, q)
 
     monkeypatch.setattr(series_module, "_mac", counting)
-    PowerSeries("z", [1, -6, 5]).pad(400).sqrt()
+    PowerSeries("z", [1, -6, 5 * MarkerPoly.var("w")]).pad(400).sqrt()
     assert 400 <= len(calls) <= 2 * 400
+
+
+def series_lines(fn) -> int:
+    """The number of lines of series.py that fn() runs."""
+    lines = 0
+
+    def local(frame, event, arg):
+        nonlocal lines
+        lines += event == "line"
+        return local
+
+    def call(frame, event, arg):
+        return local if frame.f_code.co_filename == series_module.__file__ else None
+
+    outer = sys.gettrace()
+    sys.settrace(call)
+    try:
+        fn()
+    finally:
+        sys.settrace(outer)
+    return lines
+
+
+def test_sqrt_of_a_marker_free_quadratic_runs_linearly_many_lines():
+    # the number lane makes no `_mac` call; doubling the order doubles its
+    # lines, where a convolution would quadruple them
+    def lines(order):
+        return series_lines(PowerSeries("z", [1, -6, 5]).pad(order).sqrt)
+
+    small, large = lines(400), lines(800)
+    assert 400 <= small and large <= 2.1 * small
+
+
+@st.composite
+def plain_series(draw, max_order=7):
+    """A marker-free series: int and Fraction coefficients, zero or not."""
+    order = draw(st.integers(0, max_order))
+    return PowerSeries("z", [draw(st.one_of(st.just(0), coeffs)) for _ in range(order + 1)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(f=plain_series(), g=plain_series(), e=st.integers(-3, 4), b=st.integers(-3, 4))
+def test_marker_free_series_match_the_per_pair_route(f, g, e, b):
+    _assert_same_series(f * g, _ref_series_mul(f, g))
+    _assert_same_series(f * e, _ref_series_mul(f, e))
+    _assert_same_series(f + g, _ref_series_add(f, g))
+    _assert_same_series(f - g, _ref_series_add(f, _ref_series_mul(g, -1)))
+    _assert_same_series(-f, _ref_series_mul(f, -1))
+    _assert_same_series(Kernel(b).eval(f, f.order), _ref_eval(f, b, f.order))
+    if e >= 0:
+        _assert_same_series(f ** e, _ref_series_pow(f, e))
+    if g.coeffs[0]:
+        _assert_same_series(f / g, _ref_series_mul(f, _ref_inverse(g)))
+        _assert_same_series(g.inverse(), _ref_inverse(g))
+        _assert_same_series(g ** e, _ref_series_pow(g, e))
+    else:
+        for fn in (lambda: f / g, g.inverse, lambda: g ** -1):
+            with pytest.raises(ZeroDivisionError, match="nonzero marker-free constant"):
+                fn()
+    if f.coeffs[0] == 1:
+        _assert_same_series(f.sqrt(), _ref_sqrt(f))
+    else:
+        with pytest.raises(ValueError, match="constant term exactly 1"):
+            f.sqrt()
 
 
 @settings(max_examples=200, deadline=None)

@@ -287,18 +287,18 @@ def test_check_horton_calls_reg_once_per_production_and_distinct_child_values(mo
     assert totals == [[unary_binary_count(n, a) for n in range(10)] for a in range(3)]
 
 
-def test_check_deutsch_solves_the_band_system_once_per_start_level(monkeypatch, capsys):
+def test_check_deutsch_eliminates_the_band_system_once_per_width(monkeypatch, capsys):
     solved = Counter()
 
-    def counting_solve(t, m, order):
-        solved[t, m] += 1
-        return pathseries.deutsch_strip_solve(t, m, order)
+    def counting_solutions(m, order):
+        solved[m, order] += 1
+        return pathseries._deutsch_strip_solutions(m, order)
 
-    monkeypatch.setattr(cli, "deutsch_strip_solve", counting_solve)
+    monkeypatch.setattr(cli, "_deutsch_strip_solutions", counting_solutions)
     assert cli.main(["check", "--family", "deutsch-strip"]) == 0
     assert cli.main(["check", "--family", "deutsch-strip", "--m", "3", "--max", "6"]) == 0
     capsys.readouterr()
-    assert solved == {**{(t, 5): 1 for t in range(5)}, **{(t, 3): 1 for t in range(3)}}
+    assert solved == {(5, 10): 1, (3, 6): 1}
 
 
 def test_lambda_prime_is_eight_times_the_rational_formula():

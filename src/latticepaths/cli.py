@@ -55,7 +55,7 @@ from .pathseries import (
     skew_sj_coeff,
     skew_sj_series,
 )
-from .trees import gen_marked, gen_multiedge, gen_unary_binary, tree_stats
+from .trees import _CHILDREN, _fold, gen_marked, gen_multiedge, gen_unary_binary, tree_stats
 from .trees import tally as tally_trees
 from .treeseries import (
     horton_Rp,
@@ -315,7 +315,8 @@ def _check_deutsch(budget: int, m: int = 5) -> List[CheckResult]:
 
 
 def _edge_count(tree) -> int:
-    return sum(1 + _edge_count(sub) for _, sub in tree)
+    """The edges of a multi-edge tree: its nodes, folded without recursion, less the root."""
+    return _fold(_CHILDREN["multiedge"], lambda node, kids: 1 + sum(kids), 0, tree) - 1
 
 
 def _bijection_ok(sizes, domain, forward, backward, kept, codomain) -> bool:

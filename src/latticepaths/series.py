@@ -6,12 +6,13 @@ coefficients.  That way bivariate generating functions never need a second
 series dimension.  Truncation order is explicit on every value and mixed-order
 arithmetic truncates to the shorter operand instead of inventing zeros.
 
-Series whose coefficients are all marker-free run the arithmetic of
-`PowerSeries` (product, quotient, sum, negation, square root) and
-`Kernel.eval` on plain int/Fraction numbers, read by `_nums` and wrapped back
-by `_from_nums`.  Every other product of series or polynomials runs through
-one multiply-accumulate (`_mac`) into a plain dict per output coefficient, so
-no intermediate polynomial is built per pair of terms.
+`PowerSeries` keeps one coefficient ring: a stored coefficient is an int
+when it is integral, a Fraction otherwise, and a `MarkerPoly` only when it
+carries a marker.  Every operation is one loop over `+` and `*`, which mix
+numbers and polynomials through `MarkerPoly.__radd__`/`__rmul__`, so a chain
+of marker-free operations never builds a polynomial.  `coeff(n)` and
+`.coeffs` hand the coefficients out as `MarkerPoly`s.  A product of two
+polynomials is one multiply-accumulate (`_mac`) into a plain dict.
 """
 
 from __future__ import annotations
@@ -39,8 +40,9 @@ def _exact(c):
     return c.numerator if c.denominator == 1 else c
 
 
-# (m1, m2) -> canonical m1*m2 for nonempty monomials; bounded by the distinct
-# monomial pairs that products meet, a few thousand at most.
+# m1 -> {m2: canonical m1*m2} for nonempty m1, one row per monomial so that
+# a lookup hashes m2 alone; bounded by the distinct monomial pairs that
+# products meet, a few thousand at most.
 _MONO_PRODUCTS: dict = {}
 
 
@@ -52,14 +54,22 @@ def _mac(acc: dict, p: dict, q: dict) -> None:
             for m2, c2 in q.items():
                 acc[m2] = get(m2, 0) + c1 * c2
             continue
+        row = _MONO_PRODUCTS.get(m1)
+        if row is None:
+            row = _MONO_PRODUCTS[m1] = {(): m1}
         for m2, c2 in q.items():
-            if m2:
-                key = _MONO_PRODUCTS.get((m1, m2))
-                if key is None:
-                    key = _MONO_PRODUCTS[(m1, m2)] = _mono(m1 + m2)
-            else:
-                key = m1
+            key = row.get(m2)
+            if key is None:
+                key = row[m2] = _mono(m1 + m2)
             acc[key] = get(key, 0) + c1 * c2
+
+
+def _div(c, d: int):
+    """c / d for a coefficient c and a nonzero int d; an int stays an int
+    when d divides it."""
+    if type(c) is int:
+        return c // d if not c % d else Fraction(c, d)
+    return c / d
 
 
 def _poly(acc: dict) -> "MarkerPoly":
@@ -131,12 +141,23 @@ class MarkerPoly:
         return Fraction(self.terms.get((), 0))
 
     def __add__(self, other):
-        if not isinstance(other, (MarkerPoly, int, Fraction)):
+        if isinstance(other, MarkerPoly):
+            terms = other.terms
+        elif isinstance(other, (int, Fraction)):
+            terms = {(): other}
+        else:
             return NotImplemented
+        # only the terms of other change, so only they are normalised again
         acc = dict(self.terms)
-        for mono, c in MarkerPoly._coerce(other).terms.items():
-            acc[mono] = acc.get(mono, 0) + c
-        return _poly(acc)
+        for mono, c in terms.items():
+            c += acc.get(mono, 0)
+            if c:
+                acc[mono] = c.numerator if type(c) is Fraction and c.denominator == 1 else c
+            else:
+                acc.pop(mono, None)
+        p = MarkerPoly.__new__(MarkerPoly)
+        p.terms = acc
+        return p
 
     __radd__ = __add__
 
@@ -156,21 +177,23 @@ class MarkerPoly:
         return MarkerPoly._coerce(other) + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return MarkerPoly()
-            return _poly({m: c * other for m, c in self.terms.items()})
-        if not isinstance(other, MarkerPoly):
+        if isinstance(other, MarkerPoly):
+            acc = {}
+            _mac(acc, self.terms, other.terms)
+            return _poly(acc)
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        acc = {}
-        _mac(acc, self.terms, other.terms)
-        return _poly(acc)
+        if not other:
+            return MarkerPoly()
+        return _poly({m: c * other for m, c in self.terms.items()})
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, MarkerPoly):
             other = other.constant()
+        if type(other) is int and other:
+            return _poly({m: _div(c, other) for m, c in self.terms.items()})
         return self * (Fraction(1) / Fraction(other))
 
     def __pow__(self, n: int):
@@ -263,62 +286,64 @@ class MarkerPoly:
     __repr__ = __str__
 
 
-_MP_ZERO = MarkerPoly()
 _MP_ONE = MarkerPoly.const(1)
 
 
-def _nums(s: "PowerSeries"):
-    """The coefficients of s as plain numbers when none of them carries a
-    marker, else None."""
-    out = []
-    for c in s.coeffs:
-        t = c.terms
-        if not t:
-            out.append(0)
-        elif len(t) == 1 and () in t:
-            out.append(t[()])
-        else:
-            return None
-    return out
+def _ring(c):
+    """c as a stored series coefficient: an int when it is integral, a
+    Fraction when it is not, and a MarkerPoly only when it carries a marker."""
+    t = type(c)
+    if t is int:
+        return c
+    if t is Fraction:
+        return c.numerator if c.denominator == 1 else c
+    if isinstance(c, MarkerPoly):
+        terms = c.terms
+        if not terms:
+            return 0
+        if len(terms) == 1 and () in terms:
+            return terms[()]
+        return c
+    if isinstance(c, (int, Fraction)):
+        return _exact(c)
+    raise TypeError(f"cannot use {type(c).__name__} as a marker polynomial")
 
 
-def _from_nums(var: str, nums, order: int) -> "PowerSeries":
-    """The series of plain numbers, each stored as `_poly` stores it."""
-    coeffs = []
-    for c in nums:
-        if c:
-            p = MarkerPoly.__new__(MarkerPoly)
-            p.terms = {(): c.numerator if type(c) is Fraction and c.denominator == 1 else c}
-            coeffs.append(p)
-        else:
-            coeffs.append(_MP_ZERO)
+def _series(var: str, coeffs: list, order: int) -> "PowerSeries":
+    """The series of order + 1 coefficients that are already stored as `_ring`
+    stores them."""
     s = PowerSeries.__new__(PowerSeries)
-    s.var, s.order, s.coeffs = var, order, coeffs
+    s.var, s.order, s._c = var, order, coeffs
     return s
 
 
 class PowerSeries:
     """Series in one variable, truncated after the coefficient of var^order."""
 
-    __slots__ = ("var", "order", "coeffs")
+    __slots__ = ("var", "order", "_c")
 
     def __init__(self, var: str, coeffs, order: int | None = None):
-        items = [MarkerPoly._coerce(c) for c in coeffs]
+        items = list(map(_ring, coeffs))
         if order is None:
             order = len(items) - 1
         if order < 0:
             raise ValueError("truncation order must be >= 0")
         if len(items) < order + 1:
-            items.extend([_MP_ZERO] * (order + 1 - len(items)))
+            items.extend([0] * (order + 1 - len(items)))
         else:
             items = items[: order + 1]
         self.var = var
         self.order = order
-        self.coeffs = items
+        self._c = items
+
+    @property
+    def coeffs(self) -> list:
+        """The coefficients as MarkerPolys, in a new list on every read."""
+        return [MarkerPoly._coerce(c) for c in self._c]
 
     @staticmethod
     def const(var: str, c, order: int) -> "PowerSeries":
-        return PowerSeries(var, [MarkerPoly._coerce(c)], order)
+        return PowerSeries(var, [c], order)
 
     @staticmethod
     def identity(var: str, order: int) -> "PowerSeries":
@@ -330,15 +355,15 @@ class PowerSeries:
 
     def coeff(self, n: int) -> MarkerPoly:
         if n < 0:
-            return _MP_ZERO
+            return MarkerPoly()
         if n > self.order:
             raise ValueError(f"coefficient {n} beyond truncation order {self.order}")
-        return self.coeffs[n]
+        return MarkerPoly._coerce(self._c[n])
 
     def truncate(self, order: int) -> "PowerSeries":
         if order > self.order:
             raise ValueError(f"cannot extend a series of order {self.order} to {order}")
-        return PowerSeries(self.var, self.coeffs[: order + 1], order)
+        return _series(self.var, self._c[: order + 1], order)
 
     def pad(self, order: int) -> "PowerSeries":
         """The series to exactly `order`: declare the coefficients beyond the
@@ -348,17 +373,17 @@ class PowerSeries:
         """
         if order == self.order:
             return self
-        return PowerSeries(self.var, self.coeffs, order)
+        return _series(self.var, (self._c + [0] * (order - self.order))[: order + 1], order)
 
     def shift(self, k: int) -> "PowerSeries":
         """Multiply by var^k; negative k requires the low coefficients to vanish."""
         if k >= 0:
-            return PowerSeries(self.var, [_MP_ZERO] * k + self.coeffs, self.order + k)
-        if any(self.coeffs[i].terms for i in range(-k)):
+            return _series(self.var, [0] * k + self._c, self.order + k)
+        if any(self._c[i] for i in range(-k)):
             raise ValueError(f"cannot divide by {self.var}^{-k}: low-order coefficients are nonzero")
         if self.order + k < 0:
             raise ValueError("shift would leave no coefficients")
-        return PowerSeries(self.var, self.coeffs[-k:], self.order + k)
+        return _series(self.var, self._c[-k:], self.order + k)
 
     def _coerce_mate(self, other):
         if isinstance(other, PowerSeries):
@@ -370,19 +395,12 @@ class PowerSeries:
     def __add__(self, other):
         other = self._coerce_mate(other)
         n = min(self.order, other.order)
-        a = _nums(self)
-        b = a is not None and _nums(other)
-        if b:
-            return _from_nums(self.var, map(add, a, b), n)
-        return PowerSeries(self.var, [self.coeffs[i] + other.coeffs[i] for i in range(n + 1)], n)
+        return _series(self.var, list(map(_ring, map(add, self._c, other._c))), n)
 
     __radd__ = __add__
 
     def __neg__(self):
-        a = _nums(self)
-        if a is not None:
-            return _from_nums(self.var, [-c for c in a], self.order)
-        return PowerSeries(self.var, [-c for c in self.coeffs], self.order)
+        return _series(self.var, [-c for c in self._c], self.order)
 
     def __sub__(self, other):
         return self + (-self._coerce_mate(other))
@@ -391,40 +409,24 @@ class PowerSeries:
         return self._coerce_mate(other) - self
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, MarkerPoly)):
-            m = MarkerPoly._coerce(other)
-            a = m.is_constant and _nums(self)
-            if a:
-                x = m.terms.get((), 0)
-                return _from_nums(self.var, [c * x for c in a], self.order)
-            return PowerSeries(self.var, [c * m for c in self.coeffs], self.order)
+        if not isinstance(other, PowerSeries):
+            x = _ring(other)
+            return _series(self.var, [_ring(c * x) for c in self._c], self.order)
         other = self._coerce_mate(other)
         n = min(self.order, other.order)
-        a = _nums(self)
-        b = a is not None and _nums(other)
-        if b:
-            # out += a_i * b shifted by i, over the sparser factor's nonzero terms
-            a, b = a[: n + 1], b[: n + 1]
-            if a.count(0) < b.count(0):
-                a, b = b, a
-            out = [0] * (n + 1)
-            for i, c in enumerate(a):
-                if c:
-                    out[i:] = map(add, out[i:], map(mul, repeat(c), b))
-            return _from_nums(self.var, out, n)
-        a = [c.terms for c in self.coeffs[: n + 1]]
-        b = [c.terms for c in other.coeffs[: n + 1]]
-        nz = [i for i, t in enumerate(a) if t]
-        out = []
-        for k in range(n + 1):
-            acc = {}
-            for i in nz:
-                if i > k:
-                    break
-                if b[k - i]:
-                    _mac(acc, a[i], b[k - i])
-            out.append(_poly(acc))
-        return PowerSeries(self.var, out, n)
+        # out += a_i * b shifted by i, over the sparser factor's nonzero terms
+        # and up to the other factor's last nonzero term
+        a, b = self._c[: n + 1], other._c[: n + 1]
+        if sum(map(bool, a)) > sum(map(bool, b)):
+            a, b = b, a
+        while b and not b[-1]:
+            b.pop()
+        out = [0] * (n + 1)
+        for i, c in enumerate(a):
+            if c:
+                j = i + len(b)
+                out[i:j] = map(add, out[i:j], map(mul, repeat(c), b))
+        return _series(self.var, list(map(_ring, out)), n)
 
     __rmul__ = __mul__
 
@@ -438,41 +440,25 @@ class PowerSeries:
             return self * (Fraction(1) / other.constant())
         other = self._coerce_mate(other)
         n = min(self.order, other.order)
-        num = _nums(self)
-        den = num is not None and _nums(other)
-        if den and den[0]:
-            inv0 = _exact(Fraction(1, den[0]))
-            neg = [(i, -d) for i, d in enumerate(den[1: n + 1], 1) if d]
-            out = []
-            for k in range(n + 1):
-                acc = num[k]
-                for i, d in neg:
-                    if i > k:
-                        break
-                    acc += d * out[k - i]
-                out.append(acc * inv0 if inv0 != 1 else acc)
-            return _from_nums(self.var, out, n)
-        c0 = other.coeffs[0]
-        if not c0.is_constant or c0.is_zero:
+        c0 = other._c[0]
+        if not c0 or isinstance(c0, MarkerPoly):
             raise ZeroDivisionError(
                 "series division needs a nonzero marker-free constant term, got "
                 f"{c0}")
-        inv0 = _exact(1 / c0.constant())
+        inv0 = _ring(Fraction(1, c0))
         # Long division: out_k = (num_k - sum_{1<=i<=k} den_i out_(k-i)) / den_0,
         # summed over the divisor's nonzero terms only.
-        neg = {i: {m: -c for m, c in other.coeffs[i].terms.items()}
-               for i in range(1, n + 1) if other.coeffs[i].terms}
+        neg = [(i, -d) for i, d in enumerate(other._c[1: n + 1], 1) if d]
+        num = self._c
         out = []
         for k in range(n + 1):
-            acc = dict(self.coeffs[k].terms)
-            for i, g in neg.items():
+            acc = num[k]
+            for i, d in neg:
                 if i > k:
                     break
-                _mac(acc, g, out[k - i].terms)
-            if inv0 != 1:
-                acc = {m: c * inv0 for m, c in acc.items()}
-            out.append(_poly(acc))
-        return PowerSeries(self.var, out, n)
+                acc += d * out[k - i]
+            out.append(_ring(acc * inv0 if inv0 != 1 else acc))
+        return _series(self.var, out, n)
 
     def __rtruediv__(self, other):
         return self._coerce_mate(other) / self
@@ -501,52 +487,36 @@ class PowerSeries:
         that are integral stay ints, so an integral root never meets a
         Fraction.
         """
-        if self.coeffs[0] != _MP_ONE:
+        if self._c[0] != 1:
             raise ValueError("series sqrt requires constant term exactly 1")
-        p = _nums(self)
-        if p is not None:
-            nz = [(i, c) for i, c in enumerate(p) if i and c]
-            out = [1]
-            for n in range(1, self.order + 1):
-                acc = 0
-                for i, c in nz:
-                    if i > n:
-                        break
-                    acc += c * (3 * i - 2 * n) * out[n - i]
-                d = 2 * n
-                out.append(acc // d if type(acc) is int and not acc % d else Fraction(acc, d))
-            return _from_nums(self.var, out, self.order)
-        nz = [(i, c.terms) for i, c in enumerate(self.coeffs) if i and c.terms]
-        out = [_MP_ONE]
+        nz = [(i, c) for i, c in enumerate(self._c) if i and c]
+        out = [1]
         for n in range(1, self.order + 1):
-            acc = {}
-            for i, p in nz:
+            acc = 0
+            for i, c in nz:
                 if i > n:
                     break
-                w = 3 * i - 2 * n
-                _mac(acc, {m: c * w for m, c in p.items()}, out[n - i].terms)
-            d = 2 * n
-            out.append(_poly({m: c // d if type(c) is int and not c % d else Fraction(c, d)
-                              for m, c in acc.items()}))
-        return PowerSeries(self.var, out, self.order)
+                acc += c * (3 * i - 2 * n) * out[n - i]
+            out.append(_ring(_div(acc, 2 * n)))
+        return _series(self.var, out, self.order)
 
     def compose(self, inner: "PowerSeries") -> "PowerSeries":
         """Substitute inner (which must vanish at 0) for this series' variable."""
-        if inner.coeffs[0].terms:
+        if inner._c[0]:
             raise ValueError("composition requires the inner series to vanish at 0")
         n = min(self.order, inner.order)
         inner = inner.truncate(n)
-        result = PowerSeries.const(inner.var, self.coeffs[n], n)
+        result = PowerSeries.const(inner.var, self._c[n], n)
         for k in range(n - 1, -1, -1):
-            result = result * inner + self.coeffs[k]
+            result = result * inner + self._c[k]
         return result
 
     def unscale(self, var: str, base: int, divisor: int = 1) -> "PowerSeries":
         """F(var) from this series of divisor * F(base * sigma): coefficient n
         times 1/(divisor * base^n).  Lets a series with denominators base^n be
         built over ints and divided once at the end."""
-        return PowerSeries(var, [c * Fraction(1, divisor * base ** n)
-                                 for n, c in enumerate(self.coeffs)], self.order)
+        return PowerSeries(var, [_div(c, divisor * base ** n)
+                                 for n, c in enumerate(self._c)], self.order)
 
     def map_coeffs(self, fn) -> "PowerSeries":
         return PowerSeries(self.var, [fn(c) for c in self.coeffs], self.order)
@@ -567,15 +537,15 @@ class PowerSeries:
         if not isinstance(other, PowerSeries) or other.var != self.var:
             return NotImplemented
         n = min(self.order, other.order)
-        return all(self.coeffs[i] == other.coeffs[i] for i in range(n + 1))
+        return self._c[: n + 1] == other._c[: n + 1]
 
     @property
     def is_zero(self) -> bool:
-        return all(not c.terms for c in self.coeffs)
+        return not any(self._c)
 
     def dump(self) -> str:
         """One line per coefficient: `n<TAB>polynomial`, monomials in deg-lex order."""
-        return "\n".join(f"{n}\t{self.coeffs[n]}" for n in range(self.order + 1))
+        return "\n".join(f"{n}\t{c}" for n, c in enumerate(self.coeffs))
 
     def __str__(self):
         parts = []
@@ -608,7 +578,7 @@ class AlgebraicSubstitution:
     def __init__(self, outer_var: str, inner_var: str, phi: PowerSeries):
         if phi.var != inner_var:
             raise ValueError("phi must be a series in the inner variable")
-        if not phi.coeffs[0].terms:
+        if not phi._c[0]:
             raise ValueError("phi must not vanish at 0")
         self.outer_var = outer_var
         self.inner_var = inner_var
@@ -620,7 +590,7 @@ class AlgebraicSubstitution:
             raise ValueError(
                 f"phi is only known to order {self.phi.order}; cannot invert to {order}")
         phi = self.phi.truncate(order)
-        if all(not c.terms for c in phi.coeffs[3:]):
+        if not any(phi._c[3:]):
             return self._invert_quadratic(order)
         v = PowerSeries.const(self.outer_var, 0, order)
         for _ in range(order):
@@ -630,21 +600,16 @@ class AlgebraicSubstitution:
     def _invert_quadratic(self, order: int) -> PowerSeries:
         # For Phi = c0 + c1 t + c2 t^2 the coefficients of v obey the direct
         # convolution recurrence v_n = c1 v_{n-1} + c2 (v^2)_{n-1}, one pass.
-        c0 = self.phi.coeffs[0]
-        c1 = self.phi.coeff(1) if self.phi.order >= 1 else _MP_ZERO
-        c2 = self.phi.coeff(2) if self.phi.order >= 2 else _MP_ZERO
-        v = [_MP_ZERO] * (order + 1)
+        c0, c1, c2 = (self.phi._c + [0, 0])[:3]
+        v = [0] * (order + 1)
         if order >= 1:
             v[1] = c0
         for n in range(2, order + 1):
-            sq = {}
+            sq = 0
             for i in range(1, n - 1):
-                _mac(sq, v[i].terms, v[n - 1 - i].terms)
-            acc = {}
-            _mac(acc, c1.terms, v[n - 1].terms)
-            _mac(acc, c2.terms, sq)
-            v[n] = _poly(acc)
-        return PowerSeries(self.outer_var, v, order)
+                sq += v[i] * v[n - 1 - i]
+            v[n] = _ring(c1 * v[n - 1] + c2 * sq)
+        return _series(self.outer_var, v, order)
 
 
 def poly_substitution(outer_var: str, inner_var: str, phi_coeffs, order: int) -> AlgebraicSubstitution:
@@ -678,31 +643,20 @@ class Kernel:
 
         Equals expr.truncate(order).compose(v) for the inverse series v(var).
         """
-        expr = expr.truncate(order)
-        f = _nums(expr)
-        if f is not None and isinstance(self.b, int):
-            # [var^m] v^k = T(m-1, m-k) - T(m-1, m-k-2), read from one half
-            # row per m: m - k never passes its centre m - 1
-            nz = [(k, c) for k, c in enumerate(f) if k and c]
-            out = [f[0]]
-            for m in range(1, order + 1):
-                row = _half_row(m - 1, self.b)
-                acc = 0
-                for k, c in nz:
-                    if k > m:
-                        break
-                    j = m - k
-                    acc += c * (row[j] - row[j - 2] if j > 1 else row[j])
-                out.append(acc)
-            return _from_nums(self.var, out, order)
-        f = [c.terms for c in expr.coeffs]
-        nz = [k for k in range(1, order + 1) if f[k]]
-        out = [_poly(f[0])]
+        f = expr.truncate(order)._c
+        nz = [(k, c) for k, c in enumerate(f) if k and c]
+        if nz and not isinstance(self.b, int):
+            raise TypeError(f"trinomial needs an int middle weight, got {type(self.b).__name__}")
+        # [var^m] v^k = T(m-1, m-k) - T(m-1, m-k-2), read from one half
+        # row per m: m - k never passes its centre m - 1
+        out = [f[0]]
         for m in range(1, order + 1):
-            acc = {}
-            for k in nz:
+            row = _half_row(m - 1, self.b)
+            acc = 0
+            for k, c in nz:
                 if k > m:
                     break
-                _mac(acc, f[k], {(): self.vpow_coeff(m, k)})
-            out.append(_poly(acc))
-        return PowerSeries(self.var, out, order)
+                j = m - k
+                acc += c * (row[j] - row[j - 2] if j > 1 else row[j])
+            out.append(_ring(acc))
+        return _series(self.var, out, order)

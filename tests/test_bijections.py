@@ -12,6 +12,7 @@ from itertools import product
 
 import pytest
 
+from latticepaths import cli
 from latticepaths.bijections import (
     marked_to_skew,
     motzkin3_to_multiedge,
@@ -29,6 +30,10 @@ from latticepaths.trees import gen_marked, gen_multiedge, gen_unary_binary, tree
 # ----------------------------------------------------------------------
 # oracles: the recursive maps the walk, the parse and the folds replaced
 # ----------------------------------------------------------------------
+
+def old_edge_count(tree):
+    return sum(1 + old_edge_count(sub) for _, sub in tree)
+
 
 OLD_PAIR_CODE = {("U", "U"): "U", ("d", "d"): "d", ("U", "d"): "H0", ("d", "U"): "H1"}
 OLD_CODE_PAIR = {v: k for k, v in OLD_PAIR_CODE.items()}
@@ -470,6 +475,16 @@ def test_deep_multiedge_trees(tree, path, text, image):
     u = rotation_multiedge_to_unarybinary(tree)
     assert tree_to_str(u, "unary_binary") == image
     assert tree_to_str(rotation_unarybinary_to_multiedge(u), "multiedge") == text
+
+
+def test_edge_count_of_the_bijection_check():
+    # the check compares each 3-Motzkin image's H2 steps with weight - edges
+    for w in range(1, 8):
+        for t in gen_multiedge(w):
+            assert cli._edge_count(t) == old_edge_count(t)
+    assert cli._edge_count(()) == 0
+    assert cli._edge_count(chain(1)) == DEPTH
+    assert cli._edge_count(((1, ()),) * DEPTH) == DEPTH
 
 
 def test_rotation_round_trip_of_a_wide_star():

@@ -1,11 +1,13 @@
-"""The number lane of `series` against the dict route, byte for byte.
+"""The coefficient ring of `series` against the dict route, byte for byte.
 
-Marker-free series run `PowerSeries` arithmetic and `Kernel.eval` on plain
-numbers.  Patching the probe `series._nums` to report every series as
-marker-bearing sends all of that work through `_mac` instead.  Every `check`
-family at `--max` 1..12, `check --family deutsch-strip --m` 1..6 and every
-`seq` operation of the benchmark's `sequences` workload must print the same
-bytes both ways.
+A series stores its marker-free coefficients as plain numbers, and each
+`PowerSeries` operation and `Kernel.eval` is one loop over `+` and `*`.
+Patching in the dict route of `old_series`, which holds every coefficient as
+a `MarkerPoly` and multiplies through `_mac`, sends all of that work back
+through the earlier code.  Every `check` family at `--max` 1..12, `check
+--family deutsch-strip --m` 1..6 and every `seq` operation of the benchmark's
+`sequences` workload must print the same bytes and exit with the same code
+both ways.
 """
 
 import types
@@ -14,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from latticepaths import cli, pathseries, series
+from old_series import OLD_SERIES, old_eval
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -44,6 +47,8 @@ def run(argv, capsys):
 
 @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
 def test_stdout_is_the_same_on_the_dict_route(argv, monkeypatch, capsys):
-    lane = run(argv, capsys)
-    monkeypatch.setattr(series, "_nums", lambda s: None)
-    assert run(argv, capsys) == lane
+    ring = run(argv, capsys)
+    for name, fn in OLD_SERIES.items():
+        monkeypatch.setattr(series.PowerSeries, name, fn)
+    monkeypatch.setattr(series.Kernel, "eval", old_eval)
+    assert run(argv, capsys) == ring

@@ -1,10 +1,14 @@
-"""The public API: the names `latticepaths` exports and the signatures of the
-tree generators, written out so that a refactor cannot change them unseen."""
+"""The public API: the names `latticepaths` exports, the signatures of the
+tree generators and the type of a series coefficient, written out so that a
+refactor cannot change them unseen."""
 
 import inspect
+from fractions import Fraction
+
+import pytest
 
 import latticepaths
-from latticepaths import trees
+from latticepaths import MarkerPoly, PowerSeries, trees
 
 PUBLIC_NAMES = [
     'AlgebraicSubstitution', 'EULER_GAMMA', 'Kernel', 'MarkerPoly', 'PowerSeries', 'TrendReport',
@@ -49,3 +53,20 @@ def test_public_api_is_unchanged():
     for name, signature in GENERATOR_SIGNATURES.items():
         assert str(inspect.signature(getattr(trees, name))) == signature, name
         assert getattr(latticepaths, name) is getattr(trees, name)
+
+
+W = MarkerPoly.var("w")
+
+
+@pytest.mark.parametrize("coeffs", [
+    [1, 0, Fraction(1, 2), -3],
+    [MarkerPoly.const(2), MarkerPoly(), MarkerPoly.const(Fraction(4, 2))],
+    [1, W, 0, 2 * W * W - W, MarkerPoly.const(5)],
+], ids=["marker-free", "constant-polys", "marker-bearing"])
+def test_series_coefficients_are_marker_polys(coeffs):
+    s = PowerSeries("z", coeffs).pad(6)
+    for t in (s, s * s, s + 1, -s, s.inverse(), (1 + s.shift(1)).sqrt()):
+        assert all(type(t.coeff(n)) is MarkerPoly for n in range(t.order + 1))
+        assert all(type(c) is MarkerPoly for c in t.coeffs)
+        assert t.coeffs == [t.coeff(n) for n in range(t.order + 1)]
+    assert s.coeffs == list(map(MarkerPoly._coerce, coeffs)) + [MarkerPoly()] * (7 - len(coeffs))

@@ -26,11 +26,12 @@ from latticepaths.series import MarkerPoly, PowerSeries, _exact, _mac, _poly
 # ----------------------------------------------------------------------
 
 def _old_inverse(self):
-    c0 = self.coeffs[0]
+    coeffs = self.coeffs
+    c0 = coeffs[0]
     if not c0.is_constant or c0.is_zero:
         raise ZeroDivisionError("constant term")
     inv0 = _exact(1 / c0.constant())
-    g = [c.terms for c in self.coeffs]
+    g = [c.terms for c in coeffs]
     nz = [i for i in range(1, self.order + 1) if g[i]]
     out = [MarkerPoly.const(inv0)]
     for n in range(1, self.order + 1):
@@ -55,12 +56,13 @@ def _old_truediv(self, other):
 
 def _old_sqrt(self):
     half = Fraction(1, 2)
+    p = self.coeffs
     out = [MarkerPoly.const(1)]
     for n in range(1, self.order + 1):
         pairs = {}
         for i in range(1, (n + 1) // 2):
             _mac(pairs, out[i].terms, out[n - i].terms)
-        acc = dict(self.coeffs[n].terms)
+        acc = dict(p[n].terms)
         for m, c in pairs.items():
             acc[m] = acc.get(m, 0) - 2 * c
         if not n % 2:

@@ -1,9 +1,10 @@
 """Command-line front door.
 
 Four subcommands: `seq` streams exact coefficient sequences, `check` runs
-formula = series = brute-force agreement for a family within a size budget,
-`bij` prints bijection pairing tables, and `asym` emits CSV trend reports
-comparing exact averages against their growth laws.  Exit codes: 0 success,
+formula = series = brute-force agreement for a family within a size budget
+(each line is a label and the values its routes compute, ok when all are
+equal), `bij` prints bijection pairing tables, and `asym` emits CSV trend
+reports comparing exact averages against their growth laws.  Exit codes: 0 success,
 1 a check or trend failed or stdout closed, 2 usage error.  Only `asym` prints
 floats.  `COMMAND --family F [--FLAG VALUE]...` skips argparse unless a value
 starts with `-` (none is valid); argparse takes any other argv and writes all help and errors.
@@ -186,132 +187,108 @@ def cmd_seq(args) -> int:
 
 
 # ----------------------------------------------------------------------
-# check: formula = series = brute force, per family
+# check: formula = series = brute force, per family.  A family returns its
+# lines, each its label and then the value each of its routes computes;
+# cmd_check prints a line ok when every value equals the first.
 # ----------------------------------------------------------------------
 
-CheckResult = Tuple[bool, str]
+CheckLine = Tuple[object, ...]
 
 
 def _total(dist: Counter) -> int:
     return sum(value * count for value, count in dist.items())
 
 
-def _check_end_levels(name: str, series, coeff, gen, budget: int) -> List[CheckResult]:
-    out = []
+def _coeffs(ser, ns: Iterable[int]) -> List[object]:
+    return [_coeff_value(ser.coeff(n)) for n in ns]
+
+
+def _check_end_levels(name: str, series, coeff, gen, budget: int) -> List[CheckLine]:
     top = min(budget, 12)
+    lines = []
     for j in range(min(top, 3) + 1):
-        ser = series(j, top)
-        ok = all(coeff(n, j) == _coeff_value(ser.coeff(n)) == len(gen(n, j))
-                 for n in range(j, top + 1, 2))
-        out.append((ok, f"{name} end-level {j}: formula = series = brute, n <= {top}"))
-    return out
+        ns = range(j, top + 1, 2)
+        lines.append((f"{name} end-level {j}: formula = series = brute, n <= {top}",
+                      [coeff(n, j) for n in ns], _coeffs(series(j, top), ns),
+                      [len(gen(n, j)) for n in ns]))
+    return lines
 
 
-def _check_hoppy(budget: int) -> List[CheckResult]:
-    out = []
+def _check_hoppy(budget: int) -> List[CheckLine]:
+    lines = []
     top = min(budget, 6)
+    rises, terms = range(1, top + 1), range(budget + 1)
     for k in (2, 3):
-        ok = True
         dists = tally_paths("kdyck", top, "last_downrun_len", k=k)
-        for n_up in range(1, top + 1):
-            dist = dists[n_up]
-            for j in range(0, k * n_up + 2):
-                if deng_mansour_count(n_up, j, k) != dist[j]:
-                    ok = False
-            if _total(dist) != last_downrun_total(n_up, k):
-                ok = False
-        out.append((ok, f"k={k} last-down-run distribution and total, rises <= {top}"))
-        ser = hoppy_negative_series(k, budget)
-        ok = all(hoppy_negative_coeff(l, k) == _coeff_value(ser.coeff(l))
-                 for l in range(budget + 1))
-        out.append((ok, f"k={k} negative-territory closed form = series, {budget + 1} terms"))
-        ok = True
-        for j in range(1, budget + 1):
-            lhs = denom_Sj(j, k, budget) - denom_Sj(j - 1, k, budget) \
-                + denom_Sj(j - k - 1, k, budget).shift(1).truncate(budget)
-            if not lhs.is_zero:
-                ok = False
-        out.append((ok, f"k={k} denominator recursion S_j - S_(j-1) + z S_(j-k-1) = 0"))
-    return out
+        ends = [(n_up, j) for n_up in rises for j in range(k * n_up + 2)]
+        lines.append((f"k={k} last-down-run distribution and total, rises <= {top}",
+                      [deng_mansour_count(n_up, j, k) for n_up, j in ends]
+                      + [last_downrun_total(n_up, k) for n_up in rises],
+                      [dists[n_up][j] for n_up, j in ends]
+                      + [_total(dists[n_up]) for n_up in rises]))
+        lines.append((f"k={k} negative-territory closed form = series, {budget + 1} terms",
+                      [hoppy_negative_coeff(l, k) for l in terms],
+                      _coeffs(hoppy_negative_series(k, budget), terms)))
+        lines.append((f"k={k} denominator recursion S_j - S_(j-1) + z S_(j-k-1) = 0",
+                      [(denom_Sj(j, k, budget) - denom_Sj(j - 1, k, budget)
+                        + denom_Sj(j - k - 1, k, budget).shift(1).truncate(budget)).is_zero
+                       for j in range(1, budget + 1)], [True] * budget))
+    return lines
 
 
-def _check_ternary(budget: int) -> List[CheckResult]:
-    out = []
+def _check_ternary(budget: int) -> List[CheckLine]:
     top = min(budget, 7)
-    ok = True
     dists = tally_trees("ternary", top, "middle_edges")
-    for n in range(1, top + 1):
-        dist = dists[n]
-        for kk in range(n):
-            if ternary_T(n, kk) != dist.get(kk, 0):
-                ok = False
-        if sum(dist.values()) != ternary_row_sum(n):
-            ok = False
-    out.append((ok, f"ternary middle-edge table = brute classification, n <= {top}"))
-    ok = all(sum(ternary_row(n)) == ternary_row_sum(n) for n in range(1, budget + 1))
-    out.append((ok, f"ternary row sums equal (1/n) C(3n, n-1), n <= {budget}"))
-    return out
+    ns, rows = range(1, top + 1), range(1, budget + 1)
+    return [(f"ternary middle-edge table = brute classification, n <= {top}",
+             [[ternary_T(n, kk) for kk in range(n)] + [ternary_row_sum(n)] for n in ns],
+             [[dists[n].get(kk, 0) for kk in range(n)] + [sum(dists[n].values())] for n in ns]),
+            (f"ternary row sums equal (1/n) C(3n, n-1), n <= {budget}",
+             [sum(ternary_row(n)) for n in rows], [ternary_row_sum(n) for n in rows])]
 
 
-def _check_amplitude(budget: int) -> List[CheckResult]:
-    out = []
+def _check_amplitude(budget: int) -> List[CheckLine]:
     top = min(budget, 10)
-    ok = True
     # a Motzkin path of height h has amplitude 2h+1 with a flat step at the top level, 2h without
-    for n, dist in enumerate(tally_paths("motzkin", top, "amplitude")):
-        for h in range(n + 1):
-            if amplitude_coeff(n, h, "horiz") != dist[2 * h + 1] \
-                    or amplitude_coeff(n, h, "no-horiz") != dist[2 * h]:
-                ok = False
-    out.append((ok, f"amplitude distribution = brute classification, n <= {top}"))
-    ok = True
-    for h in range(min(budget, 6) + 1):
-        ser = amplitude_series(h, "horiz", budget) + amplitude_series(h, "no-horiz", budget)
-        for n in range(budget + 1):
-            if _coeff_value(ser.coeff(n)) != amplitude_coeff(n, h, "horiz") \
-                    + amplitude_coeff(n, h, "no-horiz"):
-                ok = False
-    out.append((ok, f"amplitude layer series = coefficient extraction, order {budget}"))
-    return out
+    dists = tally_paths("motzkin", top, "amplitude")
+    heights = [(n, h) for n in range(top + 1) for h in range(n + 1)]
+    layers, ns = range(min(budget, 6) + 1), range(budget + 1)
+    return [(f"amplitude distribution = brute classification, n <= {top}",
+             [(amplitude_coeff(n, h, "horiz"), amplitude_coeff(n, h, "no-horiz"))
+              for n, h in heights],
+             [(dists[n][2 * h + 1], dists[n][2 * h]) for n, h in heights]),
+            (f"amplitude layer series = coefficient extraction, order {budget}",
+             [_coeffs(amplitude_series(h, "horiz", budget)
+                      + amplitude_series(h, "no-horiz", budget), ns) for h in layers],
+             [[amplitude_coeff(n, h, "horiz") + amplitude_coeff(n, h, "no-horiz") for n in ns]
+              for h in layers])]
 
 
-def _check_motzkin_bounded(budget: int) -> List[CheckResult]:
-    out = []
+def _check_motzkin_bounded(budget: int) -> List[CheckLine]:
     top = min(budget, 10)
-    ok = True
-    for h in range(4):
-        ser = motzkin_bounded(h, top)
-        dists = tally_paths("motzkin", top, "height", max_height=h)
-        for n in range(top + 1):
-            brute = dists[n].total()
-            if _coeff_value(ser.coeff(n)) != brute \
-                    or motzkin_bounded_coeff(n, h) != brute:
-                ok = False
-    out.append((ok, f"height-bounded counts: determinant = extraction = brute, n <= {top}"))
-    return out
+    ns = range(top + 1)
+    return [(f"height-bounded counts: determinant = extraction = brute, n <= {top}",
+             [_coeffs(motzkin_bounded(h, top), ns) for h in range(4)],
+             [[motzkin_bounded_coeff(n, h) for n in ns] for h in range(4)],
+             [[dist.total() for dist in tally_paths("motzkin", top, "height", max_height=h)]
+              for h in range(4)])]
 
 
-def _check_deutsch(budget: int, m: int = 5) -> List[CheckResult]:
+def _check_deutsch(budget: int, m: int = 5) -> List[CheckLine]:
     if m < 1:
         raise ValueError("strip width --m must be >= 1")
-    out = []
     order = min(budget, 12)
     closed = [[deutsch_phi(t, j, order, bound=m) for j in range(m)] for t in range(m)]
-    ok = all((phi - solved).is_zero
-             for row, solved_row in zip(closed, _deutsch_strip_solutions(m, order))
-             for phi, solved in zip(row, solved_row))
-    out.append((ok, f"strip m={m}: kernel closed forms = band solve, order {order}"))
     # the order-top closed forms are truncations of the order-`order` ones
     top = min(budget, 9)
-    ok = True
-    for t in range(min(m, 3)):
-        for j in range(min(m, 3)):
-            dists = tally_paths("deutsch", top, "height", start=t, ceiling=m - 1, end_level=j)
-            for n in range(top + 1):
-                if _coeff_value(closed[t][j].coeff(n)) != dists[n].total():
-                    ok = False
-    out.append((ok, f"strip m={m}: closed forms = brute force, n <= {top}"))
-    return out
+    ends = [(t, j) for t in range(min(m, 3)) for j in range(min(m, 3))]
+    return [(f"strip m={m}: kernel closed forms = band solve, order {order}",
+             closed, _deutsch_strip_solutions(m, order)),
+            (f"strip m={m}: closed forms = brute force, n <= {top}",
+             [_coeffs(closed[t][j], range(top + 1)) for t, j in ends],
+             [[dist.total() for dist in tally_paths("deutsch", top, "height", start=t,
+                                                    ceiling=m - 1, end_level=j)]
+              for t, j in ends])]
 
 
 def _edge_count(tree) -> int:
@@ -335,84 +312,65 @@ def _bijection_ok(sizes, domain, forward, backward, kept, codomain) -> bool:
     return ok
 
 
-def _check_bijections(budget: int) -> List[CheckResult]:
+def _check_bijections(budget: int) -> List[CheckLine]:
     wtop, ntop = min(budget, 6), min(budget + 1, 7)
     weights = range(1, wtop + 1)
     return [
-        (_bijection_ok(weights, gen_multiedge, multiedge_to_3motzkin, motzkin3_to_multiedge,
+        (f"multi-edge <-> 3-Motzkin: round trip, statistics, sets, weight <= {wtop}",
+         _bijection_ok(weights, gen_multiedge, multiedge_to_3motzkin, motzkin3_to_multiedge,
                        lambda w, t, p: p.count("H2") == w - _edge_count(t),
-                       lambda w: set(gen_motzkin(w - 1, horiz_colors=3))),
-         f"multi-edge <-> 3-Motzkin: round trip, statistics, sets, weight <= {wtop}"),
-        (_bijection_ok(range(1, ntop + 1), gen_marked, marked_to_skew, skew_to_marked,
+                       lambda w: set(gen_motzkin(w - 1, horiz_colors=3))), True),
+        (f"marked <-> skew: round trip, marks = red steps, sets, nodes <= {ntop}",
+         _bijection_ok(range(1, ntop + 1), gen_marked, marked_to_skew, skew_to_marked,
                        lambda n, t, p: p.count("r") == tree_stats(t, "marked")["mark_count"],
-                       lambda n: set(gen_skew(2 * (n - 1)))),
-         f"marked <-> skew: round trip, marks = red steps, sets, nodes <= {ntop}"),
-        (_bijection_ok(weights, gen_multiedge, rotation_multiedge_to_unarybinary,
+                       lambda n: set(gen_skew(2 * (n - 1)))), True),
+        (f"rotation multi-edge <-> unary-binary: round trip and sets, weight <= {wtop}",
+         _bijection_ok(weights, gen_multiedge, rotation_multiedge_to_unarybinary,
                        rotation_unarybinary_to_multiedge, lambda w, t, u: True,
-                       lambda w: set(gen_unary_binary(w, 1))),
-         f"rotation multi-edge <-> unary-binary: round trip and sets, weight <= {wtop}"),
+                       lambda w: set(gen_unary_binary(w, 1))), True),
     ]
 
 
-def _check_horton(budget: int) -> List[CheckResult]:
+def _check_horton(budget: int) -> List[CheckLine]:
     top = min(budget, 9)
-    counts_ok = regs_ok = True
-    for a in (0, 1, 2):
-        layers = {p: horton_Rp(p, a, top) for p in range(1, 4)}
-        for n, dist in enumerate(tally_trees("unary_binary", top, "reg", a)):
-            if unary_binary_count(n, a) != sum(dist.values()):
-                counts_ok = False
-            if any(_coeff_value(ser.coeff(n)) != dist.get(p, 0)
-                   for p, ser in layers.items()):
-                regs_ok = False
-    return [(counts_ok, f"unary-binary counts = brute force, a in 0..2, n <= {top}"),
-            (regs_ok, f"register-classified counts match R_p, p <= 3, n <= {top}")]
+    ns, colours = range(top + 1), (0, 1, 2)
+    tallies = [tally_trees("unary_binary", top, "reg", a) for a in colours]
+    return [(f"unary-binary counts = brute force, a in 0..2, n <= {top}",
+             [[unary_binary_count(n, a) for n in ns] for a in colours],
+             [[sum(dist.values()) for dist in dists] for dists in tallies]),
+            (f"register-classified counts match R_p, p <= 3, n <= {top}",
+             [[_coeffs(horton_Rp(p, a, top), ns) for p in range(1, 4)] for a in colours],
+             [[[dist.get(p, 0) for dist in dists] for p in range(1, 4)] for dists in tallies])]
 
 
-def _check_marked(budget: int) -> List[CheckResult]:
-    out = []
+def _check_marked(budget: int) -> List[CheckLine]:
     top = min(budget, 7)
-    ok = True
-    for n in range(1, top + 1):
-        trees = gen_marked(n)
-        if marked_count(n) != len(trees):
-            ok = False
-        stats = [tree_stats(t, "marked") for t in trees]
-        if marked_leaf_total(n) != sum(s["leaves"] for s in stats):
-            ok = False
-        if marked_height_total(n) != sum(s["height_nodes"] for s in stats):
-            ok = False
-    out.append((ok, f"marked-tree counts, leaf and height totals = brute, n <= {top}"))
-    return out
+    ns = range(1, top + 1)
+    stats = [[tree_stats(t, "marked") for t in gen_marked(n)] for n in ns]
+    return [(f"marked-tree counts, leaf and height totals = brute, n <= {top}",
+             [(marked_count(n), marked_leaf_total(n), marked_height_total(n)) for n in ns],
+             [(len(s), sum(x["leaves"] for x in s), sum(x["height_nodes"] for x in s))
+              for s in stats])]
 
 
-def _check_retakh(budget: int) -> List[CheckResult]:
+def _check_retakh(budget: int) -> List[CheckLine]:
     # series index n corresponds to paths with n-1 up-down pairs
-    out = []
     top = min(budget, 8)
     mo = motzkin_numbers(top + 1)
-    ok = True
     heights = tally_paths("retakh", top, "height")
+    # a leaf of the encoded tree is a peak, a rise followed by a fall
     peaks = tally_paths("retakh", top, "peak_count")
-    for m in range(1, top + 1):
-        dist = heights[m]
-        if dist.total() != mo[m]:
-            ok = False
-        # a leaf of the encoded tree is a peak, a rise followed by a fall
-        if _total(peaks[m]) != retakh_leaf_total(m + 1):
-            ok = False
-        if _total(dist) != retakh_height_total(m + 1):
-            ok = False
-        for h in range(m + 2):
-            if retakh_bounded_count(m + 1, h) != sum(c for hh, c in dist.items()
-                                                     if hh <= h):
-                ok = False
-    out.append((ok, f"restricted-path counts, leaves, heights, bounds = brute, "
-                    f"pairs <= {top}"))
-    return out
+    pairs = range(1, top + 1)
+    return [(f"restricted-path counts, leaves, heights, bounds = brute, "
+             f"pairs <= {top}",
+             [(mo[m], retakh_leaf_total(m + 1), retakh_height_total(m + 1),
+               [retakh_bounded_count(m + 1, h) for h in range(m + 2)]) for m in pairs],
+             [(heights[m].total(), _total(peaks[m]), _total(heights[m]),
+               [sum(c for hh, c in heights[m].items() if hh <= h) for h in range(m + 2)])
+              for m in pairs])]
 
 
-CHECKS: Dict[str, Callable[..., List[CheckResult]]] = {
+CHECKS: Dict[str, Callable[..., List[CheckLine]]] = {
     "skew": lambda budget: _check_end_levels("skew", skew_sj_series, skew_sj_coeff,
                                              gen_skew, budget),
     "dual": lambda budget: _check_end_levels("dual", dual_skew_Gj_series, dual_skew_coeff,
@@ -432,7 +390,8 @@ CHECKS: Dict[str, Callable[..., List[CheckResult]]] = {
 def cmd_check(args) -> int:
     check, budget, flags = _setup(args, CHECKS, "max", 10, 1)
     failed = False
-    for ok, label in check(budget, **flags):
+    for label, first, *others in check(budget, **flags):
+        ok = all(value == first for value in others)
         print(("ok   " if ok else "FAIL ") + label)
         failed = failed or not ok
     return 1 if failed else 0

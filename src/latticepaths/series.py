@@ -379,10 +379,10 @@ class PowerSeries:
         """Multiply by var^k; negative k requires the low coefficients to vanish."""
         if k >= 0:
             return _series(self.var, [0] * k + self._c, self.order + k)
-        if any(self._c[i] for i in range(-k)):
-            raise ValueError(f"cannot divide by {self.var}^{-k}: low-order coefficients are nonzero")
         if self.order + k < 0:
             raise ValueError("shift would leave no coefficients")
+        if any(self._c[:-k]):
+            raise ValueError(f"cannot divide by {self.var}^{-k}: low-order coefficients are nonzero")
         return _series(self.var, self._c[-k:], self.order + k)
 
     def _coerce_mate(self, other):

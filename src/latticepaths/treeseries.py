@@ -12,7 +12,7 @@ from operator import add
 from typing import List
 
 from .combinat import binomial, motzkin_numbers, trinomial
-from .pathseries import motzkin_bounded_coeff
+from .pathseries import _v_poly, motzkin_bounded_coeff
 from .series import Kernel, MarkerPoly, PowerSeries
 
 # z = v/(1 + 3v + v^2) for marked trees; z = v/(1 + v + v^2) for the
@@ -340,14 +340,9 @@ def retakh_Gk(k: int, order: int) -> PowerSeries:
     G_k = (v/(1+v)) (1 - v^(2k))/(1 - v^(2k+1)) under z = v/(1+v+v^2)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    num = PowerSeries.identity("v", order) * _one_minus_pow(2 * k, order)
-    den = PowerSeries("v", [1, 1]).pad(order) * _one_minus_pow(2 * k + 1, order)
+    num = PowerSeries.identity("v", order) * _v_poly([(0, 1), (2 * k, -1)], order)
+    den = PowerSeries("v", [1, 1]).pad(order) * _v_poly([(0, 1), (2 * k + 1, -1)], order)
     return _MOTZKIN.eval(num / den, order)
-
-
-def _one_minus_pow(e: int, order: int) -> PowerSeries:
-    return PowerSeries("v", [1] + [0] * (e - 1) + [-1], e).pad(order) if e <= order \
-        else PowerSeries("v", [1], 0).pad(order)
 
 
 def retakh_full(order: int) -> PowerSeries:

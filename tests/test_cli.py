@@ -14,6 +14,7 @@ import latticepaths
 from latticepaths import cli
 from latticepaths.asymptotics import LAW_KINDS, eval_law
 from latticepaths.cli import ASYM_LADDERS, BIJS, CHECKS, OPTIONS, SEQS, main, reads
+import old_checks
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -129,6 +130,31 @@ def test_every_check_line_compares_a_value(family, monkeypatch, capsys):
         assert main(["check", "--family", family, "--max", str(budget)]) == 1
         lines = capsys.readouterr().out.splitlines()
         assert lines and all(line.startswith("FAIL ") for line in lines), (budget, lines)
+
+
+@pytest.mark.parametrize("family", tuple(CHECKS))
+def test_check_verdicts_match_the_old_bodies(family, monkeypatch, capsys):
+    # the bodies that judged their own lines, patched in, print the same lines
+    # and exit alike, with and without each fault of the test above
+    def compare(argvs):
+        for argv in argvs:
+            code = main(argv)
+            got = capsys.readouterr()
+            with monkeypatch.context() as patch:
+                patch.setitem(CHECKS, family, old_checks.as_lines(old_checks.CHECKS[family]))
+                assert (main(argv), capsys.readouterr()) == (code, got), argv
+
+    argvs = [["check", "--family", family, "--max", str(budget)] for budget in range(1, 14)]
+    if family == "deutsch-strip":
+        argvs += [["check", "--family", family, "--m", str(m)] for m in range(1, 9)]
+    compare(argvs)
+    for names in [(name,) for name in FAULTS[family]] + [FAULTS[family]]:
+        with monkeypatch.context() as patch:
+            for name in names:
+                wrong = _faulty(getattr(cli, name))
+                patch.setattr(cli, name, wrong)
+                patch.setattr(old_checks, name, wrong)
+            compare(argvs[:3])
 
 
 def test_asym_report(capsys):

@@ -40,6 +40,7 @@ from latticepaths.paths import (
 )
 from latticepaths.pathseries import motzkin_bounded_coeff, skew_sj_coeff
 from latticepaths.trees import tally as trees_tally
+from old_checks import as_lines
 from old_tallies import old_paths_tally, old_trees_tally
 
 SRC = Path(latticepaths.__file__).resolve().parents[1]
@@ -455,7 +456,7 @@ def run_both(family, argv, monkeypatch, capsys):
     assert cli.main(argv) == 0
     got = capsys.readouterr().out
     with monkeypatch.context() as patch:
-        patch.setitem(cli.CHECKS, family, OLD_BODIES[family])
+        patch.setitem(cli.CHECKS, family, as_lines(OLD_BODIES[family]))
         assert cli.main(argv) == 0
     return got, capsys.readouterr().out
 

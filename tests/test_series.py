@@ -180,8 +180,11 @@ def test_shift_down_requires_zero_low_coefficients():
     s = PowerSeries("z", [0, 0, 5, 7]).pad(6)
     shifted = s.shift(-2)
     assert shifted.coeff(0).constant() == 5
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="cannot divide"):
         PowerSeries("z", [1, 2]).pad(4).shift(-1)
+    for k in (3, 4, 5):  # past the three stored coefficients
+        with pytest.raises(ValueError, match="no coefficients"):
+            PowerSeries("z", [0, 0, 0]).shift(-k)
 
 
 def test_markerpoly_scalar_interop_is_symmetric():

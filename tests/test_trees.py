@@ -49,6 +49,7 @@ from latticepaths.trees import (
     tree_size,
     tree_stats,
 )
+from old_checks import as_lines
 from old_tallies import old_trees_tally
 
 SRC = Path(latticepaths.__file__).resolve().parents[1]
@@ -843,7 +844,7 @@ def test_check_stdout_matches_per_object_body(family, old_body, monkeypatch, cap
             assert cli.main(argv) == 0
             got = capsys.readouterr().out
             with monkeypatch.context() as patch:
-                patch.setitem(cli.CHECKS, family, old_body)
+                patch.setitem(cli.CHECKS, family, as_lines(old_body))
                 assert cli.main(argv) == 0
             assert got == capsys.readouterr().out, budget
     finally:

@@ -12,7 +12,10 @@ carries a marker.  Every operation is one loop over `+` and `*`, which mix
 numbers and polynomials through `MarkerPoly.__radd__`/`__rmul__`, so a chain
 of marker-free operations never builds a polynomial.  `coeff(n)` and
 `.coeffs` hand the coefficients out as `MarkerPoly`s.  A product of two
-polynomials is one multiply-accumulate (`_mac`) into a plain dict.
+polynomials is one multiply-accumulate (`_mac`) into a plain dict.  A
+series product in which either factor carries a marker codes every monomial
+once as an int (`_coded_product`), so a term product is an int add into one
+dict per output coefficient and builds no polynomial.
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ from .combinat import _half_row, trinomial
 def _mono(pairs) -> tuple:
     out = {}
     for name, e in pairs:
+        if type(e) is not int or e < 0:
+            raise ValueError(f"marker exponents are ints >= 0, got {name}^{e!r}")
         if e:
             out[name] = out.get(name, 0) + e
     return tuple(sorted(out.items()))
@@ -109,9 +114,7 @@ class MarkerPoly:
 
     @staticmethod
     def var(name: str, exp: int = 1) -> "MarkerPoly":
-        p = MarkerPoly()
-        p.terms[((name, exp),)] = 1
-        return p
+        return MarkerPoly({((name, exp),): 1})
 
     @staticmethod
     def _coerce(x) -> "MarkerPoly":
@@ -309,6 +312,58 @@ def _ring(c):
     raise TypeError(f"cannot use {type(c).__name__} as a marker polynomial")
 
 
+def _coded_product(a: list, b: list, n: int) -> list:
+    """Coefficients 0..n of the product of the stored coefficient lists a
+    and b, at least one of which carries a marker, as `_ring` stores them.
+
+    Each monomial is coded once as the int sum of e << (w * i) over its
+    markers, i being the marker's place among the sorted names of both
+    operands.  A field of w bits holds twice the largest exponent, so the sum
+    of two codes is the code of the product monomial, with no carry into the
+    next field.  Each output coefficient accumulates its term products in one
+    int-keyed dict, and each code is decoded once per product.
+    """
+    names, top = set(), 0
+    for c in a + b:
+        if type(c) is MarkerPoly:
+            for m in c.terms:
+                for name, e in m:
+                    names.add(name)
+                    top = max(top, e)
+    w = (2 * top).bit_length()
+    shift = {name: w * i for i, name in enumerate(sorted(names))}
+
+    def coded(c) -> list:
+        if type(c) is not MarkerPoly:
+            return [(0, c)] if c else []
+        out = []
+        for m, v in c.terms.items():
+            k = 0
+            for name, e in m:
+                k += e << shift[name]
+            out.append((k, v))
+        return out
+
+    a = [(i, coded(c)) for i, c in enumerate(a) if c]
+    b = list(map(coded, b))
+    accs = []
+    for k in range(n + 1):
+        acc = {}
+        get = acc.get
+        for i, p in a:
+            if i > k:
+                break
+            for k1, c1 in p:
+                for k2, c2 in b[k - i]:
+                    key = k1 + k2
+                    acc[key] = get(key, 0) + c1 * c2
+        accs.append(acc)
+    mask = (1 << w) - 1
+    mono = {k: tuple((name, k >> s & mask) for name, s in shift.items() if k >> s & mask)
+            for k in set().union(*accs)}
+    return [_ring(_poly({mono[k]: v for k, v in acc.items()})) for acc in accs]
+
+
 def _series(var: str, coeffs: list, order: int) -> "PowerSeries":
     """The series of order + 1 coefficients that are already stored as `_ring`
     stores them."""
@@ -414,9 +469,11 @@ class PowerSeries:
             return _series(self.var, [_ring(c * x) for c in self._c], self.order)
         other = self._coerce_mate(other)
         n = min(self.order, other.order)
-        # out += a_i * b shifted by i, over the sparser factor's nonzero terms
-        # and up to the other factor's last nonzero term
         a, b = self._c[: n + 1], other._c[: n + 1]
+        if MarkerPoly in set(map(type, a + b)):
+            return _series(self.var, _coded_product(a, b, n), n)
+        # marker-free: out += a_i * b shifted by i, over the sparser factor's
+        # nonzero terms and up to the other factor's last nonzero term
         if sum(map(bool, a)) > sum(map(bool, b)):
             a, b = b, a
         while b and not b[-1]:

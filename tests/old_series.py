@@ -9,11 +9,19 @@ were, except that each reads `.coeffs`, a new list per read, once per call.
 Patched into `PowerSeries` and `Kernel`, they send all series work back
 through that route; `inverse`, `**`, `-` and `compose` follow, since they
 call these.
+
+`slice_mul` is `PowerSeries.__mul__` as it was before products of
+marker-bearing series coded their monomials as ints, kept verbatim: one slice
+loop over `+` and `*` for every product, which builds a `MarkerPoly` and runs
+one `_mac` per pair of marker-bearing coefficients.
 """
 
 from fractions import Fraction
+from itertools import repeat
+from operator import add, mul
 
-from latticepaths.series import MarkerPoly, PowerSeries, _MP_ONE, _exact, _mac, _poly
+from latticepaths.series import (
+    MarkerPoly, PowerSeries, _MP_ONE, _exact, _mac, _poly, _ring, _series)
 
 
 def old_add(self, other):
@@ -111,6 +119,27 @@ def old_eval(self, expr, order):
             _mac(acc, f[k], {(): self.vpow_coeff(m, k)})
         out.append(_poly(acc))
     return PowerSeries(self.var, out, order)
+
+
+def slice_mul(self, other):
+    if not isinstance(other, PowerSeries):
+        x = _ring(other)
+        return _series(self.var, [_ring(c * x) for c in self._c], self.order)
+    other = self._coerce_mate(other)
+    n = min(self.order, other.order)
+    # out += a_i * b shifted by i, over the sparser factor's nonzero terms
+    # and up to the other factor's last nonzero term
+    a, b = self._c[: n + 1], other._c[: n + 1]
+    if sum(map(bool, a)) > sum(map(bool, b)):
+        a, b = b, a
+    while b and not b[-1]:
+        b.pop()
+    out = [0] * (n + 1)
+    for i, c in enumerate(a):
+        if c:
+            j = i + len(b)
+            out[i:j] = map(add, out[i:j], map(mul, repeat(c), b))
+    return _series(self.var, list(map(_ring, out)), n)
 
 
 OLD_SERIES = {"__add__": old_add, "__radd__": old_add, "__neg__": old_neg,

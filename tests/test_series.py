@@ -64,6 +64,28 @@ def test_marker_poly_deriv():
     assert p.deriv("u") == 4 * (1 + u) ** 3
 
 
+def test_a_marker_to_the_zeroth_power_is_the_constant_one():
+    one = MarkerPoly.var("x", 0)
+    assert one.terms == {(): 1} and type(one.terms[()]) is int
+    assert one == 1 and str(one) == "1"
+    assert MarkerPoly({(("x", 0), ("y", 2)): 3}).terms == {(("y", 2),): 3}
+    assert PowerSeries("z", [MarkerPoly.var("x", 0), 2])._c == [1, 2]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: MarkerPoly.var("x", -1),
+    lambda: MarkerPoly.var("x", Fraction(1, 2)),
+    lambda: MarkerPoly.var("x", 1.0),
+    lambda: MarkerPoly({(("x", -2),): 1}),
+    lambda: MarkerPoly({(("x", 1), ("y", -1)): 1}),
+    lambda: MarkerPoly({(("x", 2.5),): 1}),
+], ids=["var-negative", "var-fraction", "var-float", "negative", "negative-second",
+        "float"])
+def test_marker_exponents_must_be_ints_at_least_zero(build):
+    with pytest.raises(ValueError, match="marker exponents"):
+        build()
+
+
 # ----------------------------------------------------------------------
 # PowerSeries arithmetic
 # ----------------------------------------------------------------------

@@ -266,7 +266,7 @@ def test_ternary_series_match_the_tau_route(order):
         assert got.dump() == want.dump()
 
 
-@pytest.mark.parametrize("order", range(15))
+@pytest.mark.parametrize("order", range(21))
 def test_factorization_check_agrees_with_the_tau_route(order):
     assert treeseries.ternary_factorization_check(order) is True
     assert _tau_series_check(order) is True

@@ -4,11 +4,14 @@
 when it is integral, a Fraction otherwise, and a `MarkerPoly` only when it
 carries a marker.  Each operation and `Kernel.eval` is one loop over `+` and
 `*`, and a product of two polynomials is one multiply-accumulate (`_mac`)
-into a dict.  The oracles below are the earlier per-pair routes,
-all-Fraction, which build one intermediate polynomial per pair of terms; on
-every series, marker-free or not, the results must equal them value for
-value and string for string, with the same coefficient types and the same
-errors.  The oracles read `.coeffs`, a new list per read, once per call.
+into a dict.  A series product in which either factor carries a marker
+codes each monomial as an int instead, and is also checked against the slice
+loop it replaced (`old_series.slice_mul`).  The oracles below are the earlier
+per-pair routes, all-Fraction, which build one intermediate polynomial per
+pair of terms; on every series, marker-free or not, the results must equal
+them value for value and string for string, with the same coefficient types
+and the same errors.  The oracles read `.coeffs`, a new list per read, once
+per call.
 
 `sqrt` is the P-recurrence of a square root.  The symmetric-pair
 convolution it replaced is kept below as a second oracle, next to the
@@ -33,6 +36,7 @@ from latticepaths.series import (
     _poly,
     poly_substitution,
 )
+from old_series import slice_mul
 
 
 # ----------------------------------------------------------------------
@@ -478,6 +482,104 @@ def test_constants_come_back_as_fractions(value):
 
 
 # ----------------------------------------------------------------------
+# products of marker-bearing series, on int-coded monomials
+# ----------------------------------------------------------------------
+
+# exponents past 2^20, so that a fixed 20-bit field per marker would carry
+POWERS = [1, 2, 3, 2 ** 20 - 1, 2 ** 20, 2 ** 21, 2 ** 21 + 3]
+EXPONENTS, POSITIVE = st.sampled_from([0] + POWERS), st.sampled_from(POWERS)
+
+
+@st.composite
+def marked_series(draw, names):
+    """A series whose terms carry each of `names` to an exponent from
+    EXPONENTS, with int and Fraction coefficients and zero coefficients; with
+    names, one coefficient surely carries a marker."""
+    order = draw(st.integers(0, 5))
+    cs = []
+    for _ in range(order + 1):
+        terms = {}
+        for _ in range(draw(st.integers(0, 3))):
+            terms[tuple((nm, draw(EXPONENTS)) for nm in names)] = draw(coeffs)
+        cs.append(MarkerPoly(terms))
+    if names:
+        i = draw(st.integers(0, order))
+        cs[i] = cs[i] + MarkerPoly.var(draw(st.sampled_from(names)), draw(POSITIVE))
+    return PowerSeries("z", cs, order)
+
+
+@st.composite
+def product_pairs(draw):
+    """Two series, at least one marker-bearing, of orders drawn apart: both
+    in 1-3 markers, one marker-free, or f = 1 + p z + ... and g = 1 + (k - p) z
+    + ..., whose product has the coefficient k at z^1: a constant or zero."""
+    names = draw(st.sampled_from([("w",), ("s", "U"), ("u", "w"), ("U", "s", "w")]))
+    f = draw(marked_series(names))
+    kind = draw(st.sampled_from(["marked", "free", "cancel"]))
+    if kind == "marked":
+        g = draw(marked_series(draw(st.sampled_from([names, names[:1], names[::-1]]))))
+    elif kind == "free":
+        g = draw(marked_series(()))
+    else:
+        k = draw(st.one_of(st.just(0), coeffs))
+        p = f.coeff(0) + MarkerPoly.var(names[-1], draw(POSITIVE))
+        f = PowerSeries("z", [1, p] + f.coeffs[1:])
+        g = PowerSeries("z", [1, k - p] + draw(marked_series(names)).coeffs,
+                        draw(st.integers(1, 7)))
+    return (f, g) if draw(st.booleans()) else (g, f)
+
+
+@settings(max_examples=400, deadline=None)
+@given(pair=product_pairs())
+def test_coded_product_matches_the_slice_loop_and_the_per_pair_route(pair):
+    f, g = pair
+    got = f * g
+    for want in (slice_mul(f, g), _ref_series_mul(f, g)):
+        _assert_same_series(got, want)
+        assert list(map(type, got._c)) == list(map(type, want._c))
+
+
+def test_coded_product_widens_its_fields_past_any_fixed_width():
+    # u^(2^21 + 3) squared carries out of any field narrower than 23 bits
+    # into w's field, which would print as a spurious power of w
+    big = MarkerPoly.var("u", 2 ** 21 + 3)
+    f = PowerSeries("z", [big + MarkerPoly.var("w"), big * MarkerPoly.var("w", 5)])
+    got = f * f
+    assert got.dump() == slice_mul(f, f).dump() == _ref_series_mul(f, f).dump()
+    assert got._c[0].terms == {(("u", 2 ** 22 + 6),): 1, (("u", 2 ** 21 + 3), ("w", 1)): 2,
+                               (("w", 2),): 1}
+
+
+def test_coded_product_builds_one_poly_per_coefficient(monkeypatch):
+    # the slice loop builds a MarkerPoly and runs a `_mac` per pair of
+    # marker-bearing coefficients, about order^2 / 2 of each; this fails there.
+    # series.py builds every MarkerPoly through __init__, _poly or __add__.
+    order = 20
+    xi = treeseries._xi_sigma(order)
+    f = treeseries._root_recip_sigma(-1, xi, order)
+    g = treeseries._root_recip_sigma(1, xi, order)
+    calls = []
+
+    def counting(target, name):
+        real = getattr(target, name)
+
+        def fn(*args):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(target, name, fn)
+
+    for name in ("__init__", "__add__", "__radd__", "__mul__", "__rmul__"):
+        counting(MarkerPoly, name)
+    for name in ("_poly", "_mac"):
+        counting(series_module, name)
+    prod = f * g
+    built = [c for c in calls if c in ("__init__", "_poly", "__add__", "__radd__")]
+    assert len(built) <= order + 1
+    assert "_mac" not in calls and "__mul__" not in calls and "__rmul__" not in calls
+    assert sum(type(c) is MarkerPoly for c in prod._c) == order + 1
+
+
+# ----------------------------------------------------------------------
 # library results: fused engine = per-pair route, dump for dump
 # ----------------------------------------------------------------------
 
@@ -487,6 +589,11 @@ LIBRARY = {
     .deriv_marker("w").subs_markers({"w": 1}),
     "marked_leaf_series": lambda: treeseries.marked_leaf_series(12),
     "ternary_xi": lambda: treeseries.ternary_xi(8),
+    # the two products of the bivariate benchmark's ternary_factorization_check(20)
+    "xi_sigma_squared": lambda: treeseries._xi_sigma(20) * treeseries._xi_sigma(20),
+    "root_recip_product": lambda: (
+        treeseries._root_recip_sigma(-1, treeseries._xi_sigma(20), 20)
+        * treeseries._root_recip_sigma(1, treeseries._xi_sigma(20), 20)),
     **{f"skew_red_fixed_power_{k}": (lambda k=k: pathseries.skew_red_fixed_power(k, 16))
        for k in range(5)},
 }

@@ -56,7 +56,7 @@ from .pathseries import (
     skew_sj_coeff,
     skew_sj_series,
 )
-from .trees import _CHILDREN, _fold, gen_marked, gen_multiedge, gen_unary_binary, tree_stats
+from .trees import _CHILDREN, _fold, _stat, gen_marked, gen_multiedge, gen_unary_binary
 from .trees import tally as tally_trees
 from .treeseries import (
     horton_Rp,
@@ -322,7 +322,7 @@ def _check_bijections(budget: int) -> List[CheckLine]:
                        lambda w: set(gen_motzkin(w - 1, horiz_colors=3))), True),
         (f"marked <-> skew: round trip, marks = red steps, sets, nodes <= {ntop}",
          _bijection_ok(range(1, ntop + 1), gen_marked, marked_to_skew, skew_to_marked,
-                       lambda n, t, p: p.count("r") == tree_stats(t, "marked")["mark_count"],
+                       lambda n, t, p: p.count("r") == _stat(t, "marked", "mark_count"),
                        lambda n: set(gen_skew(2 * (n - 1)))), True),
         (f"rotation multi-edge <-> unary-binary: round trip and sets, weight <= {wtop}",
          _bijection_ok(weights, gen_multiedge, rotation_multiedge_to_unarybinary,
@@ -346,11 +346,11 @@ def _check_horton(budget: int) -> List[CheckLine]:
 def _check_marked(budget: int) -> List[CheckLine]:
     top = min(budget, 7)
     ns = range(1, top + 1)
-    stats = [[tree_stats(t, "marked") for t in gen_marked(n)] for n in ns]
+    levels = [gen_marked(n) for n in ns]
     return [(f"marked-tree counts, leaf and height totals = brute, n <= {top}",
              [(marked_count(n), marked_leaf_total(n), marked_height_total(n)) for n in ns],
-             [(len(s), sum(x["leaves"] for x in s), sum(x["height_nodes"] for x in s))
-              for s in stats])]
+             [(len(ts), sum(_stat(t, "marked", "leaves") for t in ts),
+               sum(_stat(t, "marked", "height_nodes") for t in ts)) for ts in levels])]
 
 
 def _check_retakh(budget: int) -> List[CheckLine]:

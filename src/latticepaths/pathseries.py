@@ -20,8 +20,8 @@ Conventions used throughout:
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from functools import lru_cache, partial
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .combinat import binomial, divisor_count, motzkin_numbers, trinomial, trinomial_row
 from .series import Kernel, MarkerPoly, PowerSeries
@@ -371,18 +371,21 @@ def motzkin_bounded_coeff(n: int, h: int, variant: str = "all") -> int:
     return total
 
 
+def _height_total(bounded: Callable[[int], int], every: int) -> int:
+    """Total height over `every` objects, bounded(h) of them of height <= h:
+    the sum over h >= 0 of the objects taller than h."""
+    total = h = 0
+    while (c := bounded(h)) < every:
+        total += every - c
+        h += 1
+    return total
+
+
 def motzkin_height_total(n: int) -> int:
     """Total height over all closed Motzkin paths of length n."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    m_n = motzkin_bounded_coeff(n, n)  # unconstrained count
-    total = 0
-    for h in range(n):
-        c = motzkin_bounded_coeff(n, h)
-        if c >= m_n:
-            break
-        total += m_n - c
-    return total
+    return _height_total(partial(motzkin_bounded_coeff, n), motzkin_bounded_coeff(n, n))
 
 
 @lru_cache(maxsize=None)

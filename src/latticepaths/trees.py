@@ -21,10 +21,15 @@ object adds) and children, each a class at a size.  A node (binary,
 unary-binary, hex, ternary) is its head then its children, and None is the
 empty one.  An ordered, marked or multi-edge tree is a cons, its first edge
 then the edges of the rest tree, so a sequence of subtrees is "first plus
-the rest".  `gen_*` read one cached evaluator.  `tally` evaluates the node
-classes in a value algebra, a size as value -> number of trees, so equal
-values merge and no tree is built.  `reg`, `tree_stats` and `tree_size` fold
-the same rules over one tree, each node standing in for its own head.
+the rest".  `gen_*` read one cached evaluator.
+
+Each statistic (register number, leaves, height, middle edges, marks) is one
+node rule per family, which reads the node and its children's values of that
+statistic alone.  `reg` and `tree_stats` fold those rules over one tree, and
+`tree_size` folds its own.  `tally` evaluates the node classes in one
+statistic's value algebra, a size as value -> number of trees, with the
+production's head followed by its children's sizes standing in for the node,
+so equal values merge and no tree is built.
 """
 
 from __future__ import annotations
@@ -144,9 +149,10 @@ def _fold(children, rule, empty, t):
     unfinished ancestors instead of recursion, so the depth is not limited.
 
     Each non-empty node gets rule(node, its children's values).  The rules of
-    the node classes read only the node's head entries, so `tally` can pass a
-    production's head in its place.  The empty tree (None) has value
-    empty.
+    the node classes read only the node's head entries and whether a child is
+    empty (None, so falsy), so `tally` can pass a stand-in in its place: the
+    production's head followed by its children's sizes, where an empty child
+    is size 0.  The empty tree (None) has value empty.
     """
     if t is None:
         return empty
@@ -179,7 +185,7 @@ def tree_size(t, family: str) -> int:
     return _fold(children, lambda node, kids: 1 + sum(kids), 0, t)
 
 
-def _register(head, kids) -> int:
+def _register(node, kids) -> int:
     """Register rule: a node's value from its children's values (a node
     without children is a bare hex node)."""
     if len(kids) == 2:
@@ -188,44 +194,46 @@ def _register(head, kids) -> int:
     return kids[0] if kids else 1
 
 
+def _added(node, kids) -> int:
+    """A count the node adds nothing to: its children's counts summed."""
+    return sum(kids)
+
+
 _REG = dict.fromkeys(("binary", "unary_binary", "hex"), _register)
+STAT_FIELDS = ("leaves", "height_nodes", "middle_edges", "mark_count")
+# Per statistic, its node rule per family.  A rule reads the node and its
+# children's values of the same statistic, and the empty tree has value 0.
+# Under `tally` the node is a stand-in, the production's head followed by its
+# children's sizes; either way a child is empty exactly when its entry is falsy.
+_RULES = {
+    "reg": _REG,
+    "leaves": dict.fromkeys(_CHILDREN, lambda node, kids: sum(kids) or 1),
+    "height_nodes": dict.fromkeys(_CHILDREN, lambda node, kids: 1 + max(kids, default=0)),
+    "middle_edges": {**dict.fromkeys(_CHILDREN, _added),
+                     "hex": lambda node, kids: (node[0] == "M") + sum(kids),
+                     "ternary": lambda node, kids: (1 if node[1] else 0) + sum(kids)},
+    "mark_count": {**dict.fromkeys(_CHILDREN, _added),
+                   "marked": lambda node, kids: sum(mark for mark, _ in node) + sum(kids)},
+}
+
+
+def _rule(family: str, stat: str):
+    rule = _RULES.get(stat, {}).get(family)
+    if rule is None:
+        raise ValueError(f"statistic {stat!r} not defined for family {family!r}")
+    return rule
+
+
+def _stat(t, family: str, stat: str) -> int:
+    """One statistic of t: its family's rule folded bottom-up."""
+    rule = _rule(family, stat)
+    return _fold(_CHILDREN[family], rule, 0, t)
 
 
 def reg(t, family: str = "binary") -> int:
     """Register number: leaves get 0 (bare hex node 1), unary edges pass through,
     a branch node takes the larger child value, plus one on a tie."""
-    rule = _REG.get(family)
-    if rule is None:
-        raise ValueError(f"register number not defined for family {family!r}")
-    return _fold(_CHILDREN[family], rule, 0, t)
-
-
-def _stats_rule(own):
-    """The statistics rule of one family: a non-empty node's
-    (leaves, height_nodes, middle_edges, mark_count) from its children's.
-    own(head, kids), if given, counts the node's own middle edges and marks;
-    an empty child has the value (0, 0, 0, 0) and adds nothing."""
-    def rule(head, kids) -> tuple:
-        middles, marks = own(head, kids) if own else (0, 0)
-        leaves = height = 0
-        for kid_leaves, kid_height, kid_middles, kid_marks in kids:
-            leaves += kid_leaves
-            middles += kid_middles
-            marks += kid_marks
-            if kid_height > height:
-                height = kid_height
-        return leaves or 1, height + 1, middles, marks
-    return rule
-
-
-_OWN = {
-    "hex": lambda head, kids: (int(head[0] == "M"), 0),
-    # a child's height is 0 exactly when it is empty
-    "ternary": lambda head, kids: (int(kids[1][1] > 0), 0),
-    "marked": lambda node, kids: (0, sum(1 for mark, _ in node if mark)),
-}
-_STATS = {family: _stats_rule(_OWN.get(family)) for family in _CHILDREN}
-STAT_FIELDS = ("leaves", "height_nodes", "middle_edges", "mark_count")
+    return _stat(t, family, "reg")
 
 
 def tree_stats(t, family: str) -> dict:
@@ -233,10 +241,7 @@ def tree_stats(t, family: str) -> dict:
 
     The empty tree has height_nodes 0 and height_edges -1.
     """
-    rule = _STATS.get(family)
-    if rule is None:
-        raise ValueError(f"unknown family {family!r}")
-    leaves, height_nodes, middles, marks = _fold(_CHILDREN[family], rule, (0, 0, 0, 0), t)
+    leaves, height_nodes, middles, marks = (_stat(t, family, stat) for stat in STAT_FIELDS)
     return {
         "leaves": leaves,
         "height_nodes": height_nodes,
@@ -260,27 +265,24 @@ def tally(family: str, top: int, stat: str, a: int = 1) -> list:
     stat is "reg" or one of STAT_FIELDS.  The family's productions are
     evaluated in the statistic's value algebra, each size held as value ->
     number of trees.  Each choice of (value, count) pairs for a production's
-    children is one call of the same node rule as `reg` / `tree_stats`,
-    weighed by the product of the counts, so equal values merge and no tree
-    is built.
+    children is one call of the same node rule as `reg` / `tree_stats`, with
+    the production's head followed by its children's sizes in the place of
+    the node, weighed by the product of the counts, so equal values merge and
+    no tree is built.
     """
     if family not in _NODE_CLASSES:
         raise ValueError(f"no value algebra for family {family!r}: its trees are not nodes")
-    if stat == "reg" and family in _REG:
-        rule, empty, field = _REG[family], 0, None
-    elif stat in STAT_FIELDS:
-        rule, empty, field = _STATS[family], (0, 0, 0, 0), STAT_FIELDS.index(stat)
-    else:
-        raise ValueError(f"statistic {stat!r} not defined for family {family!r}")
+    rule = _rule(family, stat)
     if family == "unary_binary":
         _colours(a)  # size 0 reads no production
     if top < 0:
         return []
 
-    levels = [Counter([empty])]  # per size, value -> number of trees
+    levels = [Counter([0])]  # per size, value -> number of trees
     for size in range(1, top + 1):
+        stand_ins = [(head + tuple(n for _, n in children), children)
+                     for head, children in _PRODUCTIONS[family](size, a)]
         levels.append(_merged(_construct(
-            _PRODUCTIONS[family](size, a), lambda child: levels[child[1]].items(),
-            lambda head, kids: (rule(head, [v for v, _ in kids]), prod(c for _, c in kids)))))
-    return levels if field is None else [_merged((v[field], c) for v, c in level.items())
-                                         for level in levels]
+            stand_ins, lambda child: levels[child[1]].items(),
+            lambda node, kids: (rule(node, [v for v, _ in kids]), prod(c for _, c in kids)))))
+    return levels

@@ -8,17 +8,17 @@ can confront them with each other and with exhaustive generation.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from operator import add
 from typing import List
 
 from .combinat import binomial, motzkin_numbers, trinomial
-from .pathseries import _v_poly, motzkin_bounded_coeff
+from .pathseries import _MOTZKIN, _height_total, _v_poly, motzkin_bounded_coeff
 from .series import Kernel, MarkerPoly, PowerSeries
 
-# z = v/(1 + 3v + v^2) for marked trees; z = v/(1 + v + v^2) for the
-# restricted-path trees
+# z = v/(1 + 3v + v^2) for marked trees; the restricted-path trees share the
+# Motzkin kernel z = v/(1 + v + v^2)
 _MARKED = Kernel(3)
-_MOTZKIN = Kernel(1)
 
 
 # ----------------------------------------------------------------------
@@ -394,13 +394,4 @@ def retakh_height_total(n: int) -> int:
     equals the height of the corresponding path)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    m_total = retakh_bounded_count(n, 2 * n)  # all of them
-    total = 0
-    h = 0
-    while True:
-        c = retakh_bounded_count(n, h)
-        if c >= m_total:
-            break
-        total += m_total - c
-        h += 1
-    return total
+    return _height_total(partial(retakh_bounded_count, n), retakh_bounded_count(n, 2 * n))

@@ -3,8 +3,9 @@ kept as an oracle for its verdicts.
 
 Each body below decides its own verdict and returns `(ok, label)` pairs.
 They are kept as they were, with the names they read imported from
-`latticepaths.cli`, so a test that replaces one of those names must replace
-it here as well.  `as_lines` turns a body into a family of today's shape,
+`latticepaths.cli` (`tree_stats`, which `cli` no longer reads, from
+`latticepaths.trees`), so a test that replaces one of those names must
+replace it here as well.  `as_lines` turns a body into a family of today's shape,
 whose lines are a label and route values: `(label, ok, True)` is ok exactly
 when `ok` is.
 """
@@ -56,9 +57,9 @@ from latticepaths.cli import (
     ternary_row,
     ternary_row_sum,
     ternary_T,
-    tree_stats,
     unary_binary_count,
 )
+from latticepaths.trees import tree_stats
 
 CheckResult = Tuple[bool, str]
 

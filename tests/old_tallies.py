@@ -5,8 +5,11 @@ Both evaluate a family's declaration in a statistic's value algebra, as
 `trees.tally` and `paths.tally` do, but list one value per object: per tree
 size (`old_trees_tally`) or per walk state (`old_paths_tally`) every tree or
 suffix has its own value, and equal values are only counted at the end.
-They read the declarations and rules of the package, so they check the
-merging, not the rules.
+They read the declarations of the package, so they check the merging, not
+the declarations.  `old_trees_tally` reads the register rule of the package
+but its own copy of the statistics rule that the per-statistic rules
+replaced, a whole (leaves, height_nodes, middle_edges, mark_count) tuple per
+tree projected to the asked field at the end, so it checks those rules too.
 """
 
 from collections import Counter
@@ -15,6 +18,33 @@ from itertools import chain
 from operator import itemgetter
 
 from latticepaths import paths, trees
+
+
+def _stats_rule(own):
+    """The statistics rule of one family: a non-empty node's
+    (leaves, height_nodes, middle_edges, mark_count) from its children's.
+    own(head, kids), if given, counts the node's own middle edges and marks;
+    an empty child has the value (0, 0, 0, 0) and adds nothing."""
+    def rule(head, kids) -> tuple:
+        middles, marks = own(head, kids) if own else (0, 0)
+        leaves = height = 0
+        for kid_leaves, kid_height, kid_middles, kid_marks in kids:
+            leaves += kid_leaves
+            middles += kid_middles
+            marks += kid_marks
+            if kid_height > height:
+                height = kid_height
+        return leaves or 1, height + 1, middles, marks
+    return rule
+
+
+_OWN = {
+    "hex": lambda head, kids: (int(head[0] == "M"), 0),
+    # a child's height is 0 exactly when it is empty
+    "ternary": lambda head, kids: (int(kids[1][1] > 0), 0),
+    "marked": lambda node, kids: (0, sum(1 for mark, _ in node if mark)),
+}
+_STATS = {family: _stats_rule(_OWN.get(family)) for family in trees._CHILDREN}
 
 
 def old_trees_tally(family: str, top: int, stat: str, a: int = 1) -> list:
@@ -31,7 +61,7 @@ def old_trees_tally(family: str, top: int, stat: str, a: int = 1) -> list:
     if stat == "reg" and family in trees._REG:
         rule, empty, field = trees._REG[family], 0, None
     elif stat in trees.STAT_FIELDS:
-        rule, empty, field = trees._STATS[family], (0, 0, 0, 0), trees.STAT_FIELDS.index(stat)
+        rule, empty, field = _STATS[family], (0, 0, 0, 0), trees.STAT_FIELDS.index(stat)
     else:
         raise ValueError(f"statistic {stat!r} not defined for family {family!r}")
     if top < 0:

@@ -759,6 +759,57 @@ def test_middle_edge_tally_matches_tree_stats_on_ternary_trees():
                                    for t in gen_ternary(n))
 
 
+def test_middle_edge_rule_runs_once_per_production_and_distinct_child_counts(monkeypatch):
+    # the rule reads the children's middle-edge counts alone, so trees that
+    # differ only in other statistics merge before it runs
+    rule = trees._RULES["middle_edges"]["ternary"]
+    calls, kinds = Counter(), set()
+
+    def counting_rule(node, kids):
+        calls[node] += 1
+        kinds.update(map(type, kids))
+        return rule(node, kids)
+
+    monkeypatch.setitem(trees._RULES["middle_edges"], "ternary", counting_rule)
+    top = 10
+    dists = tally("ternary", top, "middle_edges")
+    assert kinds == {int}
+    # the distinct middle-edge counts of each size, from the closed form
+    distinct = [sum(1 for c in ternary_row(n) if c) for n in range(top)]
+    want = Counter()
+    for n in range(1, top + 1):
+        for head, children in trees._PRODUCTIONS["ternary"](n, 0):
+            sizes = tuple(size for _, size in children)
+            # a production's stand-in node is its head then its children's sizes
+            want[head + sizes] += math.prod(distinct[size] for size in sizes)
+    assert calls == want
+    assert [sorted(d.items()) for d in dists] == [list(enumerate(ternary_row(n)))
+                                                 for n in range(top + 1)]
+
+
+def test_middle_edge_tally_reaches_size_24():
+    top = 24
+    dists = tally("ternary", top, "middle_edges")
+    assert dists[0] == Counter({0: 1})
+    for n in range(1, top + 1):
+        assert sorted(dists[n]) == list(range(n)), n
+        assert [dists[n][k] for k in range(n)] == [ternary_T(n, k) for k in range(n)], n
+        assert dists[n].total() == ternary_row_sum(n), n
+
+
+def test_statistics_keep_their_keys_and_their_refusals():
+    samples = {"binary": gen_binary, "unary_binary": gen_unary_binary, "hex": gen_hex,
+               "ordered": gen_ordered, "marked": gen_marked, "multiedge": gen_multiedge,
+               "ternary": gen_ternary}
+    keys = ["leaves", "height_nodes", "height_edges", "middle_edges", "mark_count"]
+    for family, gen in samples.items():
+        for t in (None, *gen(3)):
+            assert list(tree_stats(t, family)) == keys, (family, t)
+    for args in (("ternary", 3, "reg"), ("marked", 3, "leaves"), ("binary", 3, "nosuch")):
+        with pytest.raises(ValueError):
+            tally(*args)
+
+
 @settings(max_examples=80, deadline=None)
 @given(family=st.sampled_from(sorted(OLD_BUILDERS)), top=st.integers(0, 6),
        a=st.integers(0, 3), stat=st.sampled_from(("reg",) + STAT_FIELDS))

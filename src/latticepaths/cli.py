@@ -250,7 +250,7 @@ def _check_ternary(budget: int) -> List[CheckLine]:
 def _check_amplitude(budget: int) -> List[CheckLine]:
     top = min(budget, 10)
     # a Motzkin path of height h has amplitude 2h+1 with a flat step at the top level, 2h without
-    dists = tally_paths("motzkin", top, "amplitude")
+    dists = tally_paths("motzkin", budget, "amplitude")
     heights = [(n, h) for n in range(top + 1) for h in range(n + 1)]
     layers, ns = range(min(budget, 6) + 1), range(budget + 1)
     return [(f"amplitude distribution = brute classification, n <= {top}",
@@ -261,7 +261,8 @@ def _check_amplitude(budget: int) -> List[CheckLine]:
              [_coeffs(amplitude_series(h, "horiz", budget)
                       + amplitude_series(h, "no-horiz", budget), ns) for h in layers],
              [[amplitude_coeff(n, h, "horiz") + amplitude_coeff(n, h, "no-horiz") for n in ns]
-              for h in layers])]
+              for h in layers],
+             [[dists[n][2 * h + 1] + dists[n][2 * h] for n in ns] for h in layers])]
 
 
 def _check_motzkin_bounded(budget: int) -> List[CheckLine]:

@@ -43,11 +43,7 @@ def ubar(k: int, order: int) -> PowerSeries:
     The coefficient of z^l is the Fuss-Catalan number
     C(1 + l(k+1), l) / (1 + l(k+1)).
     """
-    if k < 1:
-        raise ValueError("rise height k must be >= 1")
-    coeffs = [Fraction(binomial(1 + l * (k + 1), l), 1 + l * (k + 1))
-              for l in range(order + 1)]
-    return PowerSeries("z", coeffs, order)
+    return ubar_power(1, k, order)
 
 
 def ubar_power(d: int, k: int, order: int) -> PowerSeries:
@@ -317,58 +313,49 @@ def motzkin_det(n: int, order: int, star: bool = False) -> PowerSeries:
     """Banded determinant D_n (or the top-row-trimmed D*_n when star=True).
 
     D_n = (1-z) D_{n-1} - z^2 D_{n-2} with D_0 = 1, D_1 = 1-z;
-    D*_n = D_{n-1} - z^2 D_{n-2} with D_{-1} = 0 and D*_0 = 1.
+    D*_n = D_{n-1} - z^2 D_{n-2} obeys the same recurrence with D*_0 = D*_1 = 1.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    prev = PowerSeries("z", [0]).pad(order)  # D_{-1}
-    cur = PowerSeries.const("z", 1, order)   # D_0
     zz = PowerSeries("z", [0, 0, 1]).pad(order)
     omz = PowerSeries("z", [1, -1]).pad(order)
-    if not star:
-        for _ in range(n):
-            prev, cur = cur, omz * cur - zz * prev
-        return cur
-    if n == 0:
-        return cur
+    prev = PowerSeries.const("z", 1, order)  # D_0 = D*_0
+    cur = prev if star else omz * prev       # D*_1 or D_1
     for _ in range(n - 1):
         prev, cur = cur, omz * cur - zz * prev
-    return cur - zz * prev
+    return cur if n else prev
+
+
+# Paths of height <= h form the strip Q(1 - v^(E-2))/(1 - v^E) under
+# z = v/Q(v), Q = 1 + v + v^2, with period E = 2h + 4, or 2h + 3 when no flat
+# step may run at level h.  An amplitude class is one strip less the strip of
+# period E - 1.
+_STRIP_PERIOD = {"all": 4, "no-top-horizontal": 3}
+_AMP_STRIP = {"horiz": "all", "no-horiz": "no-top-horizontal"}
+
+
+def _period(h: int, variant: str) -> int:
+    """The period E of the height-<= h strip `variant`."""
+    if h < 0:
+        raise ValueError("height bound must be >= 0")
+    if variant not in _STRIP_PERIOD:
+        raise ValueError(f"unknown variant {variant!r}")
+    return 2 * h + _STRIP_PERIOD[variant]
 
 
 def motzkin_bounded(h: int, order: int, variant: str = "all") -> PowerSeries:
     """Motzkin paths of height <= h: D_h/D_{h+1} for variant "all", and
-    D*_h/D*_{h+1} for variant "no-top-horizontal" (no flat step at level h)."""
-    if h < 0:
-        raise ValueError("height bound must be >= 0")
-    if variant == "all":
-        return motzkin_det(h, order) / motzkin_det(h + 1, order)
-    if variant == "no-top-horizontal":
-        return motzkin_det(h, order, star=True) / motzkin_det(h + 1, order, star=True)
-    raise ValueError(f"unknown variant {variant!r}")
+    D*_h/D*_{h+1} for variant "no-top-horizontal" (no flat step at level h),
+    whose strip has the odd period."""
+    star = _period(h, variant) % 2 == 1
+    return motzkin_det(h, order, star) / motzkin_det(h + 1, order, star)
 
 
 def motzkin_bounded_coeff(n: int, h: int, variant: str = "all") -> int:
-    """[z^n] of :func:`motzkin_bounded` extracted against one trinomial row,
-    using the closed v-forms Q(1 - v^(2h+2))/(1 - v^(2h+4)) and
-    Q(1 - v^(2h+1))/(1 - v^(2h+3))."""
-    if h < 0:
-        raise ValueError("height bound must be >= 0")
-    if variant == "all":
-        period, top = 2 * h + 4, 2 * h + 2
-    elif variant == "no-top-horizontal":
-        period, top = 2 * h + 3, 2 * h + 1
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    total = 0
-    a = 0
-    while a <= n:
-        # [z^n] (1 + v + v^2) v^a = [z^n] v^(a+1)/z
-        total += _MOTZKIN.vpow_coeff(n + 1, a + 1)
-        if a + top <= n:
-            total -= _MOTZKIN.vpow_coeff(n + 1, a + top + 1)
-        a += period
-    return total
+    """[z^n] of :func:`motzkin_bounded`: the strip is Q plus the layer of its
+    period, and [z^n] Q = [z^(n+1)] v is the Motzkin number."""
+    E = _period(h, variant)
+    return _MOTZKIN.vpow_coeff(n + 1, 1) + _amp_layer_coeff(n, E) if n >= 0 else 0
 
 
 def _height_total(bounded: Callable[[int], int], every: int) -> int:
@@ -414,25 +401,24 @@ def skew_red_total(n: int) -> int:
     return val // 2
 
 
-def _amp_layer_series(E: int, order: int) -> PowerSeries:
-    """v-series of -Q(1 - v^2) v^(E-2)/(1 - v^E), the telescoping layer."""
+def _geom_block(var: str, base: int, period: int, order: int) -> PowerSeries:
+    """(1 - t^2) t^base/(1 - t^period) as a series in t = var."""
     coeffs = [0] * (order + 1)
-    kE = E
-    while kE - 2 <= order:
-        coeffs[kE - 2] = 1
-        kE += E
-    geo = PowerSeries("v", coeffs, order)
-    pre = PowerSeries("v", [1, 1, 1]).pad(order) * PowerSeries("v", [1, 0, -1]).pad(order)
-    return -(pre * geo)
+    for e in range(base, order + 1, period):
+        coeffs[e] = 1
+    return PowerSeries(var, [1, 0, -1]).pad(order) * PowerSeries(var, coeffs, order)
+
+
+def _amp_layer_series(E: int, order: int) -> PowerSeries:
+    """v-series of -Q(1 - v^2) v^(E-2)/(1 - v^E): the strip of period E less Q."""
+    return -(PowerSeries("v", [1, 1, 1]).pad(order) * _geom_block("v", E - 2, E, order))
 
 
 def _amp_layers(h: int, kind: str) -> Tuple[int, int]:
     """The layer periods E whose difference gives amplitude class `kind` at h."""
-    if h < 0:
-        raise ValueError("height must be >= 0")
-    if kind not in ("horiz", "no-horiz"):
+    if kind not in _AMP_STRIP:
         raise ValueError(f"unknown kind {kind!r}")
-    top = 2 * h + (4 if kind == "horiz" else 3)
+    top = _period(h, _AMP_STRIP[kind])
     return top, top - 1
 
 
@@ -685,20 +671,17 @@ def deutsch_phi(t: int, j: int, order: int, bound: Optional[int] = None) -> Powe
         expr = (one_plus ** (t - j - 2)
                 * _v_poly([(0, 1), (j + 1, -1)], vorder)
                 * PowerSeries("v", [0, 1]).pad(vorder) * Q)
-        if bound is None:
-            expr = expr / one_minus
-        else:
-            expr = expr * _v_poly([(0, 1), (bound - t, -1)], vorder) \
-                / (one_minus * _v_poly([(0, 1), (bound + 2, -1)], vorder))
     else:
         expr = (_v_poly([(j - t, 1)], vorder)
                 * _v_poly([(0, 1), (t + 2, -1)], vorder) * Q
                 * one_plus ** (-(j - t + 2)))
-        if bound is None:
-            expr = expr / one_minus
-        else:
-            expr = expr * _v_poly([(0, 1), (bound + 1 - j, -1)], vorder) \
-                / (one_minus * _v_poly([(0, 1), (bound + 2, -1)], vorder))
+    if bound is None:
+        expr = expr / one_minus
+    else:
+        # the strip factor (1 - v^cut)/((1 - v)(1 - v^(bound+2)))
+        cut = bound - t if j < t else bound + 1 - j
+        expr = expr * _v_poly([(0, 1), (cut, -1)], vorder) \
+            / (one_minus * _v_poly([(0, 1), (bound + 2, -1)], vorder))
     return _MOTZKIN.eval(expr, order)
 
 

@@ -13,7 +13,7 @@ from operator import add
 from typing import List
 
 from .combinat import binomial, motzkin_numbers, trinomial
-from .pathseries import _MOTZKIN, _height_total, _v_poly, motzkin_bounded_coeff
+from .pathseries import _MOTZKIN, _geom_block, _height_total, _v_poly, motzkin_bounded_coeff
 from .series import Kernel, MarkerPoly, PowerSeries
 
 # z = v/(1 + 3v + v^2) for marked trees; the restricted-path trees share the
@@ -32,26 +32,12 @@ def _unary_binary_kernel(a: int) -> Kernel:
     return Kernel(a + 2)
 
 
-def _geom_block(p: int, shift_down: bool, order: int) -> PowerSeries:
-    """(1 - u^2) u^(2^p - 1) / (1 - u^(2^(p+1) if shift_down else 2^p))
-    as a u-series; the two Horton layer shapes."""
-    period = 2 ** (p + 1) if shift_down else 2 ** p
-    base = 2 ** p - 1
-    coeffs = [0] * (order + 1)
-    e = base
-    while e <= order:
-        coeffs[e] += 1
-        e += period
-    geo = PowerSeries("u", coeffs, order)
-    return PowerSeries("u", [1, 0, -1]).pad(order) * geo
-
-
 def horton_Rp(p: int, a: int, order: int) -> PowerSeries:
     """Trees whose register number is exactly p, as a z-series:
     ((1-u^2)/u) u^(2^p)/(1 - u^(2^(p+1))) under z = u/(1+(a+2)u+u^2)."""
     if p < 0:
         raise ValueError("register rank must be >= 0")
-    return _unary_binary_kernel(a).eval(_geom_block(p, True, order), order)
+    return _unary_binary_kernel(a).eval(_geom_block("u", 2 ** p - 1, 2 ** (p + 1), order), order)
 
 
 def horton_Sp(p: int, a: int, order: int) -> PowerSeries:
@@ -59,7 +45,7 @@ def horton_Sp(p: int, a: int, order: int) -> PowerSeries:
     ((1-u^2)/u) u^(2^p)/(1 - u^(2^p))."""
     if p < 0:
         raise ValueError("register rank must be >= 0")
-    return _unary_binary_kernel(a).eval(_geom_block(p, False, order), order)
+    return _unary_binary_kernel(a).eval(_geom_block("u", 2 ** p - 1, 2 ** p, order), order)
 
 
 def unary_binary_count(n: int, a: int) -> int:
@@ -324,9 +310,9 @@ def ternary_factorization_check(order: int) -> bool:
     if lhs != rhs:
         return False
     # the factorization r1 = Xi^2 - t^2/(4ux), via the exact polynomial
-    # identity C - tau(1 + U(1+U)tau)/4 = 1 - (1+U)tau
+    # identity C - tau(1 + U(1+U)tau)/4 = 1 - (1+U)tau; s2 already holds -Xi^2
     tt_over = (sigma * 4) * denom / (one_minus * one_minus)
-    if xi * xi - tt_over != r1:
+    if -s2 - tt_over != r1:
         return False
     return True
 

@@ -157,6 +157,17 @@ def test_check_verdicts_match_the_old_bodies(family, monkeypatch, capsys):
             compare(argvs[:3])
 
 
+def test_check_amplitude_layer_line_is_backed_by_the_paths(monkeypatch, capsys):
+    # the layer series and the extraction agree with each other one height
+    # too high: only the path tally can tell
+    series, coeff = cli.amplitude_series, cli.amplitude_coeff
+    monkeypatch.setattr(cli, "amplitude_series", lambda h, kind, order: series(h + 1, kind, order))
+    monkeypatch.setattr(cli, "amplitude_coeff", lambda n, h, kind: coeff(n, h + 1, kind))
+    assert main(["check", "--family", "amplitude", "--max", "12"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == "FAIL amplitude layer series = coefficient extraction, order 12"
+
+
 def test_asym_report(capsys):
     assert main(["asym", "--family", "red_edges", "--n", "160"]) == 0
     lines = capsys.readouterr().out.splitlines()

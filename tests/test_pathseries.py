@@ -399,14 +399,20 @@ def test_dual_open_ended_golden_and_brute():
 
 def test_motzkin_det_recursion_and_values():
     order = 10
+    omz, zz = PowerSeries("z", [1, -1]).pad(order), PowerSeries("z", [0, 0, 1]).pad(order)
+    for star in (False, True):
+        for n in range(2, 7):
+            dn = motzkin_det(n, order, star)
+            rec = omz * motzkin_det(n - 1, order, star) - zz * motzkin_det(n - 2, order, star)
+            assert (dn - rec).is_zero
     for n in range(2, 7):
-        dn = motzkin_det(n, order)
-        rec = (PowerSeries("z", [1, -1]).pad(order) * motzkin_det(n - 1, order)
-               - PowerSeries("z", [0, 0, 1]).pad(order) * motzkin_det(n - 2, order))
-        assert (dn - rec).is_zero
+        # D*_n trims the top row: D_{n-1} - z^2 D_{n-2}
+        trimmed = motzkin_det(n - 1, order) - zz * motzkin_det(n - 2, order)
+        assert (motzkin_det(n, order, star=True) - trimmed).is_zero
     assert (motzkin_det(0, 5) - 1).is_zero
     assert series_ints(motzkin_det(1, 5), 1) == [1, -1]
     assert (motzkin_det(0, 5, star=True) - 1).is_zero
+    assert (motzkin_det(1, 5, star=True) - 1).is_zero
 
 
 def test_motzkin_det_v_forms():

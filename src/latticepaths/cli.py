@@ -77,12 +77,9 @@ from .treeseries import (
 
 
 def _coeff_value(c):
-    """Unwrap a series coefficient to int or Fraction."""
-    if hasattr(c, "constant"):
-        c = c.constant()
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
-    return c
+    """Unwrap a series coefficient, as `PowerSeries.coeff` gives it, to int or Fraction."""
+    c = c.constant()
+    return int(c) if c.denominator == 1 else c
 
 
 def _json_record(n: int, value) -> str:

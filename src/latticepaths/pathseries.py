@@ -26,7 +26,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 from .combinat import binomial, divisor_count, motzkin_numbers, trinomial, trinomial_row
 from .series import Kernel, MarkerPoly, PowerSeries
 
-_ONE = Fraction(1)
 # z = v/(1 + v + v^2) for Motzkin-type paths; x = v/(1 + 3v + v^2) shared by
 # skew, dual-skew and marked-tree counting
 _MOTZKIN = Kernel(1)
@@ -97,8 +96,6 @@ def deng_mansour_count(n_up: int, j: int, k: int) -> int:
         c = (-1) ** m * binomial(jj - k * m, m)
         if c:
             total += c * _fuss_catalan(n - m, k)
-    if n <= (jj - 1) // (k + 1):
-        total -= (-1) ** n * binomial(jj - 1 - k * n, n)
     assert total.denominator == 1
     return int(total)
 
@@ -700,8 +697,8 @@ def deutsch_strip_solve(t: int, m: int, order: int) -> List[PowerSeries]:
     """Solve the m-by-m band system for strip-confined paths from level t:
     phi_i - z phi_{i-1} - z sum_{k>i} phi_k = [i == t].  Returns all phi_j.
 
-    Independent of the closed forms; pivots stay units so elimination over
-    truncated series is exact.
+    Independent of the closed forms: the system itself gives coefficient
+    n + 1 of every phi_i from coefficient n, with no series division.
     """
     if not 0 <= t < m:
         raise ValueError("start level must lie inside the strip")
@@ -709,35 +706,16 @@ def deutsch_strip_solve(t: int, m: int, order: int) -> List[PowerSeries]:
 
 
 def _deutsch_strip_solutions(m: int, order: int) -> List[List[PowerSeries]]:
-    """`deutsch_strip_solve(t, m, order)` for every start level t, from one
-    elimination of the band matrix with all m right-hand sides."""
-    z = PowerSeries.identity("z", order)
-    zero = PowerSeries.const("z", 0, order)
-    one = PowerSeries.const("z", 1, order)
-    A = [[zero] * m for _ in range(m)]
-    for i in range(m):
-        A[i][i] = one
-        if i > 0:
-            A[i][i - 1] = -z
-        for k in range(i + 1, m):
-            A[i][k] = -z
-    b = [[one if i == t else zero for t in range(m)] for i in range(m)]  # b[row][t]
-    for col in range(m):
-        inv = A[col][col].inverse()
-        for row in range(col + 1, m):
-            if A[row][col].is_zero:
-                continue
-            f = A[row][col] * inv
-            for k in range(col, m):
-                A[row][k] = A[row][k] - f * A[col][k]
-            b[row] = [x - f * y for x, y in zip(b[row], b[col])]
+    """`deutsch_strip_solve(t, m, order)` for every start level t, read off
+    the band system one coefficient at a time:
+    phi_i[n+1] = phi_(i-1)[n] + sum_{k>i} phi_k[n]."""
     sols = []
     for t in range(m):
-        sol = [zero] * m
-        for row in range(m - 1, -1, -1):
-            acc = b[row][t]
-            for k in range(row + 1, m):
-                acc = acc - A[row][k] * sol[k]
-            sol[row] = acc / A[row][row]
-        sols.append(sol)
+        phi = [[int(i == t)] for i in range(m)]
+        for n in range(order):
+            above = 0
+            for i in range(m - 1, -1, -1):
+                phi[i].append((phi[i - 1][n] if i else 0) + above)
+                above += phi[i][n]
+        sols.append([PowerSeries("z", c, order) for c in phi])
     return sols

@@ -629,7 +629,8 @@ class AlgebraicSubstitution:
     """A change of variables z = v/Phi(v), i.e. v = z*Phi(v), with Phi(0) != 0.
 
     Phi is a series in the inner variable; its stored order bounds how far the
-    inverse series can be computed.
+    inverse series can be computed.  `invert` reads v off the equation itself,
+    one coefficient per pass.
     """
 
     def __init__(self, outer_var: str, inner_var: str, phi: PowerSeries):
@@ -642,30 +643,32 @@ class AlgebraicSubstitution:
         self.phi = phi
 
     def invert(self, order: int) -> PowerSeries:
-        """The series v(z) with v = z*Phi(v), gained one order per fixed-point pass."""
+        """The series v(z) with v = z*Phi(v), by v_n = sum_k phi_k [z^(n-1)] v^k.
+
+        [z^(n-1)] v^k needs only v_1..v_(n-k), so each pass first extends the
+        powers v^2..v^K by one coefficient, K being Phi's degree within
+        `order`, and then reads v_n off them.
+        """
         if self.phi.order < order:
             raise ValueError(
                 f"phi is only known to order {self.phi.order}; cannot invert to {order}")
-        phi = self.phi.truncate(order)
-        if not any(phi._c[3:]):
-            return self._invert_quadratic(order)
-        v = PowerSeries.const(self.outer_var, 0, order)
-        for _ in range(order):
-            v = phi.compose(v).pad(order).shift(1).truncate(order)
-        return v
-
-    def _invert_quadratic(self, order: int) -> PowerSeries:
-        # For Phi = c0 + c1 t + c2 t^2 the coefficients of v obey the direct
-        # convolution recurrence v_n = c1 v_{n-1} + c2 (v^2)_{n-1}, one pass.
-        c0, c1, c2 = (self.phi._c + [0, 0])[:3]
+        phi = self.phi._c[: order + 1]
+        top = max(k for k, c in enumerate(phi) if c)
         v = [0] * (order + 1)
-        if order >= 1:
-            v[1] = c0
-        for n in range(2, order + 1):
-            sq = 0
-            for i in range(1, n - 1):
-                sq += v[i] * v[n - 1 - i]
-            v[n] = _ring(c1 * v[n - 1] + c2 * sq)
+        # pows[k][j] = [z^j] v^k
+        pows = [[1] + [0] * order, v] + [[0] * (order + 1) for _ in range(2, top + 1)]
+        for n in range(1, order + 1):
+            m = n - 1
+            for k in range(2, min(top, m) + 1):
+                low = pows[k - 1]
+                acc = 0
+                for j in range(1, m - k + 2):
+                    acc += v[j] * low[m - j]
+                pows[k][m] = _ring(acc)
+            acc = 0
+            for k in range(min(top, m) + 1):
+                acc += phi[k] * pows[k][m]
+            v[n] = _ring(acc)
         return _series(self.outer_var, v, order)
 
 

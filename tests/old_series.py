@@ -14,6 +14,11 @@ call these.
 marker-bearing series coded their monomials as ints, kept verbatim: one slice
 loop over `+` and `*` for every product, which builds a `MarkerPoly` and runs
 one `_mac` per pair of marker-bearing coefficients.
+
+`old_invert` and `old_invert_quadratic` are `AlgebraicSubstitution.invert`
+and its quadratic fast path as they were before one recurrence served every
+Phi: a Phi of degree at most 2 takes the convolution recurrence, and any
+other Phi gains one order per fixed-point pass of `compose`.  Kept verbatim.
 """
 
 from fractions import Fraction
@@ -145,3 +150,32 @@ def slice_mul(self, other):
 OLD_SERIES = {"__add__": old_add, "__radd__": old_add, "__neg__": old_neg,
               "__mul__": old_mul, "__rmul__": old_mul, "__truediv__": old_truediv,
               "sqrt": old_sqrt}
+
+
+def old_invert(self, order: int) -> PowerSeries:
+    """The series v(z) with v = z*Phi(v), gained one order per fixed-point pass."""
+    if self.phi.order < order:
+        raise ValueError(
+            f"phi is only known to order {self.phi.order}; cannot invert to {order}")
+    phi = self.phi.truncate(order)
+    if not any(phi._c[3:]):
+        return old_invert_quadratic(self, order)
+    v = PowerSeries.const(self.outer_var, 0, order)
+    for _ in range(order):
+        v = phi.compose(v).pad(order).shift(1).truncate(order)
+    return v
+
+
+def old_invert_quadratic(self, order: int) -> PowerSeries:
+    # For Phi = c0 + c1 t + c2 t^2 the coefficients of v obey the direct
+    # convolution recurrence v_n = c1 v_{n-1} + c2 (v^2)_{n-1}, one pass.
+    c0, c1, c2 = (self.phi._c + [0, 0])[:3]
+    v = [0] * (order + 1)
+    if order >= 1:
+        v[1] = c0
+    for n in range(2, order + 1):
+        sq = 0
+        for i in range(1, n - 1):
+            sq += v[i] * v[n - 1 - i]
+        v[n] = _ring(c1 * v[n - 1] + c2 * sq)
+    return _series(self.outer_var, v, order)

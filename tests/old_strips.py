@@ -1,12 +1,17 @@
 """The height-bounded strips and layer blocks as they were before every
-strip became Q plus one telescoping layer, kept as oracles.
+strip became Q plus one telescoping layer, and the strip band solve as it was
+before it read each coefficient off the one before it, kept as oracles.
 
 `old_motzkin_bounded_coeff` extracts a whole strip
 Q(1 - v^(E-2))/(1 - v^E) with its own loop; `old_motzkin_det` builds D*_n
 from D_{n-1} and D_{n-2} in a second loop; `old_amp_layer_series` and
 `old_geom_block` build the blocks (1 - t^2) t^base/(1 - t^period) each on
-its own.  The bodies are kept verbatim.
+its own.  `old_deutsch_strip_solutions` eliminates the m-by-m band matrix
+over truncated series, with one series `inverse()` per pivot and one series
+division per back-substituted unknown.  The bodies are kept verbatim.
 """
+
+from typing import List
 
 from latticepaths.pathseries import _MOTZKIN
 from latticepaths.series import PowerSeries
@@ -82,3 +87,38 @@ def old_geom_block(p: int, shift_down: bool, order: int) -> PowerSeries:
         e += period
     geo = PowerSeries("u", coeffs, order)
     return PowerSeries("u", [1, 0, -1]).pad(order) * geo
+
+
+def old_deutsch_strip_solutions(m: int, order: int) -> List[List[PowerSeries]]:
+    """`deutsch_strip_solve(t, m, order)` for every start level t, from one
+    elimination of the band matrix with all m right-hand sides."""
+    z = PowerSeries.identity("z", order)
+    zero = PowerSeries.const("z", 0, order)
+    one = PowerSeries.const("z", 1, order)
+    A = [[zero] * m for _ in range(m)]
+    for i in range(m):
+        A[i][i] = one
+        if i > 0:
+            A[i][i - 1] = -z
+        for k in range(i + 1, m):
+            A[i][k] = -z
+    b = [[one if i == t else zero for t in range(m)] for i in range(m)]  # b[row][t]
+    for col in range(m):
+        inv = A[col][col].inverse()
+        for row in range(col + 1, m):
+            if A[row][col].is_zero:
+                continue
+            f = A[row][col] * inv
+            for k in range(col, m):
+                A[row][k] = A[row][k] - f * A[col][k]
+            b[row] = [x - f * y for x, y in zip(b[row], b[col])]
+    sols = []
+    for t in range(m):
+        sol = [zero] * m
+        for row in range(m - 1, -1, -1):
+            acc = b[row][t]
+            for k in range(row + 1, m):
+                acc = acc - A[row][k] * sol[k]
+            sol[row] = acc / A[row][row]
+        sols.append(sol)
+    return sols

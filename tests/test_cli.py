@@ -73,6 +73,25 @@ def test_bij_output_digest(argv, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+BIJ_SIZE_ONE = {"multiedge-motzkin": "(1) -> (empty)\n", "marked-skew": "() -> (empty)\n",
+                "rotation": "(1) -> (.,.)\n"}
+
+
+@pytest.mark.parametrize("family", sorted(BIJS))
+def test_bij_default_size_and_least_size(family, capsys):
+    # without --n, bij prints the --n 3 table (the golden one where there is
+    # one); --n 1 is the least size it accepts
+    assert main(["bij", "--family", family]) == 0
+    default = capsys.readouterr().out
+    assert main(["bij", "--family", family, "--n", "3"]) == 0
+    assert default == capsys.readouterr().out
+    golden = FIXTURES / f"bij_{family.replace('-', '_')}_n3.txt"
+    if golden.exists():
+        assert default == golden.read_text()
+    assert main(["bij", "--family", family, "--n", "1"]) == 0
+    assert capsys.readouterr().out == BIJ_SIZE_ONE[family]
+
+
 def test_json_lines_parse(capsys):
     assert main(["seq", "--family", "kemp-peak", "--n", "4",
                  "--format", "json-lines"]) == 0

@@ -15,6 +15,7 @@ from latticepaths.series import (
     PowerSeries,
     poly_substitution,
 )
+from old_series import old_invert
 
 
 # ----------------------------------------------------------------------
@@ -256,7 +257,7 @@ def test_motzkin_kernel_reversion():
     assert got == want
 
 
-def test_quadratic_fast_path_equals_generic_loop():
+def test_quadratic_reversion_equals_fixed_point_loop():
     rng = random.Random(20240817)
     for _ in range(6):
         c0 = Fraction(rng.randrange(1, 5))
@@ -272,7 +273,7 @@ def test_quadratic_fast_path_equals_generic_loop():
         assert (fast - v).is_zero
 
 
-def test_cubic_substitution_uses_generic_loop():
+def test_cubic_reversion_satisfies_its_equation():
     # v = z (1 + v^3) counts some planted ternary-ish objects; verify the
     # defining equation rather than any closed form
     order = 12
@@ -293,6 +294,34 @@ def test_substitution_with_marker_coefficients():
     assert v.coeff(1).constant() == 1
     assert v.coeff(2) == u
     assert v.coeff(3) == u * u
+
+
+def _same_inversion(phi: PowerSeries, order: int):
+    """`invert` equals the quadratic fast path or fixed-point loop it replaced
+    (`old_series`): dumps, orders and stored coefficient types."""
+    sub = AlgebraicSubstitution("z", phi.var, phi)
+    new, old = sub.invert(order), old_invert(sub, order)
+    assert (new.var, new.order, new.dump()) == (old.var, old.order, old.dump())
+    assert [type(c) for c in new._c] == [type(c) for c in old._c]
+
+
+def test_quadratic_inversion_is_the_old_fast_path():
+    u, w = MarkerPoly.var("u"), MarkerPoly.var("w")
+    values = (0, 1, -2, Fraction(1, 3), u, 1 - w, u * w + Fraction(1, 2))
+    rng = random.Random(20261019)
+    for order in range(13):
+        for _ in range(6):
+            c0, c1, c2 = (rng.choice(values) for _ in range(3))
+            _same_inversion(PowerSeries("v", [c0 or 1, c1, c2]).pad(order + 2), order)
+
+
+def test_cubic_and_series_inversions_are_the_old_fixed_point_loop():
+    u = MarkerPoly.var("u")
+    for order in range(13):
+        _same_inversion(PowerSeries("v", [1, 0, 0, 1]).pad(order), order)
+        # the Phi of the ternary r1 reversion route: (1 + (u - 1) t)/(1 - t)^2
+        geom2 = PowerSeries("t", [i + 1 for i in range(order + 1)], order)
+        _same_inversion(PowerSeries("t", [1, u - 1]).pad(order) * geom2, order)
 
 
 def test_random_series_roundtrip_properties():

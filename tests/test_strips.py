@@ -1,13 +1,15 @@
 """Every height-bounded Motzkin class is Q plus one telescoping layer: the
 strips, the amplitude classes, the determinants and the Horton blocks agree
-with the bodies they replaced (`old_strips`)."""
+with the bodies they replaced (`old_strips`).  So does the strip band solve,
+which reads each coefficient off the one before it instead of eliminating."""
 
 from latticepaths.pathseries import (
-    _MOTZKIN, amplitude_coeff, amplitude_series, motzkin_bounded, motzkin_bounded_coeff,
-    motzkin_det)
+    _MOTZKIN, _deutsch_strip_solutions, amplitude_coeff, amplitude_series, motzkin_bounded,
+    motzkin_bounded_coeff, motzkin_det)
 from latticepaths.treeseries import _unary_binary_kernel, horton_Rp, horton_Sp
 from old_strips import (
-    old_amp_layer_series, old_geom_block, old_motzkin_bounded_coeff, old_motzkin_det)
+    old_amp_layer_series, old_deutsch_strip_solutions, old_geom_block,
+    old_motzkin_bounded_coeff, old_motzkin_det)
 
 
 def _same(new, old):
@@ -63,3 +65,14 @@ def test_horton_blocks_are_the_old_geom_block():
                 kernel = _unary_binary_kernel(a)
                 _same(horton_Rp(p, a, order), kernel.eval(old_geom_block(p, True, order), order))
                 _same(horton_Sp(p, a, order), kernel.eval(old_geom_block(p, False, order), order))
+
+
+def test_band_solve_is_the_old_elimination():
+    for m in range(1, 9):
+        for order in range(21):
+            new, old = _deutsch_strip_solutions(m, order), old_deutsch_strip_solutions(m, order)
+            assert len(new) == len(old) == m
+            for t in range(m):
+                assert len(new[t]) == len(old[t]) == m
+                for phi, want in zip(new[t], old[t]):
+                    _same(phi, want)

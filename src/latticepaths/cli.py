@@ -35,6 +35,8 @@ from .paths import gen_dual_skew, gen_motzkin, gen_skew
 from .paths import tally as tally_paths
 from .pathseries import (
     _deutsch_strip_solutions,
+    _dual_gj_ladder,
+    _skew_sj_ladder,
     amplitude_average,
     amplitude_coeff,
     amplitude_series,
@@ -43,7 +45,6 @@ from .pathseries import (
     denom_Sj,
     deutsch_phi,
     dual_skew_Gj_series,
-    dual_skew_coeff,
     hoppy_negative_coeff,
     hoppy_negative_series,
     kemp_peak_series,
@@ -53,7 +54,6 @@ from .pathseries import (
     motzkin_bounded_coeff,
     motzkin_height_total,
     skew_red_total,
-    skew_sj_coeff,
     skew_sj_series,
 )
 from .trees import _CHILDREN, _fold, _stat, gen_marked, gen_multiedge, gen_unary_binary
@@ -110,10 +110,6 @@ def _or(value, default):
     return default if value is None else value
 
 
-def _parity_rows(coeff, j: int, n_max: int) -> List[Tuple[int, object]]:
-    return [(n, coeff(n, j)) for n in range(j, n_max + 1, 2)]
-
-
 def _series_rows(ser, lo: int, n_max: int) -> List[Tuple[int, object]]:
     return [(n, _coeff_value(ser.coeff(n))) for n in range(lo, n_max + 1)]
 
@@ -163,8 +159,8 @@ def _setup(args, families: Dict[str, Callable], size_flag: str, default: int,
 # family -> rows(n_max, **the flags it reads)
 SEQS: Dict[str, Callable[..., Iterable[Tuple[int, object]]]] = {
     "a002212": lambda n: enumerate(a002212_terms(n)),
-    "skew-sj": lambda n, j=0: _parity_rows(skew_sj_coeff, j, n),
-    "dual-gj": lambda n, j=0: _parity_rows(dual_skew_coeff, j, n),
+    "skew-sj": lambda n, j=0: zip(range(j, n + 1, 2), _skew_sj_ladder(n, j)),
+    "dual-gj": lambda n, j=0: zip(range(j, n + 1, 2), _dual_gj_ladder(n, j)),
     "hoppy-neg": lambda n, k=2: [(l, hoppy_negative_coeff(l, k)) for l in range(n + 1)],
     "ternary-T": lambda n: [(m, ternary_row(m)) for m in range(1, n + 1)],
     "deutsch-phi": lambda n, t=0, j=0: _series_rows(deutsch_phi(t, j, n), 0, n),
@@ -200,13 +196,13 @@ def _coeffs(ser, ns: Iterable[int]) -> List[object]:
     return [_coeff_value(ser.coeff(n)) for n in ns]
 
 
-def _check_end_levels(name: str, series, coeff, gen, budget: int) -> List[CheckLine]:
+def _check_end_levels(name: str, series, ladder, gen, budget: int) -> List[CheckLine]:
     top = min(budget, 12)
     lines = []
     for j in range(min(top, 3) + 1):
         ns = range(j, top + 1, 2)
         lines.append((f"{name} end-level {j}: formula = series = brute, n <= {top}",
-                      [coeff(n, j) for n in ns], _coeffs(series(j, top), ns),
+                      ladder(top, j), _coeffs(series(j, top), ns),
                       [len(gen(n, j)) for n in ns]))
     return lines
 
@@ -369,9 +365,9 @@ def _check_retakh(budget: int) -> List[CheckLine]:
 
 
 CHECKS: Dict[str, Callable[..., List[CheckLine]]] = {
-    "skew": lambda budget: _check_end_levels("skew", skew_sj_series, skew_sj_coeff,
+    "skew": lambda budget: _check_end_levels("skew", skew_sj_series, _skew_sj_ladder,
                                              gen_skew, budget),
-    "dual": lambda budget: _check_end_levels("dual", dual_skew_Gj_series, dual_skew_coeff,
+    "dual": lambda budget: _check_end_levels("dual", dual_skew_Gj_series, _dual_gj_ladder,
                                              gen_dual_skew, budget),
     "hoppy": _check_hoppy,
     "ternary": _check_ternary,
@@ -421,6 +417,11 @@ def _over_motzkin(total, ns: List[int]) -> List[Tuple[int, object]]:
     return [(n, Fraction(total(n), mo[n - 1])) for n in ns]
 
 
+def _red_edge_rows(ns: List[int]) -> List[Tuple[int, object]]:
+    closed = _skew_sj_ladder(2 * ns[-1], 0)  # closed[n] counts skew paths of length 2n
+    return [(n, Fraction(skew_red_total(n), closed[n])) for n in ns]
+
+
 def _kemp_rows(ns: List[int], gap: bool) -> List[Tuple[int, object]]:
     val = kemp_valley_series(ns[-1])
     if not gap:
@@ -437,8 +438,7 @@ ASYM_LADDERS: Dict[str, Callable[..., List[Tuple[int, object]]]] = {
         (n, Fraction(marked_leaf_total(n), marked_count(n))) for n in ns],
     "marked_height": lambda ns: [
         (n, Fraction(marked_height_total(n), marked_count(n))) for n in ns],
-    "red_edges": lambda ns: [
-        (n, Fraction(skew_red_total(n), skew_sj_coeff(2 * n, 0))) for n in ns],
+    "red_edges": _red_edge_rows,
     "retakh_height": lambda ns: _over_motzkin(retakh_height_total, ns),
     "retakh_leaves": lambda ns: _over_motzkin(retakh_leaf_total, ns),
     "motzkin_height": lambda ns: [

@@ -7,8 +7,11 @@ several coefficient-extraction formulas rely on.
 The sequences are linear per row or term.  A trinomial row is cached as its
 half up to the centre; it is one pass of (1 + bt + t^2) over the cached row
 below it when that exists, and otherwise the holonomic recurrence stopped at
-the centre.  Motzkin numbers follow their three-term P-recurrence.  Every
-division is asserted exact.
+the centre.  A ladder of counts that each read a few entries at a fixed
+distance from the centre of their row reads them off one band of
+Q^M (1 + ct)^(-e), Q = 1 + 3t + t^2, slid from row to row in constant work.
+Motzkin numbers follow their three-term P-recurrence.  Every division is
+asserted exact.
 """
 
 from __future__ import annotations
@@ -57,6 +60,54 @@ def _half_row(n: int, b: int) -> list:
             row[j + 1] = q
     _HALF_ROWS[(n, b)] = row
     return row
+
+
+def _kernel_band(lo: int, hi: int, c: int, e: int):
+    """Yield [h_M(M+lo), ..., h_M(M+hi)] for M = 0, 1, 2, ..., where
+    h_M(s) = [t^s] Q^M (1 + ct)^(-e) and Q = 1 + 3t + t^2.
+
+    Every row is the same list, updated in place: read it before advancing.
+    Row M+1 is Q times row M, so it needs row M one entry past each end;
+    those two come from the first-order ODE (1 + ct) Q H' = (M(1 + ct) Q' - ecQ) H,
+    (s+1) h(s+1) = (3M - ec - (3+c)s) h(s) + (2M + 3Mc - 3ec - (1+3c)(s-1)) h(s-1)
+                   + c(2M - e - s + 2) h(s-2),
+    solved for h(s+1) at the top and for h(s-2) at the bottom (for h(s-1)
+    when c = 0).  Needs hi - lo >= 2, and lo <= -e (lo <= 0 when c = 0) so
+    that the bottom divisor never vanishes.
+    """
+    b = [binomial(-e, s) * c ** s if s >= 0 else 0 for s in range(lo, hi + 1)]
+    w = hi - lo
+    # the recurrence's coefficients at the two ends, each linear in M
+    ec, c3, c13 = e * c, 3 + c, 1 + 3 * c
+    ta, tb, tc = -ec - c3 * hi, -3 * ec - c13 * (hi - 1), 2 - e - hi
+    bd, bf, bg = 1 - e - lo, ec + c3 * (lo + 1), -3 * ec - c13 * lo
+    M = 0
+    while True:
+        yield b
+        # top: the recurrence at s = M + hi
+        if M + hi >= 0:
+            top, r = divmod((ta - c * M) * b[w] + (M + tb) * b[w - 1]
+                            + c * (M + tc) * b[w - 2], M + hi + 1)
+            assert r == 0
+        else:
+            top = 1 if M + hi == -1 else 0  # h(0) = 1
+        # bottom: the recurrence at s = M + lo + 1
+        if M + lo <= 0:
+            low = 0
+        elif c:
+            low, r = divmod((M + lo + 2) * b[2] + (c * M + bf) * b[1] - (M + bg) * b[0],
+                            c * (M + bd))
+            assert r == 0
+        else:  # (s+1) h(s+1) = 3(M-s) h(s) + (2M-s+1) h(s-1) at s = M + lo
+            low, r = divmod((M + lo + 1) * b[1] + 3 * lo * b[0], M - lo + 1)
+            assert r == 0
+        prev = low
+        for k in range(w):
+            cur = b[k]
+            b[k] = b[k + 1] + 3 * cur + prev
+            prev = cur
+        b[w] = top + 3 * b[w] + prev
+        M += 1
 
 
 def trinomial(n: int, a: int, k: int) -> int:

@@ -12,7 +12,9 @@ Conventions used throughout:
 * The kernel substitutions are always of the shape outer = v / Q(v) with Q
   = 1 + bv + v^2.  Closed v-forms are evaluated by Lagrange extraction
   against one trinomial row per coefficient (:class:`~.series.Kernel`),
-  never by inverting the substitution and composing.
+  never by inverting the substitution and composing.  The skew and
+  dual-skew end-level counts read their ladders off one sliding band
+  instead (``combinat._kernel_band``).
 * The empty path has height 0, no horizontal step, amplitude 0, and is
   counted by the h = 0 "no horizontal at the top" class.
 """
@@ -21,9 +23,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import islice
+from operator import mul
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .combinat import binomial, divisor_count, motzkin_numbers, trinomial, trinomial_row
+from .combinat import _kernel_band, binomial, divisor_count, motzkin_numbers, trinomial
 from .series import Kernel, MarkerPoly, PowerSeries
 
 # z = v/(1 + v + v^2) for Motzkin-type paths; x = v/(1 + 3v + v^2) shared by
@@ -175,31 +179,27 @@ def skew_sj_series(j: int, order: int) -> PowerSeries:
     return _interleave(_shat_x, j, order)
 
 
-@lru_cache(maxsize=None)
-def _lambda_prime_x8(j: int, i: int) -> int:
-    """8 * lambda'_{j;i}, an integer."""
-    return 2 ** i * (3 * binomial(-j, i) + 5 * binomial(1 - j, i)
-                     + binomial(2 - j, i) - binomial(3 - j, i))
+def _skew_sj_ladder(n: int, j: int) -> List[int]:
+    """s_j(j), s_j(j+2), ..., s_j(j+2r) for the largest j + 2r <= n: with
+    m = (n-j)/2, s_j(n) = h_M(m) + h_M(m-1) - h_M(m-2) - h_M(m-3) off the
+    band of h_M = Q^M (1+2t)^(-j) at M = m+j-1 (rows M < j only lead there)."""
+    if j < 0:
+        raise ValueError("level j must be >= 0")
+    if n < j:
+        return []
+    band = islice(_kernel_band(-j - 2, 1 - j, 2, j), j, None)
+    return [1] + [b[3] + b[2] - b[1] - b[0] for _, b in zip(range((n - j) // 2), band)]
 
 
 def skew_sj_coeff(n: int, j: int) -> int:
-    """[z^n] of skew paths ending at level j, by trinomial extraction:
-    sum_i lambda'_{j;i} * tri(m+j-1, 3, m-i) with m = (n-j)/2."""
+    """[z^n] of skew paths ending at level j, by Lagrange extraction in
+    x = v/Q(v), Q = 1+3v+v^2: [t^m] (1+t)^2 (1-t) Q(t)^(m+j-1) (1+2t)^(-j)
+    with m = (n-j)/2, the last rung of one band ladder."""
     if j < 0:
         raise ValueError("level j must be >= 0")
     if n < j or (n - j) % 2:
         return 0
-    m = (n - j) // 2
-    if m == 0:
-        return 1
-    row = trinomial_row(m + j - 1, 3)
-    total = 0
-    for i in range(max(0, m + 1 - len(row)), m + 1):  # tri(., 3, k) = 0 past the row
-        lam8 = _lambda_prime_x8(j, i)
-        if lam8:
-            total += lam8 * row[m - i]
-    assert total % 8 == 0
-    return total // 8
+    return _skew_sj_ladder(n, j)[-1]
 
 
 def skew_open_ended(order: int) -> PowerSeries:
@@ -268,29 +268,32 @@ def dual_skew_Gj_series(j: int, order: int) -> PowerSeries:
     return _interleave(_ghat_x, j, order)
 
 
-def _mu(j: int, k: int) -> int:
-    # the k > j+i binomials vanish, so 2**(j+i-k) is only formed when safe
-    total = 0
-    for c, top in ((3, j), (-7, j + 1), (5, j + 2), (-1, j + 3)):
-        b = binomial(top, k)
-        if b:
-            total += c * b * 2 ** (top - k)
-    return total
+def _dual_gj_ladder(n: int, j: int) -> List[int]:
+    """G_j(j), G_j(j+2), ..., G_j(j+2r) for the largest j + 2r <= n: with
+    N = (n-j)/2, G_j(n) = sum_k mu_k T(N-1, 3, N-k) off the band of the
+    trinomial row M = N-1, mu_k = [t^k] (1+t)^2 (1-t) (2+t)^j."""
+    if j < 0:
+        raise ValueError("level j must be >= 0")
+    if n < j:
+        return []
+    mu = [0] * (j + 4)
+    for k in range(j + 1):
+        for d, sign in enumerate((1, 1, -1, -1)):
+            mu[k + d] += sign * binomial(j, k) << (j - k)
+    mu.reverse()  # band entry i is T(N-1, 3, N-(j+3-i))
+    band = _kernel_band(-j - 2, 1, 0, 0)
+    return [1 << j] + [sum(map(mul, mu, b)) for _, b in zip(range((n - j) // 2), band)]
 
 
 def dual_skew_coeff(n: int, j: int) -> int:
-    """[z^n] of dual skew paths ending at level j via trinomial extraction."""
+    """[z^n] of dual skew paths ending at level j, by Lagrange extraction in
+    x = v/Q(v), Q = 1+3v+v^2: [t^N] (1+t)^2 (1-t) (2+t)^j Q(t)^(N-1) with
+    N = (n-j)/2, the last rung of one band ladder."""
     if j < 0:
         raise ValueError("level j must be >= 0")
     if n < j or (n - j) % 2:
         return 0
-    N = (n - j) // 2
-    if N == 0:
-        return 2 ** j
-    total = 0
-    for k in range(min(N, j + 3) + 1):
-        total += _mu(j, k) * trinomial(N - 1, 3, N - k)
-    return total
+    return _dual_gj_ladder(n, j)[-1]
 
 
 def dual_open_ended(order: int) -> PowerSeries:

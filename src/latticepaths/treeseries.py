@@ -12,7 +12,7 @@ from functools import partial
 from operator import add
 from typing import List
 
-from .combinat import binomial, motzkin_numbers, trinomial
+from .combinat import _half_row, binomial, motzkin_numbers, trinomial
 from .pathseries import _MOTZKIN, _geom_block, _height_total, _v_poly, motzkin_bounded_coeff
 from .series import Kernel, MarkerPoly, PowerSeries
 
@@ -60,17 +60,17 @@ def unary_binary_count(n: int, a: int) -> int:
 
 
 def horton_avg_reg(n: int, a: int) -> Fraction:
-    """Exact average register number over all n-node trees."""
+    """Exact average register number over all n-node trees: the sum over
+    even m of v2(m) ([z^n] u^(m-1) - [z^n] u^(m+1)), telescoped onto one
+    half row T(n-1, a+2, .) through [z^n] u^k = T(n-1, n-k) - T(n-1, n-k-2)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    kern = _unary_binary_kernel(a)
-    total = 0
+    row = _half_row(n - 1, _unary_binary_kernel(a).b)
+    total = v_2 = v_4 = 0  # v2(m-2) and v2(m-4), none below m = 2
     for m in range(2, n + 2, 2):
-        v2 = (m & -m).bit_length() - 1
-        diff = kern.vpow_coeff(n, m - 1)
-        if m + 1 <= n:
-            diff -= kern.vpow_coeff(n, m + 1)
-        total += v2 * diff
+        v = (m & -m).bit_length() - 1
+        total += (v - 2 * v_2 + v_4) * row[n + 1 - m]
+        v_2, v_4 = v, v_2
     return Fraction(total, unary_binary_count(n, a))
 
 

@@ -4,7 +4,8 @@ kept as an oracle for its verdicts.
 Each body below decides its own verdict and returns `(ok, label)` pairs.
 They are kept as they were, with the names they read imported from
 `latticepaths.cli` (`tree_stats`, which `cli` no longer reads, from
-`latticepaths.trees`), so a test that replaces one of those names must
+`latticepaths.trees`, and the two end-level coefficients, which `cli` now
+reads as ladders, from `latticepaths.pathseries`), so a test that replaces one of those names must
 replace it here as well.  `as_lines` turns a body into a family of today's shape,
 whose lines are a label and route values: `(label, ok, True)` is ok exactly
 when `ok` is.
@@ -22,7 +23,6 @@ from latticepaths.cli import (
     deng_mansour_count,
     denom_Sj,
     deutsch_phi,
-    dual_skew_coeff,
     dual_skew_Gj_series,
     gen_dual_skew,
     gen_marked,
@@ -49,7 +49,6 @@ from latticepaths.cli import (
     retakh_leaf_total,
     rotation_multiedge_to_unarybinary,
     rotation_unarybinary_to_multiedge,
-    skew_sj_coeff,
     skew_sj_series,
     skew_to_marked,
     tally_paths,
@@ -59,6 +58,7 @@ from latticepaths.cli import (
     ternary_T,
     unary_binary_count,
 )
+from latticepaths.pathseries import dual_skew_coeff, skew_sj_coeff
 from latticepaths.trees import tree_stats
 
 CheckResult = Tuple[bool, str]

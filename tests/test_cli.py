@@ -277,6 +277,15 @@ def test_bad_parameters_exit_2_with_a_message(argv):
     assert proc.stderr.strip() and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("family", ("skew-sj", "dual-gj"))
+def test_end_level_seqs_at_their_edges(family, capsys):
+    assert main(["seq", "--family", family, "--j", "-1", "--n", "4"]) == 2
+    assert capsys.readouterr() == ("", "level j must be >= 0\n")
+    # no count of length <= 3 ends at level 5
+    assert main(["seq", "--family", family, "--j", "5", "--n", "3"]) == 0
+    assert capsys.readouterr() == ("", "")
+
+
 @pytest.mark.parametrize("family", tuple(SEQS))
 def test_seq_accepts_the_flags_it_reads(family, capsys):
     argv = ["seq", "--family", family, "--n", "4"]

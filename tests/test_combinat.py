@@ -230,3 +230,30 @@ def test_motzkin_short_lengths_keep_their_edge_cases(colors):
     assert motzkin_numbers(1, colors) == [1, colors]
     for upto in (-1, 0, 1):
         assert motzkin_numbers(upto, colors) == _motzkin_convolution(upto, colors)
+
+
+# ----------------------------------------------------------------------
+# The sliding band of Q^M (1 + ct)^(-e) against repeated products
+# ----------------------------------------------------------------------
+
+def _times(f: list, g: list) -> list:
+    # f * g truncated to len(f) terms
+    return [sum(f[i] * g[k - i] for i in range(max(0, k - len(g) + 1), k + 1))
+            for k in range(len(f))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(M=st.integers(0, 40), c=st.integers(0, 3), e=st.integers(0, 6),
+       below=st.integers(0, 6), width=st.integers(3, 9))
+def test_kernel_band_matches_the_expanded_product(M, c, e, below, width):
+    # the window starts at or under -e, so under position 0 in the first rows
+    lo = -e - below
+    hi = lo + width - 1
+    terms = max(M + hi + 1, 1)
+    f = [1] + [0] * (terms - 1)
+    for _ in range(e):
+        f = _times(f, [(-c) ** k for k in range(terms)])
+    for row, band in zip(range(M + 1), combinat._kernel_band(lo, hi, c, e)):
+        assert band == [f[s] if 0 <= s < terms else 0
+                        for s in range(row + lo, row + hi + 1)], row
+        f = _times(f, [1, 3, 1])

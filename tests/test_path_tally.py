@@ -38,7 +38,7 @@ from latticepaths.paths import (
     step_delta,
     tally,
 )
-from latticepaths.pathseries import motzkin_bounded_coeff, skew_sj_coeff
+from latticepaths.pathseries import dual_skew_coeff, motzkin_bounded_coeff, skew_sj_coeff
 from latticepaths.trees import tally as trees_tally
 from old_checks import as_lines
 from old_tallies import old_paths_tally, old_trees_tally
@@ -428,9 +428,9 @@ def old_check_retakh(budget):
 
 OLD_BODIES = {
     "skew": lambda budget: old_check_end_levels("skew", cli.skew_sj_series,
-                                                cli.skew_sj_coeff, gen_skew, budget),
+                                                skew_sj_coeff, gen_skew, budget),
     "dual": lambda budget: old_check_end_levels("dual", cli.dual_skew_Gj_series,
-                                                cli.dual_skew_coeff, gen_dual_skew, budget),
+                                                dual_skew_coeff, gen_dual_skew, budget),
     "hoppy": old_check_hoppy,
     "amplitude": old_check_amplitude,
     "motzkin-bounded": old_check_motzkin_bounded,

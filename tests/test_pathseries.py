@@ -4,12 +4,13 @@ Layout mirrors the module: k-rise families first, then skew/dual-skew,
 bounded Motzkin and amplitude, turn limits, and down-jump strips.
 """
 
+import sys
 from fractions import Fraction
 
 import pytest
 
-from latticepaths import cli, pathseries
-from latticepaths.combinat import motzkin_numbers
+from latticepaths import cli, combinat, pathseries
+from latticepaths.combinat import binomial, motzkin_numbers
 from latticepaths.paths import (
     gen_deutsch,
     gen_dual_skew,
@@ -55,6 +56,7 @@ from latticepaths.pathseries import (
     ubar_power,
 )
 from latticepaths.series import PowerSeries, poly_substitution
+from old_extractions import old_dual_skew_coeff, old_lambda_prime_x8, old_mu, old_skew_sj_coeff
 
 
 def series_ints(s: PowerSeries, upto: int) -> list:
@@ -391,6 +393,75 @@ def test_dual_open_ended_golden_and_brute():
     for j in range(1, 13):
         summed = summed + dual_skew_Gj_series(j, 12)
     assert (oe - summed).is_zero
+
+
+# ----------------------------------------------------------------------
+# end-level ladders against the per-count row extractions they replace
+# ----------------------------------------------------------------------
+
+def _weights(j: int, factor: list, depth: int) -> list:
+    # [t^0..t^depth] of (1+t)^2 (1-t) * factor^j, by repeated products
+    f = [1, 1, -1, -1] + [0] * depth
+    for _ in range(j):
+        f = [sum(a * f[k - i] for i, a in enumerate(factor) if k >= i)
+             for k in range(len(f))]
+    return f[:depth + 1]
+
+
+def test_the_row_weights_are_the_shared_lagrange_form():
+    # lambda'_{j;i} = [t^i] (1+t)^2 (1-t) (1+2t)^(-j), mu_k = [t^k] (1+t)^2 (1-t) (2+t)^j
+    for j in range(10):
+        inverse = [binomial(-1, i) * 2 ** i for i in range(41)]  # 1/(1+2t)
+        assert [old_lambda_prime_x8(j, i) for i in range(41)] == \
+            [8 * w for w in _weights(j, inverse, 40)]
+        assert [old_mu(j, k) for k in range(j + 6)] == _weights(j, [2, 1], j + 5)
+
+
+@pytest.mark.parametrize("j", range(9))
+def test_end_level_ladders_match_the_row_extractions(j):
+    for n in (400, 401):
+        ns = range(j, n + 1, 2)
+        assert pathseries._skew_sj_ladder(n, j) == [old_skew_sj_coeff(m, j) for m in ns]
+        assert pathseries._dual_gj_ladder(n, j) == [old_dual_skew_coeff(m, j) for m in ns]
+    # below the level and of the wrong parity alike
+    for n in range(-2, 401):
+        assert skew_sj_coeff(n, j) == old_skew_sj_coeff(n, j), n
+        assert dual_skew_coeff(n, j) == old_dual_skew_coeff(n, j), n
+    assert pathseries._skew_sj_ladder(j - 1, j) == pathseries._dual_gj_ladder(j - 1, j) == []
+
+
+def test_end_level_ladders_reject_a_negative_level():
+    for func in (pathseries._skew_sj_ladder, pathseries._dual_gj_ladder,
+                 skew_sj_coeff, dual_skew_coeff):
+        with pytest.raises(ValueError, match="level j must be >= 0"):
+            func(4, -1)
+        with pytest.raises(ValueError, match="level j must be >= 0"):
+            func(3, -1)
+
+
+@pytest.mark.parametrize("family", ("skew-sj", "dual-gj"))
+def test_seq_end_levels_build_no_row_and_slide_one_band(family, monkeypatch, capsys):
+    # a guard against quadratic work that needs no clock: no trinomial row is
+    # built, and one band advances about one row per printed count
+    def no_row(n, b):
+        raise AssertionError(f"trinomial half row ({n}, {b}) built")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("latticepaths") and hasattr(module, "_half_row"):
+            monkeypatch.setattr(module, "_half_row", no_row)
+    rows = []
+
+    def counted_band(*args):
+        rows.append(0)
+        for band in combinat._kernel_band(*args):
+            rows[-1] += 1
+            yield band
+
+    monkeypatch.setattr(pathseries, "_kernel_band", counted_band)
+    n, j = 2000, 3
+    assert cli.main(["seq", "--family", family, "--n", str(n), "--j", str(j)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == (n - j) // 2 + 1
+    assert len(rows) == 1 and rows[0] <= (n - j) // 2 + j + 1
 
 
 # ----------------------------------------------------------------------

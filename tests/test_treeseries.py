@@ -41,6 +41,7 @@ from latticepaths.treeseries import (
     ternary_xi,
     unary_binary_count,
 )
+from old_extractions import old_horton_avg_reg
 
 
 def ints(s: PowerSeries, upto: int) -> list:
@@ -140,6 +141,15 @@ def test_horton_avg_reg_against_brute():
 # ----------------------------------------------------------------------
 # marked ordered trees
 # ----------------------------------------------------------------------
+
+def test_horton_avg_reg_matches_the_vpow_sum():
+    # one half row read with telescoped weights = two vpow_coeff reads per even m
+    for a in range(3):
+        for n in range(1, 301):
+            assert horton_avg_reg(n, a) == old_horton_avg_reg(n, a), (n, a)
+    for a in (0, 1):
+        assert horton_avg_reg(4096, a) == old_horton_avg_reg(4096, a)
+
 
 def test_marked_count_three_routes():
     ser = marked_count_series(9)

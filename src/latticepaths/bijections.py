@@ -32,6 +32,7 @@ MarkedTree = Tuple  # nested tuples of (mark, child)
 
 _PAIR_CODE = {("U", "U"): "U", ("d", "d"): "d", ("U", "d"): "H0", ("d", "U"): "H1"}
 _CODE_PAIR = {v: k for k, v in _PAIR_CODE.items()}
+_CODE_STEP = {"U": 1, "d": -1}
 
 
 def _walk(tree, opening, closing) -> list:
@@ -124,7 +125,7 @@ def motzkin3_to_multiedge(path: Sequence[str]) -> MultiedgeTree:
             raise ValueError(f"unknown token {tok!r}")
     level = 0
     for tok in symbols:
-        level += {"U": 1, "d": -1}.get(tok, 0)
+        level += _CODE_STEP.get(tok, 0)
         if level < 0:
             raise ValueError("path dips below level 0")
     if level != 0:

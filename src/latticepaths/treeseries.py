@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from operator import add
 from typing import List
 
 from .combinat import _half_row, binomial, motzkin_numbers, trinomial
@@ -151,37 +150,44 @@ def marked_height_total(n: int) -> int:
     """Total height (in nodes) over all marked trees on n nodes.
 
     Sums a_n and [z^n] of every tail layer of :func:`marked_height_tail`.
-    With R = (v+2)/(1+2v) each layer expands geometrically,
-    tail_h = z(1 - v^2) sum_j v^(h+(h+1)j) R^((h-1)(j+1)), and
-    [z^n] z G(v) = sum_k g_k [z^(n-1)] v^k (Lagrange-Buermann), so only the
-    terms with h+(h+1)j <= n-1 contribute.
+    With R = (v+2)/(1+2v) and rho = vR each layer expands geometrically,
+    tail_h = z(1 - v^2) sum_(q>=1) v^(2q-1) rho^((h-1)q), and
+    [z^n] z G(v) = sum_k d_k g_k with d_k = [z^(n-1)] (1 - v^2) v^k
+    (Lagrange-Buermann), so only the terms v^e R^p with
+    e = h + (h+1)(q-1) <= n-1 and p = (h-1)q contribute.
 
-    The sum is sum_p <R^p 1, y_p>, where y_p adds d shifted down by every
-    exponent e whose term carries R^p.  It is taken by Horner's rule on the
-    transposed map, z <- R^T z + y_p for p from high to low, and read off as
-    z[0]; R^T is the step of R run from the top index down, so the whole sum
-    is big-integer additions and doublings, with no big-by-big product.
+    The sum is sum_k d_k F_k for the tail weights F = sum_p R^p s_p, where
+    s_p = sum_(e in E_p) v^e over the exponents whose term carries R^p.  F
+    is built by Horner's rule from the highest p down, f <- R f + s_p, each
+    step g_i = f_(i-1) + 2 f_i - 2 g_(i-1) run only from the least exponent
+    added so far (R is a unit, so it keeps the valuation) up to v^(n-1).
+    d is read off the one half row T(n-2, 3, .) through
+    [z^m] v^k = T(m-1, m-k) - T(m-1, m-k-2).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     m = n - 1
-    # d[k] = [z^m] (1 - v^2) v^k
-    d = [_MARKED.vpow_coeff(m, k) - _MARKED.vpow_coeff(m, k + 2) for k in range(m + 1)]
+    if m == 0:
+        return 1
     # v-exponents e = h + (h+1)j of the terms, grouped by their power of R
     by_power: dict = {}
     for h in range(1, m + 1):
         for e in range(h, m + 1, h + 1):
             by_power.setdefault((h - 1) * ((e + 1) // (h + 1)), []).append(e)
-    z = [0] * (m + 1)
-    for p in range(max(by_power, default=-1), -1, -1):
-        # z <- R^T z with R = (v+2)/(1+2v): c_i = 2 z_i + z_(i+1) - 2 c_(i+1)
-        prev_z = prev_c = 0
-        for i in range(m, -1, -1):
-            prev_z, z[i] = z[i], 2 * z[i] + prev_z - 2 * prev_c
-            prev_c = z[i]
+    f = [0] * (m + 1)
+    low = m
+    for p in range(max(by_power), -1, -1):
+        prev_f = prev_g = 0
+        for i in range(low, m + 1):
+            prev_f, f[i] = f[i], prev_f + 2 * f[i] - 2 * prev_g
+            prev_g = f[i]
         for e in by_power.get(p, ()):
-            z[:m + 1 - e] = map(add, z, d[e:])
-    return marked_count(n) + z[0]
+            f[e] += 1
+            low = min(low, e)
+    # d_k = t_k - 2 t_(k+2) + t_(k+4) with t_k = T(m-1, m-k), 0 for k > m; every
+    # exponent is >= 1, so f_0 = 0 and T(m-1, m), past the centre, is never read
+    t = [0] + _half_row(m - 1, _MARKED.b)[::-1] + [0] * 4
+    return marked_count(n) + sum(f[k] * (t[k] - 2 * t[k + 2] + t[k + 4]) for k in range(1, m + 1))
 
 
 # ----------------------------------------------------------------------

@@ -5,14 +5,18 @@ they were before they read a band of kernel rows, kept as oracles.
 full trinomial row per count, and `old_dual_skew_coeff` one of `old_mu`
 with a row read through `trinomial`, so a ladder of counts costs a row per
 rung.  `old_horton_avg_reg` reads its row through two `vpow_coeff` calls
-per even m.  The bodies are kept verbatim.
+per even m.  `old_marked_height_total` is the height sum of marked trees as
+one transposed Horner pass over the extraction vector: every power of R runs
+over all n entries, and every term adds a shifted copy of d, read through
+2n `vpow_coeff` calls.  The bodies are kept verbatim.
 """
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 
 from latticepaths.combinat import binomial, trinomial, trinomial_row
-from latticepaths.treeseries import _unary_binary_kernel, unary_binary_count
+from latticepaths.treeseries import _MARKED, _unary_binary_kernel, marked_count, unary_binary_count
 
 
 @lru_cache(maxsize=None)
@@ -80,3 +84,40 @@ def old_horton_avg_reg(n: int, a: int) -> Fraction:
             diff -= kern.vpow_coeff(n, m + 1)
         total += v2 * diff
     return Fraction(total, unary_binary_count(n, a))
+
+
+def old_marked_height_total(n: int) -> int:
+    """Total height (in nodes) over all marked trees on n nodes.
+
+    Sums a_n and [z^n] of every tail layer of :func:`marked_height_tail`.
+    With R = (v+2)/(1+2v) each layer expands geometrically,
+    tail_h = z(1 - v^2) sum_j v^(h+(h+1)j) R^((h-1)(j+1)), and
+    [z^n] z G(v) = sum_k g_k [z^(n-1)] v^k (Lagrange-Buermann), so only the
+    terms with h+(h+1)j <= n-1 contribute.
+
+    The sum is sum_p <R^p 1, y_p>, where y_p adds d shifted down by every
+    exponent e whose term carries R^p.  It is taken by Horner's rule on the
+    transposed map, z <- R^T z + y_p for p from high to low, and read off as
+    z[0]; R^T is the step of R run from the top index down, so the whole sum
+    is big-integer additions and doublings, with no big-by-big product.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    m = n - 1
+    # d[k] = [z^m] (1 - v^2) v^k
+    d = [_MARKED.vpow_coeff(m, k) - _MARKED.vpow_coeff(m, k + 2) for k in range(m + 1)]
+    # v-exponents e = h + (h+1)j of the terms, grouped by their power of R
+    by_power: dict = {}
+    for h in range(1, m + 1):
+        for e in range(h, m + 1, h + 1):
+            by_power.setdefault((h - 1) * ((e + 1) // (h + 1)), []).append(e)
+    z = [0] * (m + 1)
+    for p in range(max(by_power, default=-1), -1, -1):
+        # z <- R^T z with R = (v+2)/(1+2v): c_i = 2 z_i + z_(i+1) - 2 c_(i+1)
+        prev_z = prev_c = 0
+        for i in range(m, -1, -1):
+            prev_z, z[i] = z[i], 2 * z[i] + prev_z - 2 * prev_c
+            prev_c = z[i]
+        for e in by_power.get(p, ()):
+            z[:m + 1 - e] = map(add, z, d[e:])
+    return marked_count(n) + z[0]

@@ -73,6 +73,15 @@ def test_bij_output_digest(argv, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_asym_marked_height_past_the_benchmark_size(capsys):
+    # SHA-256 of "exit <code>\n" + stdout, recorded with the transposed Horner
+    # pass; the benchmark's ladder stops at --n 240
+    code = main(["asym", "--family", "marked_height", "--n", "640"])
+    out = capsys.readouterr().out
+    assert hashlib.sha256(f"exit {code}\n{out}".encode()).hexdigest() == \
+        "d44f5d742c3037cb91f874b5bd221c25328ec7792729e9192aba3c6478653695"
+
+
 BIJ_SIZE_ONE = {"multiedge-motzkin": "(1) -> (empty)\n", "marked-skew": "() -> (empty)\n",
                 "rotation": "(1) -> (.,.)\n"}
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from latticepaths import treeseries
 from latticepaths.paths import gen_retakh, levels, path_stats
 from latticepaths.series import AlgebraicSubstitution, MarkerPoly, PowerSeries
 from latticepaths.trees import (
@@ -41,7 +42,7 @@ from latticepaths.treeseries import (
     ternary_xi,
     unary_binary_count,
 )
-from old_extractions import old_horton_avg_reg
+from old_extractions import old_horton_avg_reg, old_marked_height_total
 
 
 def ints(s: PowerSeries, upto: int) -> list:
@@ -228,6 +229,24 @@ def test_marked_height_totals():
     for n in range(1, 7):
         brute = sum(tree_stats(t, "marked")["height_nodes"] for t in gen_marked(n))
         assert marked_height_total(n) == brute
+
+
+def test_marked_height_total_matches_the_transposed_pass():
+    # forward Horner on the tail weights = transposed Horner on the extraction vector
+    for n in list(range(1, 301)) + [480, 640]:
+        assert marked_height_total(n) == old_marked_height_total(n), n
+
+
+def test_marked_height_total_reads_one_half_row(monkeypatch):
+    # d comes from one half row, never from per-entry vpow_coeff calls; the
+    # patch is on the shared instance only, so marked_count's kernel still works
+    want = [old_marked_height_total(n) for n in range(1, 61)]
+
+    def refuse(m, k):
+        raise AssertionError("vpow_coeff called")
+
+    monkeypatch.setattr(treeseries._MARKED, "vpow_coeff", refuse)
+    assert [marked_height_total(n) for n in range(1, 61)] == want
 
 
 def test_marked_errors():

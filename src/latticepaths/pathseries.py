@@ -10,11 +10,12 @@ Conventions used throughout:
 * Families supported on even powers of z (skew and dual-skew paths) are
   computed internally in x = z^2 and re-interleaved on output.
 * The kernel substitutions are always of the shape outer = v / Q(v) with Q
-  = 1 + bv + v^2.  Closed v-forms are evaluated by Lagrange extraction
-  against one trinomial row per coefficient (:class:`~.series.Kernel`),
-  never by inverting the substitution and composing.  The skew and
-  dual-skew end-level counts read their ladders off one sliding band
-  instead (``combinat._kernel_band``).
+  = 1 + bv + v^2.  Closed v-forms are evaluated by Lagrange extraction,
+  never by inverting the substitution and composing: a series through
+  ``Kernel.eval`` and a single coefficient of a closed form through one
+  ``Kernel.coeff`` call on the form's (k, c) terms (:class:`~.series.Kernel`).
+  The skew and dual-skew end-level counts read their ladders off one
+  sliding band instead (``combinat._kernel_band``).
 * The empty path has height 0, no horizontal step, amplitude 0, and is
   counted by the h = 0 "no horizontal at the top" class.
 """
@@ -27,7 +28,7 @@ from itertools import islice
 from operator import mul
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .combinat import _kernel_band, binomial, divisor_count, motzkin_numbers, trinomial
+from .combinat import _kernel_band, binomial, divisor_count, motzkin_numbers
 from .series import Kernel, MarkerPoly, PowerSeries
 
 # z = v/(1 + v + v^2) for Motzkin-type paths; x = v/(1 + 3v + v^2) shared by
@@ -270,8 +271,8 @@ def dual_skew_Gj_series(j: int, order: int) -> PowerSeries:
 
 def _dual_gj_ladder(n: int, j: int) -> List[int]:
     """G_j(j), G_j(j+2), ..., G_j(j+2r) for the largest j + 2r <= n: with
-    N = (n-j)/2, G_j(n) = sum_k mu_k T(N-1, 3, N-k) off the band of the
-    trinomial row M = N-1, mu_k = [t^k] (1+t)^2 (1-t) (2+t)^j."""
+    N = (n-j)/2, G_j(n) = sum_k mu_k T(N-1, 3, N-k) off the band of row
+    M = N-1 of (1+3t+t^2)^M, mu_k = [t^k] (1+t)^2 (1-t) (2+t)^j."""
     if j < 0:
         raise ValueError("level j must be >= 0")
     if n < j:
@@ -434,20 +435,18 @@ def amplitude_series(h: int, kind: str, order: int) -> PowerSeries:
 
 
 def _amp_layer_coeff(n: int, E: int) -> int:
-    """[z^n] of the E-layer, extracted against one trinomial row."""
-    total = 0
-    kE = E
-    while kE <= n + 2:
-        total -= (trinomial(n, 1, n + 2 - kE) - 2 * trinomial(n, 1, n - kE)
-                  + trinomial(n, 1, n - 2 - kE))
-        kE += E
-    return total
+    """[z^n] of the E-layer for n >= 0: with v/Q = z it is
+    -[z^(n+1)] of the sum over kE <= n+2 of v^(kE-1) - v^(kE+1)."""
+    terms = []
+    for kE in range(E, n + 3, E):
+        terms += ((kE - 1, -1), (kE + 1, 1))
+    return _MOTZKIN.coeff(n + 1, terms)
 
 
 def amplitude_coeff(n: int, h: int, kind: str) -> int:
     """Single coefficient of :func:`amplitude_series`, without inversion."""
     hi, lo = _amp_layers(h, kind)
-    return _amp_layer_coeff(n, hi) - _amp_layer_coeff(n, lo)
+    return _amp_layer_coeff(n, hi) - _amp_layer_coeff(n, lo) if n >= 0 else 0
 
 
 def amplitude_total(n: int) -> int:
@@ -458,21 +457,14 @@ def amplitude_total(n: int) -> int:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n == 0:
-        return 0
     d = [0] + [divisor_count(m) for m in range(1, n + 3)]
 
-    def a(jj: int) -> int:
+    def a(jj: int) -> int:  # jj = j + 2 <= n + 2
         val = sum(sign * d[i] for sign, i in ((1, jj), (1, jj - 1), (-1, jj - 3), (-1, jj - 4))
-                  if 1 <= i <= n + 2)
-        return val - {1: 1, 2: 3, 3: 3, 4: 2}.get(jj, 0)
+                  if i >= 0)
+        return val - {2: 3, 3: 3, 4: 2}.get(jj, 0)
 
-    total = 0
-    for j in range(n + 1):
-        hj = a(j + 2)
-        if hj:
-            total += hj * _MOTZKIN.vpow_coeff(n, j)
-    return total
+    return _MOTZKIN.coeff(n, [(j, a(j + 2)) for j in range(n + 1)])
 
 
 def amplitude_average(n: int) -> Fraction:

@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import repeat
 from operator import add, mul
 
-from .combinat import _half_row, trinomial
+from .combinat import _half_row
 
 
 def _mono(pairs) -> tuple:
@@ -684,19 +684,44 @@ class Kernel:
     Lagrange-Buermann gives [var^m] v^k = [t^(m-k)] (1 - t^2)(1 + bt + t^2)^(m-1)
     for m >= 1, so every coefficient of F(v(var)) is a dot product of F's
     coefficients with one trinomial row: O(order^2) instead of the O(order^3)
-    of inverting the substitution and composing.  `eval` reads the rows in
-    increasing m, so each is one linear pass over the cached row before it.
+    of inverting the substitution and composing.  `coeff` is that dot
+    product, and the only place that maps v-powers to row entries; `eval`
+    reads the rows in increasing m, so each is one linear pass over the
+    cached row before it.
     """
 
     def __init__(self, b: int, var: str = "z"):
         self.b = b
         self.var = var
 
+    def coeff(self, m: int, terms) -> int:
+        """[var^m] F(v) for m >= 0, F the sum of c v^k over the (k, c) pairs
+        of the sequence `terms`, k >= 0 increasing.
+
+        [var^m] v^k = T(m-1, m-k) - T(m-1, m-k-2) for m >= 1 is read from the
+        one half row T(m-1, b, .): m - k never passes its centre m - 1.
+        """
+        if terms and not isinstance(self.b, int):
+            raise TypeError(f"trinomial needs an int middle weight, got {type(self.b).__name__}")
+        if m < 1:
+            if m < 0:
+                raise ValueError("trinomial needs n >= 0")
+            return sum(c for k, c in terms if not k)
+        row = _half_row(m - 1, self.b)
+        acc = 0
+        for k, c in terms:
+            if k > m:
+                break
+            if k and c:
+                j = m - k
+                acc += c * (row[j] - row[j - 2] if j > 1 else row[j])
+        return acc
+
     def vpow_coeff(self, m: int, k: int) -> int:
-        """[var^m] v^k for m >= 0."""
+        """[var^m] v^k for m >= 0 and k >= 0."""
         if m == 0:
             return 1 if k == 0 else 0
-        return trinomial(m - 1, self.b, m - k) - trinomial(m - 1, self.b, m - k - 2)
+        return self.coeff(m, ((k, 1),))
 
     def eval(self, expr: PowerSeries, order: int) -> PowerSeries:
         """F(v) as a series in var through var^order; F must be known to order.
@@ -705,18 +730,5 @@ class Kernel:
         """
         f = expr.truncate(order)._c
         nz = [(k, c) for k, c in enumerate(f) if k and c]
-        if nz and not isinstance(self.b, int):
-            raise TypeError(f"trinomial needs an int middle weight, got {type(self.b).__name__}")
-        # [var^m] v^k = T(m-1, m-k) - T(m-1, m-k-2), read from one half
-        # row per m: m - k never passes its centre m - 1
-        out = [f[0]]
-        for m in range(1, order + 1):
-            row = _half_row(m - 1, self.b)
-            acc = 0
-            for k, c in nz:
-                if k > m:
-                    break
-                j = m - k
-                acc += c * (row[j] - row[j - 2] if j > 1 else row[j])
-            out.append(_ring(acc))
-        return _series(self.var, out, order)
+        return _series(self.var, [f[0]] + [_ring(self.coeff(m, nz)) for m in range(1, order + 1)],
+                       order)

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
+from operator import sub
 from typing import List
 
-from .combinat import _half_row, binomial, motzkin_numbers, trinomial
+from .combinat import binomial, motzkin_numbers
 from .pathseries import _MOTZKIN, _geom_block, _height_total, _v_poly, motzkin_bounded_coeff
 from .series import Kernel, MarkerPoly, PowerSeries
 
@@ -49,7 +50,7 @@ def horton_Sp(p: int, a: int, order: int) -> PowerSeries:
 
 def unary_binary_count(n: int, a: int) -> int:
     """Number of unary-binary trees with n nodes and a flat colors, by
-    trinomial extraction of [z^n](1 + u)."""
+    Lagrange extraction of [z^n](1 + u)."""
     if n < 0:
         raise ValueError("n must be >= 0")
     kernel = _unary_binary_kernel(a)
@@ -59,18 +60,18 @@ def unary_binary_count(n: int, a: int) -> int:
 
 
 def horton_avg_reg(n: int, a: int) -> Fraction:
-    """Exact average register number over all n-node trees: the sum over
-    even m of v2(m) ([z^n] u^(m-1) - [z^n] u^(m+1)), telescoped onto one
-    half row T(n-1, a+2, .) through [z^n] u^k = T(n-1, n-k) - T(n-1, n-k-2)."""
+    """Exact average register number over all n-node trees: [z^n] of the sum
+    over even m of v2(m) (u^(m-1) - u^(m+1)), whose u^(m-1) weight is
+    v2(m) - v2(m-2)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    row = _half_row(n - 1, _unary_binary_kernel(a).b)
-    total = v_2 = v_4 = 0  # v2(m-2) and v2(m-4), none below m = 2
+    terms = []
+    v_2 = 0  # v2(m-2), none below m = 2
     for m in range(2, n + 2, 2):
         v = (m & -m).bit_length() - 1
-        total += (v - 2 * v_2 + v_4) * row[n + 1 - m]
-        v_2, v_4 = v, v_2
-    return Fraction(total, unary_binary_count(n, a))
+        terms.append((m - 1, v - v_2))
+        v_2 = v
+    return Fraction(_unary_binary_kernel(a).coeff(n, terms), unary_binary_count(n, a))
 
 
 def node_count_series(a: int, order: int) -> PowerSeries:
@@ -99,14 +100,11 @@ def marked_leaf_series(order: int) -> PowerSeries:
 
 
 def marked_leaf_total(n: int) -> int:
-    """Total leaves over all marked trees on n nodes: [z^n] z/(1-v) under
-    z = v/(1+3v+v^2), extracted as a pair of trinomials."""
+    """Total leaves over all marked trees on n nodes: [z^n] z/(1-v) =
+    [z^(n-1)] 1/(1-v) under z = v/(1+3v+v^2)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n == 1:
-        return 1
-    m = n - 1
-    return trinomial(m - 1, 3, m) + trinomial(m - 1, 3, m - 1)
+    return _MARKED.coeff(n - 1, [(k, 1) for k in range(n)])
 
 
 def marked_count(n: int) -> int:
@@ -156,13 +154,12 @@ def marked_height_total(n: int) -> int:
     (Lagrange-Buermann), so only the terms v^e R^p with
     e = h + (h+1)(q-1) <= n-1 and p = (h-1)q contribute.
 
-    The sum is sum_k d_k F_k for the tail weights F = sum_p R^p s_p, where
+    The layers sum to sum_k d_k F_k = [z^(n-1)] (1 - v^2) F, one
+    `Kernel.coeff` call, for the tail weights F = sum_p R^p s_p, where
     s_p = sum_(e in E_p) v^e over the exponents whose term carries R^p.  F
     is built by Horner's rule from the highest p down, f <- R f + s_p, each
     step g_i = f_(i-1) + 2 f_i - 2 g_(i-1) run only from the least exponent
     added so far (R is a unit, so it keeps the valuation) up to v^(n-1).
-    d is read off the one half row T(n-2, 3, .) through
-    [z^m] v^k = T(m-1, m-k) - T(m-1, m-k-2).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -184,10 +181,7 @@ def marked_height_total(n: int) -> int:
         for e in by_power.get(p, ()):
             f[e] += 1
             low = min(low, e)
-    # d_k = t_k - 2 t_(k+2) + t_(k+4) with t_k = T(m-1, m-k), 0 for k > m; every
-    # exponent is >= 1, so f_0 = 0 and T(m-1, m), past the centre, is never read
-    t = [0] + _half_row(m - 1, _MARKED.b)[::-1] + [0] * 4
-    return marked_count(n) + sum(f[k] * (t[k] - 2 * t[k + 2] + t[k + 4]) for k in range(1, m + 1))
+    return marked_count(n) + _MARKED.coeff(m, list(enumerate(map(sub, f, [0, 0] + f))))
 
 
 # ----------------------------------------------------------------------
@@ -351,17 +345,12 @@ def retakh_leaf_series(order: int) -> PowerSeries:
     return _MOTZKIN.eval(num / den, order)
 
 
-_RETAKH_LEAF_W = [1, 1, 1, 2, 0, -1]
-
-
 def retakh_leaf_total(n: int) -> int:
-    """[z^n] of :func:`retakh_leaf_series` by trinomial extraction."""
+    """[z^n] of :func:`retakh_leaf_series`: with v/(1+v+v^2) = z it is
+    [z^(n-1)] (1 + v^2 + v^3 - v^4)/(1 - v) = 1 + v + 2v^2 + 3v^3 + 2v^4 + 2v^5 + ..."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n == 1:
-        return 1
-    return sum(c * trinomial(n - 2, 1, n - 1 - i)
-               for i, c in enumerate(_RETAKH_LEAF_W) if c)
+    return _MOTZKIN.coeff(n - 1, [(k, (1, 1, 2, 3)[k] if k < 4 else 2) for k in range(n)])
 
 
 def retakh_bounded_count(n: int, h: int) -> int:

@@ -8,14 +8,20 @@ rung.  `old_horton_avg_reg` reads its row through two `vpow_coeff` calls
 per even m.  `old_marked_height_total` is the height sum of marked trees as
 one transposed Horner pass over the extraction vector: every power of R runs
 over all n entries, and every term adds a shifted copy of d, read through
-2n `vpow_coeff` calls.  The bodies are kept verbatim.
+2n `vpow_coeff` calls.  `old_marked_leaf_total`, `old_retakh_leaf_total` (with
+its hand-reduced weights), `old_amp_layer_coeff` and `old_amplitude_total`
+are the closed forms as they were before each stated its v-form as terms for
+one `Kernel.coeff` call: a trinomial pair, a weighted sum against row n - 2,
+a second difference on row n, and n separate `vpow_coeff` calls.  The bodies
+are kept verbatim.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from operator import add
 
-from latticepaths.combinat import binomial, trinomial, trinomial_row
+from latticepaths.combinat import binomial, divisor_count, trinomial, trinomial_row
+from latticepaths.pathseries import _MOTZKIN
 from latticepaths.treeseries import _MARKED, _unary_binary_kernel, marked_count, unary_binary_count
 
 
@@ -121,3 +127,63 @@ def old_marked_height_total(n: int) -> int:
         for e in by_power.get(p, ()):
             z[:m + 1 - e] = map(add, z, d[e:])
     return marked_count(n) + z[0]
+
+
+def old_marked_leaf_total(n: int) -> int:
+    """Total leaves over all marked trees on n nodes: [z^n] z/(1-v) under
+    z = v/(1+3v+v^2), extracted as a pair of trinomials."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if n == 1:
+        return 1
+    m = n - 1
+    return trinomial(m - 1, 3, m) + trinomial(m - 1, 3, m - 1)
+
+
+_RETAKH_LEAF_W = [1, 1, 1, 2, 0, -1]
+
+
+def old_retakh_leaf_total(n: int) -> int:
+    """[z^n] of :func:`retakh_leaf_series` by trinomial extraction."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if n == 1:
+        return 1
+    return sum(c * trinomial(n - 2, 1, n - 1 - i)
+               for i, c in enumerate(_RETAKH_LEAF_W) if c)
+
+
+def old_amp_layer_coeff(n: int, E: int) -> int:
+    """[z^n] of the E-layer, extracted against one trinomial row."""
+    total = 0
+    kE = E
+    while kE <= n + 2:
+        total -= (trinomial(n, 1, n + 2 - kE) - 2 * trinomial(n, 1, n - kE)
+                  + trinomial(n, 1, n - 2 - kE))
+        kE += E
+    return total
+
+
+def old_amplitude_total(n: int) -> int:
+    """Sum of amplitudes over all closed Motzkin paths of length n.
+
+    Extracted from [Q(1-v^2) D(v) - v(1+2v) Q]/v^2 with D the divisor-count
+    generating function; the numerator reduces to the convolution below.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if n == 0:
+        return 0
+    d = [0] + [divisor_count(m) for m in range(1, n + 3)]
+
+    def a(jj: int) -> int:
+        val = sum(sign * d[i] for sign, i in ((1, jj), (1, jj - 1), (-1, jj - 3), (-1, jj - 4))
+                  if 1 <= i <= n + 2)
+        return val - {1: 1, 2: 3, 3: 3, 4: 2}.get(jj, 0)
+
+    total = 0
+    for j in range(n + 1):
+        hj = a(j + 2)
+        if hj:
+            total += hj * _MOTZKIN.vpow_coeff(n, j)
+    return total

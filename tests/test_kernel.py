@@ -1,9 +1,13 @@
 """Lagrange extraction in `Kernel` against series reversion and composition.
 
-Every kernel family evaluates its closed v-form through `Kernel.eval`, which
-reads trinomial rows.  The oracle here inverts the substitution and composes
-instead, so "series = closed form" elsewhere in the suite is never one
-computation checked against itself.
+Every kernel family evaluates its closed v-form through `Kernel.coeff`, the
+one map from v-powers to trinomial row entries: a series through
+`Kernel.eval`, one call per coefficient, and each single-coefficient closed
+form through one call on its (k, c) terms.  Both routes share that map, so
+`coeff` itself is checked here against an oracle that inverts the
+substitution and composes instead, and "series = closed form" elsewhere in
+the suite is never one computation checked against itself.  The edge
+contract (negative sizes, a non-int middle weight) is pinned at the end.
 """
 
 from fractions import Fraction
@@ -13,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latticepaths import pathseries, treeseries
+from latticepaths.combinat import _HALF_ROWS
 from latticepaths.series import Kernel, MarkerPoly, PowerSeries, poly_substitution
 from latticepaths.treeseries import marked_count, marked_height_tail, marked_height_total
 
@@ -83,6 +88,22 @@ def test_vpow_coeff_matches_inverted_series(kern):
         for m in range(order + 1):
             assert kern.vpow_coeff(m, k) == power.coeff(m).constant()
         power = power * v
+
+
+_sparse_coeff = st.one_of(
+    _coeff,
+    st.builds(lambda c, e, d: c * MarkerPoly.var("w", e) + d,
+              st.integers(-3, 3).filter(bool), st.integers(1, 3), _coeff))
+
+
+@settings(max_examples=80, deadline=None)
+@given(b=st.integers(1, 4), m=st.integers(1, 12),
+       terms=st.dictionaries(st.integers(0, 15), _sparse_coeff, max_size=6))
+def test_coeff_equals_compose_on_sparse_terms(b, m, terms):
+    # the extraction both the series and the closed-form routes read, on its own
+    kern = Kernel(b)
+    expr = PowerSeries("v", [terms.get(k, 0) for k in range(16)])
+    assert kern.coeff(m, sorted(terms.items())) == _composed(kern, expr, m).coeff(m)
 
 
 # Every family evaluated through a kernel, against the same closed v-form
@@ -180,3 +201,40 @@ def test_marked_height_total_equals_tail_series():
     for n in range(1, order + 1):
         from_tails = sum(t.coeff(n).constant() for t in tails)
         assert marked_height_total(n) == marked_count(n) + from_tails
+
+
+# ----------------------------------------------------------------------
+# edge contract
+# ----------------------------------------------------------------------
+
+def test_negative_sizes():
+    kern = Kernel(1)
+    with pytest.raises(ValueError, match="trinomial needs n >= 0"):
+        kern.vpow_coeff(-1, 0)
+    for m in (-1, -3):
+        with pytest.raises(ValueError, match="trinomial needs n >= 0"):
+            kern.coeff(m, ((1, 1),))
+        with pytest.raises(ValueError):
+            kern.coeff(m, ())
+    assert kern.coeff(0, ((0, 5), (1, 2))) == 5 and kern.coeff(0, ((2, 1),)) == 0
+    assert [kern.vpow_coeff(0, k) for k in range(3)] == [1, 0, 0]
+    for n in range(-4, 0):
+        assert pathseries.amplitude_coeff(n, 0, "horiz") == 0
+        assert pathseries.amplitude_coeff(n, 2, "no-horiz") == 0
+        for variant in ("all", "no-top-horizontal"):
+            assert pathseries.motzkin_bounded_coeff(n, 1, variant) == 0
+    assert [key for key in _HALF_ROWS if key[0] < 0] == []
+
+
+@pytest.mark.parametrize("b", [Fraction(1), 1.0], ids=["Fraction", "float"])
+@pytest.mark.parametrize("call", [
+    lambda k: k.eval(PowerSeries("v", [1, 1]).pad(3), 3),
+    lambda k: k.vpow_coeff(2, 1),
+    lambda k: k.vpow_coeff(-1, 0),
+    lambda k: k.coeff(2, ((1, 1),)),
+    lambda k: k.coeff(0, ((0, 1),)),
+    lambda k: k.coeff(-1, ((1, 1),)),
+], ids=["eval", "vpow_coeff", "vpow_coeff-negative", "coeff", "coeff-0", "coeff-negative"])
+def test_a_non_int_middle_weight_is_a_type_error(b, call):
+    with pytest.raises(TypeError, match="trinomial needs an int middle weight, got"):
+        call(Kernel(b))

@@ -15,6 +15,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
@@ -38,8 +39,14 @@ from latticepaths.paths import (
     step_delta,
     tally,
 )
-from latticepaths.pathseries import dual_skew_coeff, motzkin_bounded_coeff, skew_sj_coeff
+from latticepaths.pathseries import (
+    amplitude_total,
+    dual_skew_coeff,
+    motzkin_bounded_coeff,
+    skew_sj_coeff,
+)
 from latticepaths.trees import tally as trees_tally
+from latticepaths.treeseries import horton_avg_reg, retakh_leaf_total
 from old_checks import as_lines
 from old_tallies import old_paths_tally, old_trees_tally
 
@@ -249,6 +256,26 @@ def test_skew_height_totals_equal_the_closed_form_to_60():
     for j in range(4):
         dists = tally("skew", 60, "height", end_level=j)
         assert [d.total() for d in dists] == [skew_sj_coeff(n, j) for n in range(61)], j
+
+
+def test_kernel_extractions_equal_the_object_tallies_to_60():
+    # closed forms that are Kernel.coeff calls, against the objects they count
+    def stat_sum(dist):
+        return sum(value * count for value, count in dist.items())
+
+    amplitudes = tally("motzkin", 60, "amplitude")
+    peaks = tally("retakh", 60, "peak_count")
+    bounded = [tally("motzkin", 60, "height", max_height=h) for h in range(6)]
+    registers = [trees_tally("unary_binary", 60, "reg", a) for a in range(3)]
+    for n in range(61):
+        assert amplitude_total(n) == stat_sum(amplitudes[n]), n
+        if n:  # a Retakh path of n pairs encodes a tree on n + 1 nodes, its peaks the leaves
+            assert retakh_leaf_total(n + 1) == stat_sum(peaks[n]), n
+            for a, dists in enumerate(registers):
+                mean = Fraction(stat_sum(dists[n]), dists[n].total())
+                assert horton_avg_reg(n, a) == mean, (n, a)
+        for h, dists in enumerate(bounded):
+            assert motzkin_bounded_coeff(n, h) == dists[n].total(), (n, h)
 
 
 def test_a_walk_deeper_than_the_recursion_limit():

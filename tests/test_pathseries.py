@@ -56,7 +56,14 @@ from latticepaths.pathseries import (
     ubar_power,
 )
 from latticepaths.series import PowerSeries, poly_substitution
-from old_extractions import old_dual_skew_coeff, old_lambda_prime_x8, old_mu, old_skew_sj_coeff
+from old_extractions import (
+    old_amp_layer_coeff,
+    old_amplitude_total,
+    old_dual_skew_coeff,
+    old_lambda_prime_x8,
+    old_mu,
+    old_skew_sj_coeff,
+)
 
 
 def series_ints(s: PowerSeries, upto: int) -> list:
@@ -615,6 +622,14 @@ def test_amplitude_total_consistent_with_layers():
                       + 2 * h * amplitude_coeff(n, h, "no-horiz")
                       for h in range(n + 1))
         assert amplitude_total(n) == bylayer
+
+
+def test_amplitude_extractions_match_the_row_differences():
+    # one coeff call on each v-form = the second difference on row n and n vpow_coeff calls
+    for n in range(301):
+        assert amplitude_total(n) == old_amplitude_total(n), n
+        for E in [*range(3, 14), *range(max(14, n), n + 4)]:  # periods are >= 3
+            assert pathseries._amp_layer_coeff(n, E) == old_amp_layer_coeff(n, E), (n, E)
 
 
 def test_amplitude_errors():

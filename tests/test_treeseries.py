@@ -42,7 +42,12 @@ from latticepaths.treeseries import (
     ternary_xi,
     unary_binary_count,
 )
-from old_extractions import old_horton_avg_reg, old_marked_height_total
+from old_extractions import (
+    old_horton_avg_reg,
+    old_marked_height_total,
+    old_marked_leaf_total,
+    old_retakh_leaf_total,
+)
 
 
 def ints(s: PowerSeries, upto: int) -> list:
@@ -144,12 +149,19 @@ def test_horton_avg_reg_against_brute():
 # ----------------------------------------------------------------------
 
 def test_horton_avg_reg_matches_the_vpow_sum():
-    # one half row read with telescoped weights = two vpow_coeff reads per even m
+    # one coeff call on the differenced weights = two vpow_coeff reads per even m
     for a in range(3):
         for n in range(1, 301):
             assert horton_avg_reg(n, a) == old_horton_avg_reg(n, a), (n, a)
     for a in (0, 1):
         assert horton_avg_reg(4096, a) == old_horton_avg_reg(4096, a)
+
+
+def test_leaf_totals_match_the_hand_reduced_extractions():
+    # one coeff call on each v-form = the trinomial pair and the weights against row n - 2
+    for n in range(1, 301):
+        assert marked_leaf_total(n) == old_marked_leaf_total(n), n
+        assert retakh_leaf_total(n) == old_retakh_leaf_total(n), n
 
 
 def test_marked_count_three_routes():

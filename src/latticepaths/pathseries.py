@@ -464,7 +464,7 @@ def amplitude_total(n: int) -> int:
                   if i >= 0)
         return val - {2: 3, 3: 3, 4: 2}.get(jj, 0)
 
-    return _MOTZKIN.coeff(n, [(j, a(j + 2)) for j in range(n + 1)])
+    return _MOTZKIN.coeff(n, ((j, a(j + 2)) for j in range(n + 1)))
 
 
 def amplitude_average(n: int) -> Fraction:

@@ -21,7 +21,7 @@ dict per output coefficient and builds no polynomial.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import repeat
+from itertools import dropwhile, repeat
 from operator import add, mul
 
 from .combinat import _half_row
@@ -696,10 +696,11 @@ class Kernel:
 
     def coeff(self, m: int, terms) -> int:
         """[var^m] F(v) for m >= 0, F the sum of c v^k over the (k, c) pairs
-        of the sequence `terms`, k >= 0 increasing.
+        of the iterable `terms`, k >= 0 non-decreasing.
 
         [var^m] v^k = T(m-1, m-k) - T(m-1, m-k-2) for m >= 1 is read from the
-        one half row T(m-1, b, .): m - k never passes its centre m - 1.
+        one half row T(m-1, b, .): m - k never passes its centre m - 1.  Terms
+        with c = 0 still cost a pass of the loop; callers with many drop them.
         """
         if terms and not isinstance(self.b, int):
             raise TypeError(f"trinomial needs an int middle weight, got {type(self.b).__name__}")
@@ -709,12 +710,11 @@ class Kernel:
             return sum(c for k, c in terms if not k)
         row = _half_row(m - 1, self.b)
         acc = 0
-        for k, c in terms:
+        for k, c in dropwhile(lambda t: not t[0], terms):  # v^0 adds nothing for m >= 1
             if k > m:
                 break
-            if k and c:
-                j = m - k
-                acc += c * (row[j] - row[j - 2] if j > 1 else row[j])
+            j = m - k
+            acc += c * (row[j] - row[j - 2] if j > 1 else row[j])
         return acc
 
     def vpow_coeff(self, m: int, k: int) -> int:

@@ -65,13 +65,15 @@ def horton_avg_reg(n: int, a: int) -> Fraction:
     v2(m) - v2(m-2)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    terms = []
-    v_2 = 0  # v2(m-2), none below m = 2
-    for m in range(2, n + 2, 2):
-        v = (m & -m).bit_length() - 1
-        terms.append((m - 1, v - v_2))
-        v_2 = v
-    return Fraction(_unary_binary_kernel(a).coeff(n, terms), unary_binary_count(n, a))
+
+    def terms():
+        v_2 = 0  # v2(m-2), none below m = 2
+        for m in range(2, n + 2, 2):
+            v = (m & -m).bit_length() - 1
+            yield m - 1, v - v_2
+            v_2 = v
+
+    return Fraction(_unary_binary_kernel(a).coeff(n, terms()), unary_binary_count(n, a))
 
 
 def node_count_series(a: int, order: int) -> PowerSeries:
@@ -104,7 +106,7 @@ def marked_leaf_total(n: int) -> int:
     [z^(n-1)] 1/(1-v) under z = v/(1+3v+v^2)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _MARKED.coeff(n - 1, [(k, 1) for k in range(n)])
+    return _MARKED.coeff(n - 1, ((k, 1) for k in range(n)))
 
 
 def marked_count(n: int) -> int:
@@ -181,7 +183,7 @@ def marked_height_total(n: int) -> int:
         for e in by_power.get(p, ()):
             f[e] += 1
             low = min(low, e)
-    return marked_count(n) + _MARKED.coeff(m, list(enumerate(map(sub, f, [0, 0] + f))))
+    return marked_count(n) + _MARKED.coeff(m, enumerate(map(sub, f, [0, 0] + f)))
 
 
 # ----------------------------------------------------------------------
@@ -350,7 +352,7 @@ def retakh_leaf_total(n: int) -> int:
     [z^(n-1)] (1 + v^2 + v^3 - v^4)/(1 - v) = 1 + v + 2v^2 + 3v^3 + 2v^4 + 2v^5 + ..."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _MOTZKIN.coeff(n - 1, [(k, (1, 1, 2, 3)[k] if k < 4 else 2) for k in range(n)])
+    return _MOTZKIN.coeff(n - 1, ((k, (1, 1, 2, 3)[k] if k < 4 else 2) for k in range(n)))
 
 
 def retakh_bounded_count(n: int, h: int) -> int:

@@ -628,7 +628,7 @@ def test_amplitude_extractions_match_the_row_differences():
     # one coeff call on each v-form = the second difference on row n and n vpow_coeff calls
     for n in range(301):
         assert amplitude_total(n) == old_amplitude_total(n), n
-        for E in [*range(3, 14), *range(max(14, n), n + 4)]:  # periods are >= 3
+        for E in [*range(2, 14), *range(max(14, n), n + 4)]:  # periods >= 2: lo = 2 at h = 0
             assert pathseries._amp_layer_coeff(n, E) == old_amp_layer_coeff(n, E), (n, E)
 
 

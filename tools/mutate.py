@@ -1,12 +1,11 @@
 """Serial AST mutation sweep over one module of the package, run on a copy.
 
-    python tools/mutate.py MODULE COUNT SEED [--scope NAME ...] [--workdir DIR]
-                           [--timeout S] [-- PYTEST ARGS ...]
+    python tools/mutate.py MODULE COUNT SEED [--scope NAME ...] [-- PYTEST ARGS ...]
 
-Copies src/, tests/, bench/ and pyproject.toml into DIR (a new temporary
-directory by default; it must not exist yet), and draws COUNT of the
-mutation sites of src/latticepaths/MODULE.py with random.Random(SEED).  Each
-mutant is the module with one site changed:
+Copies src/, tests/, bench/ and pyproject.toml into a new temporary
+directory, removed at the end, and draws COUNT of the mutation sites of
+src/latticepaths/MODULE.py with random.Random(SEED).  Each mutant is the
+module with one site changed:
 
 * ``+`` and ``-`` swapped, in a binary operation or an augmented assignment;
 * ``<`` and ``<=``, or ``>`` and ``>=``, swapped in a comparison;
@@ -15,7 +14,7 @@ mutant is the module with one site changed:
 ``--scope`` keeps only the sites inside functions or classes of those names.
 For each mutant the mutated module is written into the copy, pytest runs
 there once, and the module is put back.  A mutant is killed when pytest
-fails (or runs past ``--timeout``) and survives when it passes.  Everything
+fails (or runs past TIMEOUT seconds) and survives when it passes.  Everything
 is serial: one pytest at a time.  The checkout itself is only read.
 
 The pytest arguments default to the whole suite with ``-x``, less
@@ -37,6 +36,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 COPIED = ("src", "tests", "bench", "pyproject.toml")
+TIMEOUT = 600  # seconds per pytest run; a mutant may loop forever
 DEFAULT_PYTEST = ["tests", "-x", "-q", "-p", "no:cacheprovider", "--hypothesis-seed=0",
                   "--deselect", "tests/test_acceptance.py::test_criterion_10_register_layers"]
 _FLIP = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Lt: ast.LtE, ast.LtE: ast.Lt,
@@ -84,14 +84,14 @@ def mutant(source: str, scope: set, pick: int):
     return ast.unparse(tree), f"{where}:{node.lineno} {before} -> {after}"
 
 
-def run_pytest(copy: Path, args: list, timeout: float) -> str:
+def run_pytest(copy: Path, args: list) -> str:
     # no bytecode: a mutant of the same size written in the same second would
     # otherwise be read from a stale cache
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
     try:
         done = subprocess.run([sys.executable, "-m", "pytest", *args], cwd=copy, env=env,
                               stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-                              timeout=timeout)
+                              timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
         return "timeout"
     return "survived" if done.returncode == 0 else "killed"
@@ -104,8 +104,6 @@ def main(argv=None) -> int:
     parser.add_argument("seed", type=int, help="seed of the draw")
     parser.add_argument("--scope", nargs="+", default=[],
                         help="only sites inside functions or classes of these names")
-    parser.add_argument("--workdir", type=Path, help="directory of the copy (must not exist)")
-    parser.add_argument("--timeout", type=float, default=600.0, help="seconds per pytest run")
     argv = sys.argv[1:] if argv is None else list(argv)
     cut = argv.index("--") if "--" in argv else len(argv)
     args = parser.parse_args(argv[:cut])
@@ -117,7 +115,13 @@ def main(argv=None) -> int:
     total = len(sites(ast.parse(source), scope))
     picks = sorted(random.Random(args.seed).sample(range(total), min(args.count, total)))
 
-    copy = args.workdir or Path(tempfile.mkdtemp(prefix="mutate-")) / "repo"
+    print(f"{name}: {total} sites in scope, {len(picks)} drawn (seed {args.seed})")
+    with tempfile.TemporaryDirectory(prefix="mutate-") as tmp:
+        return sweep(Path(tmp), name, source, scope, picks, pytest_args)
+
+
+def sweep(copy: Path, name: str, source: str, scope: set, picks: list, pytest_args: list) -> int:
+    """Copy the checkout into `copy` and run pytest there once per mutant."""
     for item in COPIED:
         src = ROOT / item
         if src.is_dir():
@@ -126,8 +130,7 @@ def main(argv=None) -> int:
         else:
             shutil.copy2(src, copy / item)
     target = copy / "src" / "latticepaths" / f"{name}.py"
-    print(f"{name}: {total} sites in scope, {len(picks)} drawn (seed {args.seed}); copy at {copy}")
-    if run_pytest(copy, pytest_args, args.timeout) != "survived":
+    if run_pytest(copy, pytest_args) != "survived":
         print("the unmutated copy fails the tests; nothing to measure")
         return 2
 
@@ -136,7 +139,7 @@ def main(argv=None) -> int:
         text, what = mutant(source, scope, pick)
         target.write_text(text)
         try:
-            verdict = run_pytest(copy, pytest_args, args.timeout)
+            verdict = run_pytest(copy, pytest_args)
         finally:
             target.write_text(source)
         print(f"{verdict:8s} {what}", flush=True)

@@ -34,13 +34,13 @@ from .combinat import a002212_terms, motzkin_numbers
 from .paths import gen_dual_skew, gen_motzkin, gen_skew
 from .paths import tally as tally_paths
 from .pathseries import (
+    _amplitude_ladder,
     _deutsch_strip_solutions,
     _dual_gj_ladder,
     _skew_sj_ladder,
     amplitude_average,
     amplitude_coeff,
     amplitude_series,
-    amplitude_total,
     deng_mansour_count,
     denom_Sj,
     deutsch_phi,
@@ -164,7 +164,7 @@ SEQS: Dict[str, Callable[..., Iterable[Tuple[int, object]]]] = {
     "hoppy-neg": lambda n, k=2: [(l, hoppy_negative_coeff(l, k)) for l in range(n + 1)],
     "ternary-T": lambda n: [(m, ternary_row(m)) for m in range(1, n + 1)],
     "deutsch-phi": lambda n, t=0, j=0: _series_rows(deutsch_phi(t, j, n), 0, n),
-    "amplitude": lambda n: [(m, amplitude_total(m)) for m in range(n + 1)],
+    "amplitude": lambda n: enumerate(_amplitude_ladder(n)),
     "kemp-valley": lambda n: _series_rows(kemp_valley_series(n), 1, n),
     "kemp-peak": lambda n: _series_rows(kemp_peak_series(n), 1, n),
     "horton-Rp": lambda n, j=1, a=0: _series_rows(horton_Rp(j, a, n), 0, n),
@@ -340,11 +340,10 @@ def _check_horton(budget: int) -> List[CheckLine]:
 def _check_marked(budget: int) -> List[CheckLine]:
     top = min(budget, 7)
     ns = range(1, top + 1)
-    levels = [gen_marked(n) for n in ns]
+    leaves, heights = (tally_trees("marked", top, stat) for stat in ("leaves", "height_nodes"))
     return [(f"marked-tree counts, leaf and height totals = brute, n <= {top}",
              [(marked_count(n), marked_leaf_total(n), marked_height_total(n)) for n in ns],
-             [(len(ts), sum(_stat(t, "marked", "leaves") for t in ts),
-               sum(_stat(t, "marked", "height_nodes") for t in ts)) for ts in levels])]
+             [(leaves[n].total(), _total(leaves[n]), _total(heights[n])) for n in ns])]
 
 
 def _check_retakh(budget: int) -> List[CheckLine]:

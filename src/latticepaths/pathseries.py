@@ -449,22 +449,32 @@ def amplitude_coeff(n: int, h: int, kind: str) -> int:
     return _amp_layer_coeff(n, hi) - _amp_layer_coeff(n, lo) if n >= 0 else 0
 
 
-def amplitude_total(n: int) -> int:
-    """Sum of amplitudes over all closed Motzkin paths of length n.
+def _amplitude_terms(n: int) -> List[Tuple[int, int]]:
+    """The v-terms whose extraction at length m <= n is amplitude_total(m).
 
-    Extracted from [Q(1-v^2) D(v) - v(1+2v) Q]/v^2 with D the divisor-count
-    generating function; the numerator reduces to the convolution below.
+    The totals are [z^m] of [Q(1-v^2) D(v) - v(1+2v) Q]/v^2 with D the
+    divisor-count generating function; the numerator reduces to the weight
+    d(j+2) + d(j+1) - d(j-1) - d(j-2) on v^j, less 3, 3, 2 at j = 0, 1, 2,
+    which does not depend on the length.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    d = [0] + [divisor_count(m) for m in range(1, n + 3)]
+    d = [0, 0, 0] + [divisor_count(m) for m in range(1, n + 3)]  # d[i + 2] = d(i)
+    weights = [d[j + 4] + d[j + 3] - d[j + 1] - d[j] for j in range(n + 1)]
+    for j, c in zip(range(n + 1), (3, 3, 2)):
+        weights[j] -= c
+    return list(enumerate(weights))
 
-    def a(jj: int) -> int:  # jj = j + 2 <= n + 2
-        val = sum(sign * d[i] for sign, i in ((1, jj), (1, jj - 1), (-1, jj - 3), (-1, jj - 4))
-                  if i >= 0)
-        return val - {2: 3, 3: 3, 4: 2}.get(jj, 0)
 
-    return _MOTZKIN.coeff(n, ((j, a(j + 2)) for j in range(n + 1)))
+def _amplitude_ladder(n: int) -> List[int]:
+    """amplitude_total(0), ..., amplitude_total(n), off one list of terms."""
+    terms = _amplitude_terms(n)
+    return [_MOTZKIN.coeff(m, terms) for m in range(n + 1)]
+
+
+def amplitude_total(n: int) -> int:
+    """Sum of amplitudes over all closed Motzkin paths of length n."""
+    return _MOTZKIN.coeff(n, _amplitude_terms(n))
 
 
 def amplitude_average(n: int) -> Fraction:

@@ -20,16 +20,16 @@ All seven families are declared once, as productions: a head (the entries an
 object adds) and children, each a class at a size.  A node (binary,
 unary-binary, hex, ternary) is its head then its children, and None is the
 empty one.  An ordered, marked or multi-edge tree is a cons, its first edge
-then the edges of the rest tree, so a sequence of subtrees is "first plus
-the rest".  `gen_*` read one cached evaluator.
+then the edges of the rest tree, if it has more than one edge, so a sequence
+of subtrees is "first plus the rest".  `gen_*` read one cached evaluator.
 
 Each statistic (register number, leaves, height, middle edges, marks) is one
 node rule per family, which reads the node and its children's values of that
-statistic alone.  `reg` and `tree_stats` fold those rules over one tree, and
-`tree_size` folds its own.  `tally` evaluates the node classes in one
-statistic's value algebra, a size as value -> number of trees, with the
-production's head followed by its children's sizes standing in for the node,
-so equal values merge and no tree is built.
+statistic alone, and one cons step, which joins the value of a cons tree's
+first edge alone to its rest tree's.  `reg` and `tree_stats` fold the rules
+over one tree, and `tree_size` folds its own.  `tally` evaluates every
+family in one statistic's value algebra, a class and size as value -> number
+of objects, so equal values merge and no tree is built.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from collections import Counter
 from functools import lru_cache, partial
 from itertools import chain, product, repeat
 from math import prod
-from operator import itemgetter
+from operator import add, itemgetter
 
 
 def _colours(a: int) -> range:
@@ -48,9 +48,10 @@ def _colours(a: int) -> range:
 
 
 # Per class, its productions of size n in generation order: (head, children),
-# each child a (class, size).  A cons class's leaf has no children.  The last
-# edge of a marked tree, over a child of size n, comes from `marked_last`:
-# unmarked, then marked if the child is internal, so the mark varies fastest.
+# each child a (class, size).  A cons class's leaf has no children, and a cons
+# tree whose first edge is its only one has no rest tree.  The last edge of a
+# marked tree, over a child of size n, comes from `marked_last`: unmarked, then
+# marked if the child is internal, so the mark varies fastest.
 _PRODUCTIONS = {
     "binary": lambda n, a: [((), (("binary", i), ("binary", n - 1 - i))) for i in range(n)],
     "unary_binary": lambda n, a: (
@@ -62,14 +63,16 @@ _PRODUCTIONS = {
     "ternary": lambda n, a: [((), (("ternary", i), ("ternary", j), ("ternary", n - 1 - i - j)))
                              for i in range(n) for j in range(n - i)],
     "ordered": lambda n, a: ([((), ())] if n == 1 else
-                             [((), (("ordered", s), ("ordered", n - s))) for s in range(1, n)]),
+                             [((), (("ordered", s),) + (("ordered", n - s),) * (s < n - 1))
+                              for s in range(1, n)]),
     "marked": lambda n, a: ([((), ())] if n == 1 else
                             [((False,), (("marked", s), ("marked", n - s))) for s in range(1, n - 1)]
-                            + [((), (("marked_last", n - 1), ("marked", 1)))]),
+                            + [((), (("marked_last", n - 1),))]),
     "marked_last": lambda n, a: [((), (("marked", n), ("mark", n)))],
     "mark": lambda n, a: [((False,), ()), ((True,), ())][:1 + (n > 1)],
     "multiedge": lambda n, a: ([((), ())] if n == 0 else
-                               [((m,), (("multiedge", c), ("multiedge", n - m - c)))
+                               [((m,), (("multiedge", c),)
+                                 + (("multiedge", n - m - c),) * (c < n - m))
                                 for m in range(1, n + 1) for c in range(n - m + 1)]),
 }
 _NODE_CLASSES = ("binary", "unary_binary", "hex", "ternary")
@@ -77,8 +80,12 @@ _NODE_CLASSES = ("binary", "unary_binary", "hex", "ternary")
 
 def _cons(head, kids):
     """First edge (head entries then the first child, or under an empty head
-    the bare child), then the rest tree's edges; no children make a leaf."""
-    return (head + kids[:1] if head else kids[0],) + kids[1] if kids else head
+    the bare child), then the rest tree's edges if there is a rest tree; no
+    children make a leaf."""
+    if not kids:
+        return head
+    edge = (head + kids[:1] if head else kids[0],)
+    return edge + kids[1] if len(kids) > 1 else edge
 
 
 # Per class, make(head, children); the classes not named here are cons classes
@@ -203,8 +210,9 @@ _REG = dict.fromkeys(("binary", "unary_binary", "hex"), _register)
 STAT_FIELDS = ("leaves", "height_nodes", "middle_edges", "mark_count")
 # Per statistic, its node rule per family.  A rule reads the node and its
 # children's values of the same statistic, and the empty tree has value 0.
-# Under `tally` the node is a stand-in, the production's head followed by its
-# children's sizes; either way a child is empty exactly when its entry is falsy.
+# Under `tally` a node is a stand-in, the production's head followed by its
+# children's sizes, so either way a child is empty exactly when its entry is
+# falsy; a cons tree there has one edge, over its child's value.
 _RULES = {
     "reg": _REG,
     "leaves": dict.fromkeys(_CHILDREN, lambda node, kids: sum(kids) or 1),
@@ -215,6 +223,10 @@ _RULES = {
     "mark_count": {**dict.fromkeys(_CHILDREN, _added),
                    "marked": lambda node, kids: sum(mark for mark, _ in node) + sum(kids)},
 }
+# Per statistic, its cons step: a cons tree's value from the value of its
+# first edge alone, a one-edge tree valued by the rule above, and the value of
+# its rest tree, which has an edge.
+_CONS_STEPS = {"leaves": add, "height_nodes": max, "middle_edges": add, "mark_count": add}
 
 
 def _rule(family: str, stat: str):
@@ -263,26 +275,41 @@ def tally(family: str, top: int, stat: str, a: int = 1) -> list:
     """Distribution of one statistic over the trees of each size 0..top.
 
     stat is "reg" or one of STAT_FIELDS.  The family's productions are
-    evaluated in the statistic's value algebra, each size held as value ->
-    number of trees.  Each choice of (value, count) pairs for a production's
-    children is one call of the same node rule as `reg` / `tree_stats`, with
-    the production's head followed by its children's sizes in the place of
-    the node, weighed by the product of the counts, so equal values merge and
-    no tree is built.
+    evaluated in the statistic's value algebra, each class and size held as
+    value -> number of objects, so equal values merge and no tree is built.
+    Each choice of (value, count) pairs for a production's children is one
+    value, weighed by the product of the counts.  A node's value is the
+    family's rule, as in `reg` / `tree_stats`, with the production's head
+    followed by its children's sizes in the place of the node.  A cons tree's
+    is the rule on its first edge alone (the head entries over the first
+    child's value), joined to the rest tree's value by the cons step; the
+    helper classes of the marked trees build their edges as `gen_marked` does,
+    with values in the place of the children.
     """
-    if family not in _NODE_CLASSES:
-        raise ValueError(f"no value algebra for family {family!r}: its trees are not nodes")
     rule = _rule(family, stat)
     if family == "unary_binary":
         _colours(a)  # size 0 reads no production
-    if top < 0:
-        return []
+    step, children = _CONS_STEPS.get(stat), _CHILDREN[family]
 
-    levels = [Counter([0])]  # per size, value -> number of trees
-    for size in range(1, top + 1):
-        stand_ins = [(head + tuple(n for _, n in children), children)
-                     for head, children in _PRODUCTIONS[family](size, a)]
-        levels.append(_merged(_construct(
-            stand_ins, lambda child: levels[child[1]].items(),
-            lambda node, kids: (rule(node, [v for v, _ in kids]), prod(c for _, c in kids)))))
-    return levels
+    def cons_value(head, vals):
+        first = _cons(head, vals[:1])  # the first edge alone, or a leaf
+        value = rule(first, list(children(first)))
+        return step(value, vals[1]) if len(vals) > 1 else value
+
+    @lru_cache(maxsize=None)
+    def level(cls, n):
+        """value -> number of objects of class cls and size n"""
+        node = cls in _NODE_CLASSES
+        if n < 0:
+            return Counter()
+        if n == 0 and node:
+            return Counter([0])
+        make = rule if node else _MAKE.get(cls, cons_value)
+        stand_ins = [(head + tuple(size for _, size in kids) if node else head, kids)
+                     for head, kids in _PRODUCTIONS[cls](n, a)]
+        return _merged(_construct(
+            stand_ins, lambda child: level(*child).items(),
+            lambda head, kids: (make(head, tuple([v for v, _ in kids])),
+                                prod(c for _, c in kids))))
+
+    return [level(family, n) for n in range(top + 1)]

@@ -5,8 +5,11 @@ Each body below decides its own verdict and returns `(ok, label)` pairs.
 They are kept as they were, with the names they read imported from
 `latticepaths.cli` (`tree_stats`, which `cli` no longer reads, from
 `latticepaths.trees`, and the two end-level coefficients, which `cli` now
-reads as ladders, from `latticepaths.pathseries`), so a test that replaces one of those names must
-replace it here as well.  `as_lines` turns a body into a family of today's shape,
+reads as ladders, from `latticepaths.pathseries`), so a test that replaces
+one of those names must replace it here as well.  The one exception is
+`_check_marked`, which counts its trees with `tally_trees`, as `cli` does,
+so that a fault there reaches both; its per-tree body is kept in
+`test_trees`.  `as_lines` turns a body into a family of today's shape,
 whose lines are a label and route values: `(label, ok, True)` is ok exactly
 when `ok` is.
 """
@@ -240,14 +243,14 @@ def _check_marked(budget: int) -> List[CheckResult]:
     out = []
     top = min(budget, 7)
     ok = True
+    leaves = tally_trees("marked", top, "leaves")
+    heights = tally_trees("marked", top, "height_nodes")
     for n in range(1, top + 1):
-        trees = gen_marked(n)
-        if marked_count(n) != len(trees):
+        if marked_count(n) != sum(leaves[n].values()):
             ok = False
-        stats = [tree_stats(t, "marked") for t in trees]
-        if marked_leaf_total(n) != sum(s["leaves"] for s in stats):
+        if marked_leaf_total(n) != _total(leaves[n]):
             ok = False
-        if marked_height_total(n) != sum(s["height_nodes"] for s in stats):
+        if marked_height_total(n) != _total(heights[n]):
             ok = False
     out.append((ok, f"marked-tree counts, leaf and height totals = brute, n <= {top}"))
     return out

@@ -10,6 +10,8 @@ the declarations.  `old_trees_tally` reads the register rule of the package
 but its own copy of the statistics rule that the per-statistic rules
 replaced, a whole (leaves, height_nodes, middle_edges, mark_count) tuple per
 tree projected to the asked field at the end, so it checks those rules too.
+The cons families (ordered, marked, multi-edge) had no list tally, so for
+them `old_trees_tally` folds that copied rule over every built tree.
 """
 
 from collections import Counter
@@ -54,10 +56,12 @@ def old_trees_tally(family: str, top: int, stat: str, a: int = 1) -> list:
     evaluated in the statistic's value algebra: every tree is visited once, as
     one call of the same node rule as `reg` / `tree_stats` on its children's
     values, drawn from the lists kept for the smaller sizes.  No tree is
-    built, and the values of size top are counted as they are made.
+    built, and the values of size top are counted as they are made.  The
+    cons families (ordered, marked, multi-edge) had no list tally before
+    their value algebra, so for them the same rule is folded over every tree.
     """
-    if family not in trees._NODE_CLASSES:
-        raise ValueError(f"no value algebra for family {family!r}: its trees are not nodes")
+    if family not in trees._CHILDREN:
+        raise ValueError(f"unknown family {family!r}")
     if stat == "reg" and family in trees._REG:
         rule, empty, field = trees._REG[family], 0, None
     elif stat in trees.STAT_FIELDS:
@@ -67,11 +71,15 @@ def old_trees_tally(family: str, top: int, stat: str, a: int = 1) -> list:
     if top < 0:
         return []
 
-    levels = [[empty]]  # the values of each size, those of size top as they are made
-    for size in range(1, top + 1):
-        values = trees._construct(trees._PRODUCTIONS[family](size, a),
-                                  lambda child: levels[child[1]], rule)
-        levels.append(list(values) if size < top else values)
+    if family in trees._NODE_CLASSES:
+        levels = [[empty]]  # the values of each size, those of size top as they are made
+        for size in range(1, top + 1):
+            values = trees._construct(trees._PRODUCTIONS[family](size, a),
+                                      lambda child: levels[child[1]], rule)
+            levels.append(list(values) if size < top else values)
+    else:
+        levels = [[trees._fold(trees._CHILDREN[family], rule, empty, t)
+                   for t in trees._level(family, size, a)] for size in range(top + 1)]
     return [Counter(values if field is None else map(itemgetter(field), values))
             for values in levels]
 

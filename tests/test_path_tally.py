@@ -534,7 +534,8 @@ def test_every_tally_a_check_reads_equals_the_list_tally(monkeypatch, capsys):
                                                             "retakh"}
     assert {args[:3] for args, _ in read["tally_trees"]} == {
         *(("unary_binary", top, "reg") for top in range(1, 10)),
-        *(("ternary", top, "middle_edges") for top in range(1, 8))}
+        *(("ternary", top, "middle_edges") for top in range(1, 8)),
+        *(("marked", top, stat) for top in range(1, 8) for stat in ("leaves", "height_nodes"))}
     for args, params in read["tally_paths"]:
         assert tally(*args, **dict(params)) == old_paths_tally(*args, **dict(params)), args
     for args, _ in read["tally_trees"]:

@@ -632,6 +632,15 @@ def test_amplitude_extractions_match_the_row_differences():
             assert pathseries._amp_layer_coeff(n, E) == old_amp_layer_coeff(n, E), (n, E)
 
 
+def test_amplitude_ladder_rungs_are_the_totals():
+    ladder = pathseries._amplitude_ladder(300)
+    assert ladder == [old_amplitude_total(n) for n in range(301)]
+    assert [pathseries._amplitude_ladder(n) for n in range(4)] == [ladder[:n + 1]
+                                                                   for n in range(4)]
+    with pytest.raises(ValueError):
+        pathseries._amplitude_ladder(-1)
+
+
 def test_amplitude_errors():
     with pytest.raises(ValueError):
         amplitude_series(-1, "horiz", 5)

@@ -2,14 +2,14 @@
 and statistics on small exhaustive sets.
 
 All seven tree families are declared once as productions.  One cached
-evaluator builds their trees (`gen_*`); for the node families `tally`
-counts one node rule's values per size, value -> number of trees, without
-building them, and `reg` / `tree_stats` / `tree_size` fold the same rules
-over one tree.  The list builders (node families and the hand-written
-ordered, marked and multi-edge generators), the per-family streamed
-generators, the build-and-fold tally, the list tally (`old_tallies`) and the
-recursive statistics they replaced stay below as oracles, and so do the
-per-object bodies of `check --family horton` and `check --family ternary`.
+evaluator builds their trees (`gen_*`); `tally` counts one statistic's
+values per size, value -> number of trees, without building them, and
+`reg` / `tree_stats` / `tree_size` fold the same rules over one tree.  The
+list builders (node families and the hand-written ordered, marked and
+multi-edge generators), the per-family streamed generators, the
+build-and-fold tally, the list tally (`old_tallies`) and the recursive
+statistics they replaced stay below as oracles, and so do the per-object
+bodies of `check --family horton`, `ternary` and `marked`.
 """
 
 import math
@@ -30,6 +30,9 @@ from latticepaths import cli, trees
 from latticepaths.combinat import a002212_terms, catalan, motzkin_numbers
 from latticepaths.treeseries import (
     horton_Rp,
+    marked_count,
+    marked_height_total,
+    marked_leaf_total,
     ternary_row,
     ternary_row_sum,
     ternary_T,
@@ -805,13 +808,19 @@ def test_statistics_keep_their_keys_and_their_refusals():
     for family, gen in samples.items():
         for t in (None, *gen(3)):
             assert list(tree_stats(t, family)) == keys, (family, t)
-    for args in (("ternary", 3, "reg"), ("marked", 3, "leaves"), ("binary", 3, "nosuch")):
+    for args in (("ternary", 3, "reg"), ("marked", 3, "reg"), ("multiedge", 3, "reg"),
+                 ("binary", 3, "nosuch")):
         with pytest.raises(ValueError):
             tally(*args)
 
 
-@settings(max_examples=80, deadline=None)
-@given(family=st.sampled_from(sorted(OLD_BUILDERS)), top=st.integers(0, 6),
+# every family's old builder, called with (n, a)
+OLD_TREES = {**OLD_BUILDERS, **{family: lambda n, a, old=old: old(n)
+                                for family, (_, old, _) in OLD_CONS_BUILDERS.items()}}
+
+
+@settings(max_examples=120, deadline=None)
+@given(family=st.sampled_from(sorted(OLD_TREES)), top=st.integers(0, 6),
        a=st.integers(0, 3), stat=st.sampled_from(("reg",) + STAT_FIELDS))
 def test_tally_property(family, top, a, stat):
     if stat == "reg" and family not in OLD_REG:
@@ -822,7 +831,7 @@ def test_tally_property(family, top, a, stat):
     assert dists == old_trees_tally(family, top, stat, a)
     for n in range(top + 1):
         assert dists[n] == Counter(old_stat(t, family, stat)
-                                   for t in OLD_BUILDERS[family](n, a)), n
+                                   for t in OLD_TREES[family](n, a)), n
 
 
 @pytest.mark.parametrize("a", range(3))
@@ -836,20 +845,59 @@ def test_register_tally_reaches_size_60(a):
                                          for n in range(top + 1)], p
 
 
+def test_tally_default_colour_count_is_that_of_the_generator():
+    default = tally("unary_binary", 6, "reg")
+    assert default == tally("unary_binary", 6, "reg", 1) != tally("unary_binary", 6, "reg", 2)
+    assert [d.total() for d in default] == [len(gen_unary_binary(n)) for n in range(7)]
+
+
 def test_tally_rejects_families_and_statistics_it_cannot_build():
-    # a cons tree is not a node, so tally takes no cons family nor the
-    # helper classes of the marked declaration
-    for family in ("ordered", "marked", "multiedge", "marked_last", "mark", "nosuch"):
+    # the helper classes of the marked declaration are not families, and
+    # the cons families have no register number
+    for family in ("marked_last", "mark", "nosuch"):
         for stat in ("reg",) + STAT_FIELDS:
             with pytest.raises(ValueError):
                 tally(family, 3, stat)
+    for family in OLD_CONS_BUILDERS:
+        with pytest.raises(ValueError):
+            tally(family, 3, "reg")
     with pytest.raises(ValueError):
         tally("binary", 3, "height_edges")
     assert tally("binary", -1, "reg") == []
 
 
+@pytest.mark.parametrize("family", sorted(OLD_CONS_BUILDERS))
+def test_cons_tally_equals_the_fold_over_every_tree(family):
+    gen = OLD_CONS_BUILDERS[family][0]
+    stats = [stat for stat, rules in trees._RULES.items() if family in rules]
+    assert stats == list(STAT_FIELDS)
+    for stat in stats:
+        assert tally(family, 9, stat) == [Counter(trees._stat(t, family, stat) for t in gen(n))
+                                          for n in range(10)], stat
+
+
+def test_marked_tallies_reach_size_60():
+    top = 60
+    ns = range(1, top + 1)
+    leaves, heights = (tally("marked", top, stat) for stat in ("leaves", "height_nodes"))
+    assert leaves[0] == heights[0] == Counter()
+    assert [leaves[n].total() for n in ns] == [heights[n].total() for n in ns] \
+        == [marked_count(n) for n in ns]
+    assert [cli._total(leaves[n]) for n in ns] == [marked_leaf_total(n) for n in ns]
+    assert [cli._total(heights[n]) for n in ns] == [marked_height_total(n) for n in ns]
+
+
+def test_ordered_and_multiedge_tallies_reach_size_60():
+    # the counts, under a statistic whose distributions have one value
+    top = 60
+    assert [d.total() for d in tally("ordered", top, "middle_edges")] \
+        == [0] + [catalan(n - 1) for n in range(1, top + 1)]
+    assert [d.total() for d in tally("multiedge", top, "mark_count")] \
+        == [1] + motzkin_numbers(top - 1, colors=3)
+
+
 # ----------------------------------------------------------------------
-# check --family horton|ternary against the per-object bodies they replaced
+# check --family horton|ternary|marked against the per-object bodies they replaced
 # ----------------------------------------------------------------------
 
 def old_check_horton(budget):
@@ -886,8 +934,23 @@ def old_check_ternary(budget):
     return out
 
 
+def old_check_marked(budget):
+    top = min(budget, 7)
+    ok = True
+    for n in range(1, top + 1):
+        trees_n = old_marked(n)
+        if marked_count(n) != len(trees_n):
+            ok = False
+        if marked_leaf_total(n) != sum(old_stat(t, "marked", "leaves") for t in trees_n):
+            ok = False
+        if marked_height_total(n) != sum(old_stat(t, "marked", "height_nodes") for t in trees_n):
+            ok = False
+    return [(ok, f"marked-tree counts, leaf and height totals = brute, n <= {top}")]
+
+
 @pytest.mark.parametrize("family,old_body", [("horton", old_check_horton),
-                                             ("ternary", old_check_ternary)])
+                                             ("ternary", old_check_ternary),
+                                             ("marked", old_check_marked)])
 def test_check_stdout_matches_per_object_body(family, old_body, monkeypatch, capsys):
     try:
         for budget in range(1, 13):

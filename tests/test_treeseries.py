@@ -13,6 +13,7 @@ from latticepaths.trees import (
     gen_ternary,
     gen_unary_binary,
     reg,
+    tally,
     tree_stats,
 )
 from latticepaths.treeseries import (
@@ -225,6 +226,25 @@ def test_marked_height_against_brute():
             brute = sum(1 for t in gen_marked(n)
                         if tree_stats(t, "marked")["height_nodes"] <= h)
             assert ser.coeff(n).constant() == brute
+
+
+def test_marked_height_layers_against_the_height_tally():
+    # past enumeration: [z^n] p_h counts the marked trees of height <= h
+    order = 40
+    heights = tally("marked", order, "height_nodes")
+    for h in range(1, 6):
+        ser = marked_height_ph(h, order)
+        assert [ser.coeff(n).constant() for n in range(order + 1)] == \
+            [sum(c for height, c in dist.items() if height <= h) for dist in heights], h
+
+
+def test_marked_leaf_series_against_the_leaf_tally():
+    order = 40
+    ser = marked_leaf_series(order)
+    for n, dist in enumerate(tally("marked", order, "leaves")):
+        coeff = ser.coeff(n)
+        by_leaves = {k: coeff.marker_coeff("u", k).constant() for k in range(n + 1)}
+        assert {k: c for k, c in by_leaves.items() if c} == dist, n
 
 
 def test_marked_height_tail_complements():

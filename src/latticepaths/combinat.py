@@ -9,9 +9,10 @@ half up to the centre; it is one pass of (1 + bt + t^2) over the cached row
 below it when that exists, and otherwise the holonomic recurrence stopped at
 the centre.  A ladder of counts that each read a few entries at a fixed
 distance from the centre of their row reads them off one band of
-Q^M (1 + ct)^(-e), Q = 1 + 3t + t^2, slid from row to row in constant work.
-Motzkin numbers follow their three-term P-recurrence.  Every division is
-asserted exact.
+Q^M (1 + 2t)^(-e), Q = 1 + 3t + t^2, slid from row to row in constant work.
+Motzkin numbers follow their three-term P-recurrence.  Every quotient that
+must be exact, here and in the closed forms of the other modules, goes through
+``_exact_div``, which raises ArithmeticError on a remainder.
 """
 
 from __future__ import annotations
@@ -28,6 +29,14 @@ def binomial(n: int, k: int) -> int:
     if k > n:
         return 0
     return math.comb(n, k)
+
+
+def _exact_div(a: int, b: int) -> int:
+    """a / b for ints that b divides; raises ArithmeticError otherwise."""
+    q, r = divmod(a, b)
+    if r:
+        raise ArithmeticError(f"inexact division by {b}")
+    return q
 
 
 # (n, b) -> half row T(n, b, 0..n) of (1 + b*t + t^2)^n; the other half
@@ -54,54 +63,39 @@ def _half_row(n: int, b: int) -> list:
         row = [1] * (n + 1)
         prev = 0
         for j in range(n):
-            q, r = divmod(b * (n - j) * row[j] + (2 * n - j + 1) * prev, j + 1)
-            assert r == 0
+            row[j + 1] = _exact_div(b * (n - j) * row[j] + (2 * n - j + 1) * prev, j + 1)
             prev = row[j]
-            row[j + 1] = q
     _HALF_ROWS[(n, b)] = row
     return row
 
 
-def _kernel_band(lo: int, hi: int, c: int, e: int):
+def _kernel_band(lo: int, hi: int, e: int):
     """Yield [h_M(M+lo), ..., h_M(M+hi)] for M = 0, 1, 2, ..., where
-    h_M(s) = [t^s] Q^M (1 + ct)^(-e) and Q = 1 + 3t + t^2.
+    h_M(s) = [t^s] Q^M (1 + 2t)^(-e) and Q = 1 + 3t + t^2.
 
     Every row is the same list, updated in place: read it before advancing.
     Row M+1 is Q times row M, so it needs row M one entry past each end;
-    those two come from the first-order ODE (1 + ct) Q H' = (M(1 + ct) Q' - ecQ) H,
-    (s+1) h(s+1) = (3M - ec - (3+c)s) h(s) + (2M + 3Mc - 3ec - (1+3c)(s-1)) h(s-1)
-                   + c(2M - e - s + 2) h(s-2),
-    solved for h(s+1) at the top and for h(s-2) at the bottom (for h(s-1)
-    when c = 0).  Needs hi - lo >= 2, and lo <= -e (lo <= 0 when c = 0) so
-    that the bottom divisor never vanishes.
+    those two come from the first-order ODE (1 + 2t) Q H' = (M(1 + 2t) Q' - 2eQ) H,
+    (s+1) h(s+1) = (3M - 2e - 5s) h(s) + (8M - 6e - 7(s-1)) h(s-1)
+                   + 2(2M - e - s + 2) h(s-2),
+    solved for h(s+1) at the top and for h(s-2) at the bottom.  Needs
+    hi - lo >= 2, and lo <= -e so that the bottom divisor never vanishes.
     """
-    b = [binomial(-e, s) * c ** s if s >= 0 else 0 for s in range(lo, hi + 1)]
+    b = [binomial(-e, s) * 2 ** s if s >= 0 else 0 for s in range(lo, hi + 1)]
     w = hi - lo
     # the recurrence's coefficients at the two ends, each linear in M
-    ec, c3, c13 = e * c, 3 + c, 1 + 3 * c
-    ta, tb, tc = -ec - c3 * hi, -3 * ec - c13 * (hi - 1), 2 - e - hi
-    bd, bf, bg = 1 - e - lo, ec + c3 * (lo + 1), -3 * ec - c13 * lo
+    ta, tb, tc = -2 * e - 5 * hi, -6 * e - 7 * (hi - 1), 2 - e - hi
+    bd, bf, bg = 1 - e - lo, 2 * e + 5 * (lo + 1), -6 * e - 7 * lo
     M = 0
     while True:
         yield b
-        # top: the recurrence at s = M + hi
-        if M + hi >= 0:
-            top, r = divmod((ta - c * M) * b[w] + (M + tb) * b[w - 1]
-                            + c * (M + tc) * b[w - 2], M + hi + 1)
-            assert r == 0
-        else:
-            top = 1 if M + hi == -1 else 0  # h(0) = 1
-        # bottom: the recurrence at s = M + lo + 1
-        if M + lo <= 0:
-            low = 0
-        elif c:
-            low, r = divmod((M + lo + 2) * b[2] + (c * M + bf) * b[1] - (M + bg) * b[0],
-                            c * (M + bd))
-            assert r == 0
-        else:  # (s+1) h(s+1) = 3(M-s) h(s) + (2M-s+1) h(s-1) at s = M + lo
-            low, r = divmod((M + lo + 1) * b[1] + 3 * lo * b[0], M - lo + 1)
-            assert r == 0
-        prev = low
+        # the recurrence at s = M + hi for the top and at s = M + lo + 1 for the
+        # bottom; it holds, and gives 0, at entries below position 0, and only
+        # h(0) = 1, where the top divisor vanishes, needs its own value
+        top = 1 if M + hi == -1 else _exact_div(
+            (ta - 2 * M) * b[w] + (M + tb) * b[w - 1] + 2 * (M + tc) * b[w - 2], M + hi + 1)
+        prev = _exact_div((M + lo + 2) * b[2] + (2 * M + bf) * b[1] - (M + bg) * b[0],
+                          2 * (M + bd))
         for k in range(w):
             cur = b[k]
             b[k] = b[k + 1] + 3 * cur + prev
@@ -151,7 +145,7 @@ def divisor_count(h: int) -> int:
 
 
 def catalan(n: int) -> int:
-    return math.comb(2 * n, n) // (n + 1)
+    return _exact_div(math.comb(2 * n, n), n + 1)
 
 
 def motzkin_numbers(upto: int, colors: int = 1) -> list:
@@ -165,9 +159,7 @@ def motzkin_numbers(upto: int, colors: int = 1) -> list:
         m.append(colors)
     c2 = colors * colors - 4
     for n in range(2, upto + 1):
-        q, r = divmod(colors * (2 * n + 1) * m[n - 1] - c2 * (n - 1) * m[n - 2], n + 2)
-        assert r == 0
-        m.append(q)
+        m.append(_exact_div(colors * (2 * n + 1) * m[n - 1] - c2 * (n - 1) * m[n - 2], n + 2))
     return m
 
 

@@ -119,8 +119,6 @@ def _evaluate(family, sizes, params, rule, empty) -> list:
     stack, not by recursion, so a walk may outrun the recursion limit.
     """
     walks = [_FAMILIES[family](size, **params) for size in sizes]
-    if not walks:
-        return []
     # the walk of the largest size serves every size: no smaller one takes a step it lacks
     most, moves, keyed, bounds = walks[-1]
     windows = _windows(most, **bounds) or []

@@ -28,7 +28,7 @@ from itertools import islice
 from operator import mul
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .combinat import _kernel_band, binomial, divisor_count, motzkin_numbers
+from .combinat import _exact_div, _kernel_band, binomial, divisor_count, motzkin_numbers
 from .series import Kernel, MarkerPoly, PowerSeries
 
 # z = v/(1 + v + v^2) for Motzkin-type paths; x = v/(1 + 3v + v^2) shared by
@@ -50,15 +50,18 @@ def ubar(k: int, order: int) -> PowerSeries:
     return ubar_power(1, k, order)
 
 
+def _ubar_coeff(l: int, d: int, k: int) -> int:
+    """[z^l] ubar^d = d C(d-1+(k+1)l, l) / (kl+d), a Fuss-Catalan number."""
+    return _exact_div(d * binomial(d - 1 + (k + 1) * l, l), k * l + d)
+
+
 def ubar_power(d: int, k: int, order: int) -> PowerSeries:
-    """d-th power of :func:`ubar` via C(d-1+(k+1)l, l) * d / (kl+d)."""
+    """d-th power of :func:`ubar`, coefficient by coefficient."""
     if d < 1:
         raise ValueError("power d must be >= 1")
     if k < 1:
         raise ValueError("rise height k must be >= 1")
-    coeffs = [Fraction(binomial(d - 1 + (k + 1) * l, l) * d, k * l + d)
-              for l in range(order + 1)]
-    return PowerSeries("z", coeffs, order)
+    return PowerSeries("z", [_ubar_coeff(l, d, k) for l in range(order + 1)], order)
 
 
 def denom_Sj(j: int, k: int, order: Optional[int] = None) -> PowerSeries:
@@ -77,10 +80,6 @@ def denom_Sj(j: int, k: int, order: Optional[int] = None) -> PowerSeries:
     return PowerSeries("z", coeffs, deg if order is None else order)
 
 
-def _fuss_catalan(l: int, k: int) -> Fraction:
-    return Fraction(binomial(1 + l * (k + 1), l), 1 + l * (k + 1))
-
-
 def deng_mansour_count(n_up: int, j: int, k: int) -> int:
     """Closed-form count of paths with n_up rises of +k ending at level j > 0
     with their last step a rise (never having left level >= 0).
@@ -96,13 +95,8 @@ def deng_mansour_count(n_up: int, j: int, k: int) -> int:
         return 0
     n = n_up - 1
     jj = j - k
-    total = Fraction(0)
-    for m in range(min(n, jj // (k + 1)) + 1):
-        c = (-1) ** m * binomial(jj - k * m, m)
-        if c:
-            total += c * _fuss_catalan(n - m, k)
-    assert total.denominator == 1
-    return int(total)
+    return sum((-1) ** m * binomial(jj - k * m, m) * _ubar_coeff(n - m, 1, k)
+               for m in range(min(n, jj // (k + 1)) + 1))
 
 
 def last_downrun_total(m: int, k: int) -> int:
@@ -112,9 +106,7 @@ def last_downrun_total(m: int, k: int) -> int:
     coefficients."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    val = _fuss_catalan(m + 1, k) - _fuss_catalan(m, k)
-    assert val.denominator == 1
-    return int(val)
+    return _ubar_coeff(m + 1, 1, k) - _ubar_coeff(m, 1, k)
 
 
 def hoppy_early_total(m: int, k: int) -> int:
@@ -122,9 +114,7 @@ def hoppy_early_total(m: int, k: int) -> int:
     over closed paths with m + 1 rises of +k: k/(m+1) * C((k+1)m, m)."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    num = k * binomial((k + 1) * m, m)
-    assert num % (m + 1) == 0
-    return num // (m + 1)
+    return _exact_div(k * binomial((k + 1) * m, m), m + 1)
 
 
 def hoppy_negative_series(k: int, order: int) -> PowerSeries:
@@ -141,10 +131,7 @@ def hoppy_negative_coeff(l: int, k: int) -> int:
         raise ValueError("l must be >= 0")
     if k < 1:
         raise ValueError("rise height k must be >= 1")
-    val = Fraction(2 * binomial(1 + (k + 1) * (l + 1), l + 1), k * (l + 1) + 2) \
-        - Fraction(4 * binomial(1 + (k + 1) * l, l), k * l + 2)
-    assert val.denominator == 1
-    return int(val)
+    return _ubar_coeff(l + 1, 2, k) - 2 * _ubar_coeff(l, 2, k)
 
 
 # ----------------------------------------------------------------------
@@ -188,7 +175,7 @@ def _skew_sj_ladder(n: int, j: int) -> List[int]:
         raise ValueError("level j must be >= 0")
     if n < j:
         return []
-    band = islice(_kernel_band(-j - 2, 1 - j, 2, j), j, None)
+    band = islice(_kernel_band(-j - 2, 1 - j, j), j, None)
     return [1] + [b[3] + b[2] - b[1] - b[0] for _, b in zip(range((n - j) // 2), band)]
 
 
@@ -271,7 +258,7 @@ def dual_skew_Gj_series(j: int, order: int) -> PowerSeries:
 
 def _dual_gj_ladder(n: int, j: int) -> List[int]:
     """G_j(j), G_j(j+2), ..., G_j(j+2r) for the largest j + 2r <= n: with
-    N = (n-j)/2, G_j(n) = sum_k mu_k T(N-1, 3, N-k) off the band of row
+    N = (n-j)/2, G_j(n) = sum_k mu_k T(N-1, 3, N-k) off the e = 0 band, row
     M = N-1 of (1+3t+t^2)^M, mu_k = [t^k] (1+t)^2 (1-t) (2+t)^j."""
     if j < 0:
         raise ValueError("level j must be >= 0")
@@ -282,7 +269,7 @@ def _dual_gj_ladder(n: int, j: int) -> List[int]:
         for d, sign in enumerate((1, 1, -1, -1)):
             mu[k + d] += sign * binomial(j, k) << (j - k)
     mu.reverse()  # band entry i is T(N-1, 3, N-(j+3-i))
-    band = _kernel_band(-j - 2, 1, 0, 0)
+    band = _kernel_band(-j - 2, 1, 0)
     return [1 << j] + [sum(map(mul, mu, b)) for _, b in zip(range((n - j) // 2), band)]
 
 
@@ -376,7 +363,6 @@ def motzkin_height_total(n: int) -> int:
     return _height_total(partial(motzkin_bounded_coeff, n), motzkin_bounded_coeff(n, n))
 
 
-@lru_cache(maxsize=None)
 def _red_chain(order: int) -> List[int]:
     """Coefficients of 1/sqrt(1 - 6x + 5x^2) by its holonomic recurrence
     (n+1) c_{n+1} = (6n+3) c_n - 5n c_{n-1}."""
@@ -384,7 +370,7 @@ def _red_chain(order: int) -> List[int]:
     if order >= 1:
         c[1] = 3
     for n in range(1, order):
-        c[n + 1] = ((6 * n + 3) * c[n] - 5 * n * c[n - 1]) // (n + 1)
+        c[n + 1] = _exact_div((6 * n + 3) * c[n] - 5 * n * c[n - 1], n + 1)
     return c
 
 
@@ -397,9 +383,7 @@ def skew_red_total(n: int) -> int:
     if n == 0:
         return 0
     c = _red_chain(n)
-    val = c[n] - 3 * c[n - 1]
-    assert val % 2 == 0
-    return val // 2
+    return _exact_div(c[n] - 3 * c[n - 1], 2)
 
 
 def _geom_block(var: str, base: int, period: int, order: int) -> PowerSeries:
@@ -536,14 +520,14 @@ def _ballot_table(rem: int, top: int) -> List[int]:
     l0 = rem & 1
     u = (rem - l0) // 2
     cur = binomial(rem, u)
-    nxt = cur * u // (rem - u + 1) if u > 0 else 0  # C(rem, u-1)
+    nxt = _exact_div(cur * u, rem - u + 1) if u > 0 else 0  # C(rem, u-1)
     l = l0
     while l <= top:
         if l <= rem:
             table[l] = cur - nxt
         cur = nxt
         u -= 1
-        nxt = cur * u // (rem - u + 1) if u > 0 else 0
+        nxt = _exact_div(cur * u, rem - u + 1) if u > 0 else 0
         l += 2
         if cur == 0:
             break

@@ -12,7 +12,7 @@ from functools import partial
 from operator import sub
 from typing import List
 
-from .combinat import binomial, motzkin_numbers
+from .combinat import _exact_div, binomial, motzkin_numbers
 from .pathseries import _MOTZKIN, _geom_block, _height_total, _v_poly, motzkin_bounded_coeff
 from .series import Kernel, MarkerPoly, PowerSeries
 
@@ -197,9 +197,7 @@ def ternary_T(n: int, k: int) -> int:
         raise ValueError("n must be >= 1")
     if not 0 <= k <= n - 1:
         raise ValueError("need 0 <= k <= n-1")
-    num = binomial(n, k) * binomial(2 * n, n - 1 - k)
-    assert num % n == 0
-    return num // n
+    return _exact_div(binomial(n, k) * binomial(2 * n, n - 1 - k), n)
 
 
 def ternary_row(n: int) -> List[int]:
@@ -212,9 +210,7 @@ def ternary_row_sum(n: int) -> int:
     """All ternary trees with n internal nodes: (1/n) C(3n, n-1)."""
     if n == 0:
         return 1
-    num = binomial(3 * n, n - 1)
-    assert num % n == 0
-    return num // n
+    return _exact_div(binomial(3 * n, n - 1), n)
 
 
 def ternary_t_power(n: int, k: int, l: int) -> int:
@@ -222,9 +218,7 @@ def ternary_t_power(n: int, k: int, l: int) -> int:
     (l/n) C(n,k) C(2n-l-1, n-l-k)."""
     if l < 1 or n < 1:
         raise ValueError("need n, l >= 1")
-    num = l * binomial(n, k) * binomial(2 * n - l - 1, n - l - k)
-    assert num % n == 0
-    return num // n
+    return _exact_div(l * binomial(n, k) * binomial(2 * n - l - 1, n - l - k), n)
 
 
 def ternary_root_series(which: str, order: int) -> PowerSeries:

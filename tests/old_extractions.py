@@ -12,8 +12,11 @@ over all n entries, and every term adds a shifted copy of d, read through
 its hand-reduced weights), `old_amp_layer_coeff` and `old_amplitude_total`
 are the closed forms as they were before each stated its v-form as terms for
 one `Kernel.coeff` call: a trinomial pair, a weighted sum against row n - 2,
-a second difference on row n, and n separate `vpow_coeff` calls.  The bodies
-are kept verbatim.
+a second difference on row n, and n separate `vpow_coeff` calls.
+`old_ubar_power`, `old_deng_mansour_count`, `old_last_downrun_total` and
+`old_hoppy_negative_coeff` are the k-Dyck closed forms as they were before
+they read int Fuss-Catalan coefficients: Fraction sums asserted integral.
+The bodies are kept verbatim.
 """
 
 from fractions import Fraction
@@ -22,6 +25,7 @@ from operator import add
 
 from latticepaths.combinat import binomial, divisor_count, trinomial, trinomial_row
 from latticepaths.pathseries import _MOTZKIN
+from latticepaths.series import PowerSeries
 from latticepaths.treeseries import _MARKED, _unary_binary_kernel, marked_count, unary_binary_count
 
 
@@ -187,3 +191,66 @@ def old_amplitude_total(n: int) -> int:
         if hj:
             total += hj * _MOTZKIN.vpow_coeff(n, j)
     return total
+
+
+def old_ubar_power(d: int, k: int, order: int) -> PowerSeries:
+    """d-th power of :func:`ubar` via C(d-1+(k+1)l, l) * d / (kl+d)."""
+    if d < 1:
+        raise ValueError("power d must be >= 1")
+    if k < 1:
+        raise ValueError("rise height k must be >= 1")
+    coeffs = [Fraction(binomial(d - 1 + (k + 1) * l, l) * d, k * l + d)
+              for l in range(order + 1)]
+    return PowerSeries("z", coeffs, order)
+
+
+def old_fuss_catalan(l: int, k: int) -> Fraction:
+    return Fraction(binomial(1 + l * (k + 1), l), 1 + l * (k + 1))
+
+
+def old_deng_mansour_count(n_up: int, j: int, k: int) -> int:
+    """Closed-form count of paths with n_up rises of +k ending at level j > 0
+    with their last step a rise (never having left level >= 0).
+
+    Equals [z^(n_up - 1)] (S_{j-k} * ubar - S_{j-k-1}); zero whenever j < k
+    or j exceeds k*n_up.
+    """
+    if n_up < 1:
+        raise ValueError("need at least one rise")
+    if k < 1:
+        raise ValueError("rise height k must be >= 1")
+    if j < k or j > k * n_up:
+        return 0
+    n = n_up - 1
+    jj = j - k
+    total = Fraction(0)
+    for m in range(min(n, jj // (k + 1)) + 1):
+        c = (-1) ** m * binomial(jj - k * m, m)
+        if c:
+            total += c * old_fuss_catalan(n - m, k)
+    assert total.denominator == 1
+    return int(total)
+
+
+def old_last_downrun_total(m: int, k: int) -> int:
+    """Total length of the final fall run, summed over all closed paths with
+    m rises of +k (equivalently: total end level of paths with m rises whose
+    last step is a rise).  Equals the difference of consecutive ubar
+    coefficients."""
+    if m < 0:
+        raise ValueError("m must be >= 0")
+    val = old_fuss_catalan(m + 1, k) - old_fuss_catalan(m, k)
+    assert val.denominator == 1
+    return int(val)
+
+
+def old_hoppy_negative_coeff(l: int, k: int) -> int:
+    """Closed form for one coefficient of :func:`hoppy_negative_series`."""
+    if l < 0:
+        raise ValueError("l must be >= 0")
+    if k < 1:
+        raise ValueError("rise height k must be >= 1")
+    val = Fraction(2 * binomial(1 + (k + 1) * (l + 1), l + 1), k * (l + 1) + 2) \
+        - Fraction(4 * binomial(1 + (k + 1) * l, l), k * l + 2)
+    assert val.denominator == 1
+    return int(val)

@@ -210,6 +210,15 @@ def test_check_marked_builds_no_tree(monkeypatch, capsys):
         assert capsys.readouterr().out.startswith("ok ")
 
 
+def test_bijection_check_fails_when_the_images_miss_the_codomain():
+    # every object maps back and keeps its statistic; the image set must still equal the codomain
+    same = lambda x: x
+    args = (range(1, 4), lambda n: range(n), same, same, lambda n, t, p: True)
+    assert cli._bijection_ok(*args, lambda n: set(range(n)))
+    assert not cli._bijection_ok(*args, lambda n: set(range(n + 1)))
+    assert not cli._bijection_ok(*args, lambda n: set(range(n - 1)))
+
+
 def test_asym_report(capsys):
     assert main(["asym", "--family", "red_edges", "--n", "160"]) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -59,10 +59,14 @@ from latticepaths.series import PowerSeries, poly_substitution
 from old_extractions import (
     old_amp_layer_coeff,
     old_amplitude_total,
+    old_deng_mansour_count,
     old_dual_skew_coeff,
+    old_hoppy_negative_coeff,
     old_lambda_prime_x8,
+    old_last_downrun_total,
     old_mu,
     old_skew_sj_coeff,
+    old_ubar_power,
 )
 
 
@@ -186,6 +190,18 @@ def test_hoppy_early_totals():
             brute = sum(_first_run_after_first_rise(p)
                         for p in gen_kdyck(k, m + 1))
             assert hoppy_early_total(m, k) == brute
+
+
+@pytest.mark.parametrize("k", range(1, 5))
+def test_int_fuss_catalan_forms_equal_the_old_fraction_sums(k):
+    for d in (1, 2, 3):
+        assert ubar_power(d, k, 60) == old_ubar_power(d, k, 60)
+    for l in range(61):
+        assert last_downrun_total(l, k) == old_last_downrun_total(l, k)
+        assert hoppy_negative_coeff(l, k) == old_hoppy_negative_coeff(l, k)
+    for n_up in range(1, 61):
+        for j in range(k * n_up + 2):
+            assert deng_mansour_count(n_up, j, k) == old_deng_mansour_count(n_up, j, k)
 
 
 def test_hoppy_negative_series_and_closed_form():

@@ -37,6 +37,7 @@ def test_marker_poly_ring_axioms():
 def test_marker_poly_zero_and_constant_flags():
     u = MarkerPoly.var("u")
     assert (u - u).is_zero
+    assert (u - u).degree() == -1 and MarkerPoly().degree("u") == -1
     assert MarkerPoly.const(Fraction(3, 7)).is_constant
     assert not u.is_constant
     assert MarkerPoly.const(Fraction(3, 7)).constant() == Fraction(3, 7)
@@ -333,3 +334,14 @@ def test_random_series_roundtrip_properties():
         s = PowerSeries("z", coeffs, order)
         assert ((s * s.inverse()) - 1).is_zero
         assert ((s + (-s))).is_zero
+
+
+def test_power_series_text():
+    # zero terms are left out; a negative or multi-term coefficient is bracketed
+    s = PowerSeries("z", [0, -3, 1, 0, 5, Fraction(-1, 2)])
+    assert str(s) == repr(s) == "(-3)*z + z^2 + 5*z^4 + (-1/2)*z^5"
+    assert str(PowerSeries("z", [-2, 1])) == "-2 + z"
+    assert str(PowerSeries("z", [0, 0])) == "0"
+    u, w = MarkerPoly.var("u"), MarkerPoly.var("w")
+    t = PowerSeries("x", [1 + u, u, -u, 0, 2 * u * u - 3 * w + 1, -1])
+    assert str(t) == repr(t) == "1 + u + u*x + (-u)*x^2 + (1 - 3*w + 2*u^2)*x^4 + (-1)*x^5"

@@ -15,10 +15,11 @@ pairs, and a unary-binary tree is ``None`` or ``('2', left, right)`` or
 ``('u', color, child)``.
 
 Both path encoders read one walk around the tree, `_walk`, and both path
-decoders one parse of a Dyck word into labelled edges, `_parse`.  The
-rotation both ways, the mark rule of a decoded marked tree and
-`tree_to_str` are node rules folded bottom-up by `trees._fold`.  All of
-them keep an explicit stack, so no tree is too deep for them.
+decoders one parse of a Dyck word into labelled edges, `_parse`.  The parse
+also notes the falls that touch a rise, which is how the marked-tree decoder
+checks its mark rule in the same pass.  The rotation both ways and
+`tree_to_str` are node rules folded bottom-up by `trees._fold`.  All of them
+keep an explicit stack, so no tree is too deep for them.
 """
 
 from __future__ import annotations
@@ -55,25 +56,30 @@ def _walk(tree, opening, closing) -> list:
             out.append(close)
 
 
-def _parse(word: Sequence[str], closings: Tuple[str, ...], label) -> tuple:
+def _parse(word: Sequence[str], closings: Tuple[str, ...], label, apart=()) -> tuple:
     """The tree of a Dyck word whose rises are "U" and whose falls are the
     tokens in closings, the inverse of `_walk`: the edge opened i-th and
     closed by token c gets label(i, c).  The open edges are kept on an
-    explicit stack, each with its index and the siblings before it."""
-    above, edges, opened = [], [], 0
+    explicit stack, each with its index and the siblings before it.  Returns
+    the tree and whether a fall in `apart` sits next to a rise; an
+    unbalanced word raises ValueError instead."""
+    above, edges, opened, prev, touching = [], [], 0, None, False
     for tok in word:
         if tok == "U":
+            touching = touching or prev in apart
             above.append((opened, edges))
             edges, opened = [], opened + 1
         elif tok in closings and above:
+            touching = touching or prev == "U" and tok in apart
             index, siblings = above.pop()
             siblings.append((label(index, tok), tuple(edges)))
             edges = siblings
         else:
             raise ValueError("unbalanced path")
+        prev = tok
     if above:
         raise ValueError("unbalanced path")
-    return tuple(edges)
+    return tuple(edges), touching
 
 
 def multiedge_to_3motzkin(tree: MultiedgeTree) -> Tuple[str, ...]:
@@ -135,7 +141,7 @@ def motzkin3_to_multiedge(path: Sequence[str]) -> MultiedgeTree:
         word.extend(_CODE_PAIR[tok])
     word.append("d")
     # the edge opened i-th carries the i-th multiplicity, pre-order
-    return _parse(word, ("d",), lambda index, tok: blues[index] + 1)
+    return _parse(word, ("d",), lambda index, tok: blues[index] + 1)[0]
 
 
 def marked_to_skew(tree: MarkedTree) -> Tuple[str, ...]:
@@ -149,17 +155,17 @@ def marked_to_skew(tree: MarkedTree) -> Tuple[str, ...]:
     return tuple(_walk(tree, lambda mark: "U", lambda mark: "r" if mark else "d"))
 
 
-def _check_marks(node, kids) -> None:
-    """Node rule of a decoded marked tree: a mark only on its last edge,
-    and only over an internal child."""
-    if node and (node[-1][0] and not node[-1][1] or any([mark for mark, _ in node[:-1]])):
-        raise ValueError("mark not on a last edge with internal child")
-
-
 def skew_to_marked(path: Sequence[str]) -> MarkedTree:
-    """Inverse of :func:`marked_to_skew`; rejects ill-formed inputs."""
-    tree = _parse(path, ("d", "r"), lambda index, tok: int(tok == "r"))
-    _fold(_CHILDREN["marked"], _check_marks, None, tree)
+    """Inverse of :func:`marked_to_skew`; rejects ill-formed inputs.
+
+    A mark sits only on a node's last edge, and only over an internal child:
+    a red fall right after a rise would mark an edge over a leaf, and one
+    right before a rise an edge with a next sibling.  The parse notes a red
+    fall next to a rise, and the fault is raised only once the word is known
+    to be balanced."""
+    tree, touching = _parse(path, ("d", "r"), lambda index, tok: int(tok == "r"), ("r",))
+    if touching:
+        raise ValueError("mark not on a last edge with internal child")
     return tree
 
 

@@ -12,11 +12,13 @@ Paths are tuples of step tokens:
 Each family is declared once, as a move rule and the bounds of its walk, and
 one evaluator, `_evaluate`, reads the declaration in any value algebra: a
 path's value is rule(step, level, value of its suffix), and a walk state
-holds value -> number of suffixes, so equal values merge.  In a statistic's
-algebra (`tally`) no path is built.  In the path algebra (`gen_*`) a path's
-value is the path itself, so each count is 1 and the paths come out in move
-order: the i-th path of a family is reproducible.  `path_stats` reads one
-built path, as the oracle of the step rules.
+holds value -> number of suffixes, so equal values merge.  It also records
+the moves each state enters.  In a statistic's algebra (`tally`) no path is
+built.  `gen_*` run it in the count algebra, one value per state, and list
+the paths by a depth-first walk over the recorded moves into states that
+some path passes, so each path is built once, in move order: the i-th path
+of a family is reproducible.  `path_stats` reads one built path, as the
+oracle of the step rules.
 """
 
 from __future__ import annotations
@@ -108,54 +110,91 @@ _FAMILIES = {"kdyck": _kdyck, "skew": _skew, "dual_skew": _dual_skew,
              "motzkin": _motzkin, "deutsch": _deutsch, "retakh": _retakh}
 
 
-def _evaluate(family, sizes, params, rule, empty) -> list:
-    """Per size of sizes (ascending), value -> number of paths of that size.
+def _evaluate(family, sizes, params, rule, empty) -> tuple:
+    """The walks of sizes (ascending) in one value algebra: per size its first
+    state, per state filled its value -> number of suffixes, and per state
+    with steps left the moves it enters, as (token, entered state).
 
     A path's value is rule(step, level, value of its suffix) and empty(e)
     that of the empty suffix at end level e.  Each walk state (steps left,
     level, and the previous token where the moves read it) holds value ->
     number of suffixes, each move mapping the entered state's values through
-    the rule once, so equal values merge.  The states are filled from a
-    stack, not by recursion, so a walk may outrun the recursion limit.
+    the rule once, so equal values merge.  A state that no path passes holds
+    no value, and a first state out of reach is not filled.  The states are
+    entered layer by layer, one layer per number of steps left, and filled
+    in the reverse order, with no recursion, so a walk may outrun the
+    recursion limit.
     """
     walks = [_FAMILIES[family](size, **params) for size in sizes]
     # the walk of the largest size serves every size: no smaller one takes a step it lacks
     most, moves, keyed, bounds = walks[-1]
     windows = _windows(most, **bounds) or []
-    start, end, memo = bounds.get("start", 0), bounds.get("end_level", 0), {}
-    base = {empty(end): 1}
+    start, end = bounds.get("start", 0), bounds.get("end_level", 0)
     firsts = [(n_steps, start, None) for n_steps, *_ in walks]
-    # an end out of reach leaves no first step inside a window (and no windows at
-    # all when even the largest size cannot reach it); an empty walk must start at the end
-    stack = [(first, None) for first in firsts
-             if 0 < first[0] <= len(windows) or first == (0, end, None)]
-    while stack:
-        key, entered = stack.pop()
-        left, level, prev = key
-        if entered is None:
-            if key in memo or not left:
-                memo.setdefault(key, base)
-                continue
-            low, high = windows[left - 1]
-            entered = [(tok, (left - 1, level + delta, tok if keyed else None))
-                       for tok, delta in moves(prev, level) if low <= level + delta <= high]
-            below = [(after, None) for _, after in entered if after not in memo]
-            if below:  # wait under them, keeping the moves made
-                stack += [(key, entered), *below]
-                continue
-        dist = memo[key] = {}
-        for tok, after in entered:
-            for value, count in memo[after].items():
-                value = rule(tok, level, value)
-                dist[value] = dist.get(value, 0) + count
-    return [memo.get(first, {}) for first in firsts]
+    # per number of steps left, the states entered with that many, in a dict as
+    # an ordered set; an end out of reach leaves no first step inside a window (and
+    # no windows at all when even the largest size cannot reach it); an empty walk
+    # must start at the end
+    layers = [{} for _ in range(len(windows) + 1)]
+    for first in firsts:
+        if 0 < first[0] <= len(windows) or first == (0, end, None):
+            layers[first[0]][first] = None
+    made = {}
+    for left in range(len(windows), 0, -1):
+        low, high = windows[left - 1]
+        below = layers[left - 1]
+        for key in layers[left]:
+            _, level, prev = key
+            entered = made[key] = [(tok, (left - 1, level + delta, tok if keyed else None))
+                                   for tok, delta in moves(prev, level)
+                                   if low <= level + delta <= high]
+            for _, after in entered:
+                below[after] = None
+    base = {empty(end): 1}
+    memo = dict.fromkeys(layers[0], base)
+    for layer in layers[1:]:
+        for key in layer:
+            _, level, _ = key
+            dist = memo[key] = {}
+            for tok, after in made[key]:
+                for value, count in memo[after].items():
+                    value = rule(tok, level, value)
+                    dist[value] = dist.get(value, 0) + count
+    return firsts, memo, made
 
 
 def _paths(family, size, **params) -> list:
-    """The paths of one size, in move order: each path is its own value."""
-    [dist] = _evaluate(family, [size], params, lambda tok, level, rest: (tok,) + rest,
-                       lambda end: ())
-    return list(dist)
+    """The paths of one size, in move order (lexicographic in the order the
+    move rule lists its steps).  `_evaluate` runs in the count algebra, each
+    state holding its number of suffixes alone, and the paths are listed by
+    a depth-first walk over the moves it recorded, less those into states
+    that no path passes.  The moves still to try at each step of the path
+    being built are kept on an explicit stack, not by recursion."""
+    [first], counts, made = _evaluate(family, [size], params, lambda tok, level, rest: rest,
+                                      lambda end: None)
+    if not counts.get(first):
+        return []
+    # per state that paths pass with steps left, each move into such a state
+    # or to the end, with the moves out of the state entered (None at the end)
+    onward = {key: [] for key in made if counts[key]}
+    for key, live in onward.items():
+        live += [(tok, onward.get(after)) for tok, after in made[key] if counts[after]]
+    out, path, above, ahead = [], [], [], iter(onward.get(first, ()))
+    while True:
+        for tok, below in ahead:
+            path.append(tok)
+            if below is None:
+                out.append(tuple(path))
+                path.pop()
+            else:
+                above.append(ahead)
+                ahead = iter(below)
+                break
+        else:
+            if not above:
+                return out or [()]  # a walk of no steps lists the empty path alone
+            ahead = above.pop()
+            path.pop()
 
 
 def gen_kdyck(k: int, n_up: int, end_level: int = 0, floor: int = 0,
@@ -250,8 +289,9 @@ def tally(family: str, top: int, stat: str, **params) -> list:
     rule, empty, finish = _STEP_RULES[stat]
     dists = [Counter() for _ in range(top + 1)]
     sizes = range(max(top, 0) + 1)  # a negative top still declares size 0, checking the params
-    for dist, values in zip(dists, _evaluate(family, sizes, params, rule, empty)):
-        for value, count in values.items():
+    firsts, memo, _ = _evaluate(family, sizes, params, rule, empty)
+    for dist, first in zip(dists, firsts):
+        for value, count in memo.get(first, {}).items():
             dist[value if finish is None else finish(value)] += count
     return dists
 

@@ -2,7 +2,7 @@
 
     python tools/mutate.py MODULE COUNT SEED [--scope NAME ...] [-- PYTEST ARGS ...]
 
-Copies src/, tests/, bench/ and pyproject.toml into a new temporary
+Copies src/, tests/, bench/, tools/ and pyproject.toml into a new temporary
 directory, removed at the end, and draws COUNT of the mutation sites of
 src/latticepaths/MODULE.py with random.Random(SEED).  Each mutant is the
 module with one site changed:
@@ -11,7 +11,9 @@ module with one site changed:
 * ``<`` and ``<=``, or ``>`` and ``>=``, swapped in a comparison;
 * an int constant n replaced by n + 1.
 
-``--scope`` keeps only the sites inside functions or classes of those names.
+``--scope`` keeps only the sites inside functions or classes of those names,
+or inside the value of a module-level assignment to one of them (a table of
+rules such as ``paths._STEP_RULES``).
 For each mutant the mutated module is written into the copy, pytest runs
 there once, and the module is put back.  A mutant is killed when pytest
 fails (or runs past TIMEOUT seconds) and survives when it passes.  Everything
@@ -35,7 +37,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-COPIED = ("src", "tests", "bench", "pyproject.toml")
+COPIED = ("src", "tests", "bench", "tools", "pyproject.toml")
 TIMEOUT = 600  # seconds per pytest run; a mutant may loop forever
 DEFAULT_PYTEST = ["tests", "-x", "-q", "-p", "no:cacheprovider", "--hypothesis-seed=0",
                   "--deselect", "tests/test_acceptance.py::test_criterion_10_register_layers"]
@@ -46,12 +48,18 @@ _SYMBOL = {ast.Add: "+", ast.Sub: "-", ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", 
 
 def sites(tree: ast.AST, scope: set) -> list:
     """(node, index, owners) of every mutable spot in source order; index is
-    the comparison operator's position, None for an operator or a constant."""
+    the comparison operator's position, None for an operator or a constant.
+    owners are the names of the enclosing functions and classes, or the
+    names a module-level assignment binds for a spot in its statement."""
     found = []
 
     def visit(node, owners):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             owners = owners + (node.name,)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)) and not owners:
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            owners = tuple(name.id for target in targets for name in ast.walk(target)
+                           if isinstance(name, ast.Name))
         if not scope or scope.intersection(owners):
             if isinstance(node, (ast.BinOp, ast.AugAssign)) and type(node.op) in _FLIP:
                 found.append((node, None, owners))
@@ -103,7 +111,8 @@ def main(argv=None) -> int:
     parser.add_argument("count", type=int, help="number of mutants to draw")
     parser.add_argument("seed", type=int, help="seed of the draw")
     parser.add_argument("--scope", nargs="+", default=[],
-                        help="only sites inside functions or classes of these names")
+                        help="only sites inside functions, classes or module-level "
+                             "assignments of these names")
     argv = sys.argv[1:] if argv is None else list(argv)
     cut = argv.index("--") if "--" in argv else len(argv)
     args = parser.parse_args(argv[:cut])

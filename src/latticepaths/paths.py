@@ -93,11 +93,15 @@ def _motzkin(n_steps, horiz_colors=1, max_height=None, end_level=0):
 
 
 def _deutsch(n_steps, start=0, floor=0, ceiling=None, end_level=0):
-    top = start + n_steps  # no drop exceeds top - floor; below the floor only U
-    steps = [("U", 1)] + [(f"D{drop}", -drop) for drop in range(1, top - floor + 1)]
-    return (n_steps, lambda prev, level: steps[:max(level - floor, 0) + 1], False,
-            {"start": start, "end_level": end_level, "floor": min(floor, start),
-             "ceiling": ceiling, "fall": max(top - floor, 0)})
+    fall = max(start + n_steps - floor, 0)  # no drop exceeds this; below the floor only U
+    steps = []  # filled on the first move, so a walk read for its step count alone builds none
+
+    def moves(prev, level):
+        if not steps:
+            steps[:] = [("U", 1)] + [(f"D{drop}", -drop) for drop in range(1, fall + 1)]
+        return steps[:max(level - floor, 0) + 1]
+    return (n_steps, moves, False, {"start": start, "end_level": end_level,
+                                    "floor": min(floor, start), "ceiling": ceiling, "fall": fall})
 
 
 def _retakh(n_pairs):

@@ -15,7 +15,9 @@ of marker-free operations never builds a polynomial.  `coeff(n)` and
 polynomials is one multiply-accumulate (`_mac`) into a plain dict.  A
 series product in which either factor carries a marker codes every monomial
 once as an int (`_coded_product`), so a term product is an int add into one
-dict per output coefficient and builds no polynomial.
+dict per output coefficient and builds no polynomial.  Scaling an int c by a
+Fraction p/q is one exact division of c*p by q, and `subs` substitutes a
+marker-free value as a number, not as a polynomial.
 """
 
 from __future__ import annotations
@@ -186,9 +188,7 @@ class MarkerPoly:
             return _poly(acc)
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        if not other:
-            return MarkerPoly()
-        return _poly({m: c * other for m, c in self.terms.items()})
+        return _poly(dict(zip(self.terms, _scale(self.terms.values(), other))))
 
     __rmul__ = __mul__
 
@@ -222,21 +222,26 @@ class MarkerPoly:
         return bool(self.terms)
 
     def subs(self, values: dict) -> "MarkerPoly":
-        """Substitute Fractions/polys for the named markers; others stay symbolic."""
-        powers = {}
-        acc = {}
+        """Substitute numbers or polys for the named markers; others stay symbolic."""
+        powers, acc = {}, {}
         for mono, c in self.terms.items():
-            rest = []
-            factor = _MP_ONE
+            rest, factor = [], None
             for name, e in mono:
                 if name in values:
                     pw = powers.get((name, e))
                     if pw is None:
-                        pw = powers[(name, e)] = MarkerPoly._coerce(values[name]) ** e
-                    factor = factor * pw
+                        pw = powers[(name, e)] = _ring(values[name]) ** e
+                    if type(pw) is MarkerPoly:
+                        factor = pw if factor is None else factor * pw
+                    else:
+                        c *= pw
                 else:
                     rest.append((name, e))
-            _mac(acc, {tuple(rest): c}, factor.terms)
+            if factor is None:
+                key = tuple(rest)
+                acc[key] = acc.get(key, 0) + c
+            else:
+                _mac(acc, {tuple(rest): c}, factor.terms)
         return _poly(acc)
 
     def deriv(self, name: str) -> "MarkerPoly":
@@ -244,7 +249,7 @@ class MarkerPoly:
         for mono, c in self.terms.items():
             for i, (nm, e) in enumerate(mono):
                 if nm == name:
-                    key = _mono(mono[:i] + ((nm, e - 1),) + mono[i + 1:])
+                    key = mono[:i] + (((nm, e - 1),) if e > 1 else ()) + mono[i + 1:]
                     acc[key] = acc.get(key, 0) + c * e
         return _poly(acc)
 
@@ -289,9 +294,6 @@ class MarkerPoly:
     __repr__ = __str__
 
 
-_MP_ONE = MarkerPoly.const(1)
-
-
 def _ring(c):
     """c as a stored series coefficient: an int when it is integral, a
     Fraction when it is not, and a MarkerPoly only when it carries a marker."""
@@ -310,6 +312,15 @@ def _ring(c):
     if isinstance(c, (int, Fraction)):
         return _exact(c)
     raise TypeError(f"cannot use {type(c).__name__} as a marker polynomial")
+
+
+def _scale(cs, x) -> list:
+    """c * x for each coefficient c in cs and a scalar x: an int c times a
+    Fraction p/q is the exact division _div(c * p, q), an int when q divides."""
+    if type(x) is not Fraction:
+        return [c * x for c in cs]
+    p, q = x.numerator, x.denominator
+    return [_div(c * p, q) if type(c) is int else c * x for c in cs]
 
 
 def _coded_product(a: list, b: list, n: int) -> list:
@@ -383,13 +394,8 @@ class PowerSeries:
             order = len(items) - 1
         if order < 0:
             raise ValueError("truncation order must be >= 0")
-        if len(items) < order + 1:
-            items.extend([0] * (order + 1 - len(items)))
-        else:
-            items = items[: order + 1]
-        self.var = var
-        self.order = order
-        self._c = items
+        self.var, self.order = var, order
+        self._c = (items + [0] * (order + 1 - len(items)))[: order + 1]
 
     @property
     def coeffs(self) -> list:
@@ -465,8 +471,7 @@ class PowerSeries:
 
     def __mul__(self, other):
         if not isinstance(other, PowerSeries):
-            x = _ring(other)
-            return _series(self.var, [_ring(c * x) for c in self._c], self.order)
+            return _series(self.var, list(map(_ring, _scale(self._c, _ring(other)))), self.order)
         other = self._coerce_mate(other)
         n = min(self.order, other.order)
         a, b = self._c[: n + 1], other._c[: n + 1]
@@ -491,10 +496,8 @@ class PowerSeries:
         return PowerSeries.const(self.var, 1, self.order) / self
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / Fraction(other))
-        if isinstance(other, MarkerPoly):
-            return self * (Fraction(1) / other.constant())
+        if isinstance(other, (int, Fraction, MarkerPoly)):
+            return self * (1 / MarkerPoly._coerce(other).constant())
         other = self._coerce_mate(other)
         n = min(self.order, other.order)
         c0 = other._c[0]

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from operator import sub
+from itertools import accumulate, repeat
+from operator import mul, sub
 from typing import List
 
 from .combinat import _exact_div, binomial, motzkin_numbers
@@ -301,7 +302,7 @@ def ternary_factorization_check(order: int) -> bool:
     s2 = prod.map_coeffs(lambda c: c.marker_coeff("s", 2))
     lhs = s0 + s2 * ux
     # r1 = 1/(1-t) with t = (1+U)tau = 16(1+U) sigma
-    r1 = PowerSeries("sigma", [(16 * uu) ** i for i in range(order + 1)], order)
+    r1 = PowerSeries("sigma", accumulate(repeat(16 * uu, order), mul, initial=1), order)
     rhs = -(ux * r1)
     if lhs != rhs:
         return False

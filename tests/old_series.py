@@ -26,7 +26,9 @@ from itertools import repeat
 from operator import add, mul
 
 from latticepaths.series import (
-    MarkerPoly, PowerSeries, _MP_ONE, _exact, _mac, _poly, _ring, _series)
+    MarkerPoly, PowerSeries, _exact, _mac, _poly, _ring, _series)
+
+_MP_ONE = MarkerPoly.const(1)
 
 
 def old_add(self, other):

@@ -435,15 +435,92 @@ def test_series_arithmetic_matches_the_per_pair_route(f, g, e, b):
             f.sqrt()
 
 
-@settings(max_examples=200, deadline=None)
-@given(p=polys(), value=st.one_of(coeffs, polys(markers=("u",), max_terms=2),
-                                  polys(markers=MARKERS, max_terms=2)),
-       other=st.one_of(st.none(), coeffs))
-def test_subs_and_deriv_match_the_per_pair_route(p, value, other):
-    values = {"w": value} if other is None else {"w": value, "u": other}
+# marker-free values: ints (zero and negative among them), integral and
+# non-integral Fractions, and constant polynomials, which substitute as numbers
+numbers = st.one_of(st.sampled_from([0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-4, 3),
+                                     Fraction(6, 3)]),
+                    coeffs, st.builds(MarkerPoly.const, coeffs))
+
+
+@st.composite
+def marked_values(draw):
+    """A value that surely carries a marker: a poly in u, or in u and w,
+    plus a power of one of them."""
+    p = draw(polys(markers=draw(st.sampled_from([("u",), MARKERS])), max_terms=2))
+    return p + MarkerPoly.var(draw(st.sampled_from(MARKERS)), draw(st.integers(1, 2)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=polys(), value=st.one_of(numbers, marked_values(), polys(max_terms=2)),
+       beside=st.one_of(st.none(), numbers, marked_values()))
+def test_subs_and_deriv_match_the_per_pair_route(p, value, beside):
+    values = {"w": value} if beside is None else {"w": value, "u": beside}
     _assert_same_poly(p.subs(values), _ref_subs(p, values))
     for name in MARKERS:
         _assert_same_poly(p.deriv(name), _ref_deriv(p, name))
+
+
+# Fractions whose denominators often divide the int coefficients of `coeffs`
+scalars = st.one_of(st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6)),
+                    st.integers(-6, 6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=polys(), f=st.one_of(plain_series(), series()), x=scalars,
+       d=st.integers(-6, 6).filter(bool))
+def test_scaling_by_a_number_matches_the_per_pair_route(p, f, x, d):
+    _assert_same_poly(p * x, _ref_poly_mul(p, x))
+    _assert_same_poly(x * p, _ref_poly_mul(p, x))
+    _assert_same_poly(p / d, _ref_poly_mul(p, Fraction(1, d)))
+    _assert_same_series(f * x, _ref_series_mul(f, x))
+    _assert_same_series(x * f, _ref_series_mul(f, x))
+    _assert_same_series(f * MarkerPoly.const(x), _ref_series_mul(f, x))
+    _assert_same_series(f / d, _ref_series_mul(f, Fraction(1, d)))
+    if x:
+        _assert_same_poly(p / x, _ref_poly_mul(p, Fraction(1) / x))
+        _assert_same_series(f / x, _ref_series_mul(f, Fraction(1) / x))
+        _assert_same_series(f / MarkerPoly.const(x), _ref_series_mul(f, Fraction(1) / x))
+    else:
+        for fn in (lambda: p / x, lambda: f / x):
+            with pytest.raises(ZeroDivisionError):
+                fn()
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, None])
+def test_subs_coerces_a_value_only_where_its_marker_occurs(bad):
+    p = 3 * MarkerPoly.var("w", 2) - MarkerPoly.var("w") * MarkerPoly.var("u") + 1
+    for values in ({"w": bad}, {"u": bad}, {"w": 2, "u": bad}, {"w": bad, "u": 2}):
+        with pytest.raises(TypeError, match="as a marker polynomial"):
+            p.subs(values)
+    assert p.subs({"w": 2, "s": bad}) == 13 - 2 * MarkerPoly.var("u")
+    q = MarkerPoly.var("w", 3) + Fraction(1, 2)
+    assert q.subs({"u": bad}) == q
+    assert MarkerPoly.const(5).subs({"w": bad}) == 5
+
+
+def test_subs_of_a_number_multiplies_no_polynomials(monkeypatch):
+    # the mean of the red-step series sets w = 1 after differentiating: each
+    # term's coefficient is scaled by a number, where a polynomial route makes
+    # a `MarkerPoly` power per (marker, exponent) and a product per term
+    f = pathseries.skew_red_series(12).deriv_marker("w")
+    calls = []
+
+    def counting(target, name):
+        real = getattr(target, name)
+
+        def fn(*args):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(target, name, fn)
+
+    for name in ("__mul__", "__rmul__", "__pow__"):
+        counting(MarkerPoly, name)
+    counting(series_module, "_mac")
+    mean = f.subs_markers({"w": 1})
+    assert calls == []
+    _assert_same_series(mean, PowerSeries(f.var, [_ref_subs(c, {"w": 1}) for c in f.coeffs]))
+    assert [mean.coeff(n) for n in range(13)] == [0] + [
+        pathseries.skew_red_total(n) for n in range(1, 13)]
 
 
 @settings(max_examples=100, deadline=None)

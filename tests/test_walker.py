@@ -1,10 +1,11 @@
 """The shared path evaluator against the generators it replaced.
 
 Every brute-force path generator is a move rule read by `paths._evaluate`
-in the path algebra, and `trees.tree_size` reads a node's children from the
-per-family split.  The hand-written recursions they replaced are kept here
-as oracles: each generator must give the same paths in the same order on a
-grid that covers every constraint it takes.
+in the count algebra, its paths listed off the moves the walk records, and
+`trees.tree_size` reads a node's children from the per-family split.  The
+hand-written recursions they replaced are kept here as oracles: each
+generator must give the same paths in the same order on a grid that covers
+every constraint it takes.
 """
 
 import sys
@@ -257,8 +258,8 @@ def test_retakh_matches_the_recursion():
 
 def test_walker_reaches_only_live_levels(monkeypatch):
     # A dead state is never entered: the evaluator calls the move rule only
-    # at live states (steps left, level), in both the path and a value algebra,
-    # and once per state.
+    # at live states (steps left, level), in both the count algebra that lists
+    # the paths and a statistic's algebra, and once per state.
     calls = []
 
     def moves(prev, level):

@@ -14,16 +14,19 @@ Tree encodings follow the generator modules: a multiedge tree is a tuple of
 pairs, and a unary-binary tree is ``None`` or ``('2', left, right)`` or
 ``('u', color, child)``.
 
-Both path encoders read one walk around the tree, `_walk`, and both path
-decoders one parse of a Dyck word into labelled edges, `_parse`.  The parse
-also notes the falls that touch a rise, which is how the marked-tree decoder
-checks its mark rule in the same pass.  The rotation both ways and
+Both path encoders read one walk around the tree, `_walk`.  Each decoder is
+one pass that builds the tree's edges on a stack as it reads: the skew path
+forwards, noting a mark over a leaf or before a sibling as it goes; the
+3-Motzkin path backwards, as a Dyck word whose edges close only once the H2
+steps that give their multiplicities are read; the unary-binary tree down
+its left branches, with the right branches on the stack.  The rotation and
 `tree_to_str` are node rules folded bottom-up by `trees._fold`.  All of them
 keep an explicit stack, so no tree is too deep for them.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Iterable, List, Sequence, Tuple
 
 from .trees import _CHILDREN, _fold
@@ -32,8 +35,7 @@ MultiedgeTree = Tuple  # nested tuples of (multiplicity, child)
 MarkedTree = Tuple  # nested tuples of (mark, child)
 
 _PAIR_CODE = {("U", "U"): "U", ("d", "d"): "d", ("U", "d"): "H0", ("d", "U"): "H1"}
-_CODE_PAIR = {v: k for k, v in _PAIR_CODE.items()}
-_CODE_STEP = {"U": 1, "d": -1}
+_STEP = {"U": 1, "d": -1, "H0": 0, "H1": 0, "H2": 0}  # per 3-Motzkin step, its level step
 
 
 def _walk(tree, opening, closing) -> list:
@@ -54,32 +56,6 @@ def _walk(tree, opening, closing) -> list:
                 return out
             edges, close = above.pop()
             out.append(close)
-
-
-def _parse(word: Sequence[str], closings: Tuple[str, ...], label, apart=()) -> tuple:
-    """The tree of a Dyck word whose rises are "U" and whose falls are the
-    tokens in closings, the inverse of `_walk`: the edge opened i-th and
-    closed by token c gets label(i, c).  The open edges are kept on an
-    explicit stack, each with its index and the siblings before it.  Returns
-    the tree and whether a fall in `apart` sits next to a rise; an
-    unbalanced word raises ValueError instead."""
-    above, edges, opened, prev, touching = [], [], 0, None, False
-    for tok in word:
-        if tok == "U":
-            touching = touching or prev in apart
-            above.append((opened, edges))
-            edges, opened = [], opened + 1
-        elif tok in closings and above:
-            touching = touching or prev == "U" and tok in apart
-            index, siblings = above.pop()
-            siblings.append((label(index, tok), tuple(edges)))
-            edges = siblings
-        else:
-            raise ValueError("unbalanced path")
-        prev = tok
-    if above:
-        raise ValueError("unbalanced path")
-    return tuple(edges), touching
 
 
 def multiedge_to_3motzkin(tree: MultiedgeTree) -> Tuple[str, ...]:
@@ -116,32 +92,60 @@ def multiedge_to_3motzkin(tree: MultiedgeTree) -> Tuple[str, ...]:
 def motzkin3_to_multiedge(path: Sequence[str]) -> MultiedgeTree:
     """Inverse of :func:`multiedge_to_3motzkin`.
 
-    Raises ValueError if the input is not a legal 3-colored Motzkin path
-    (unknown token, level dipping below 0, or nonzero final level).
+    One parse of the Dyck word read backwards, each symbol its letter pair
+    reversed: a fall opens an edge, a rise closes it.  The edge closed e-th
+    is the e-th from the last opened, and by then the H2 steps of the gap
+    e-th from the end, which give its multiplicity, are read.  Raises
+    ValueError if the input is not a legal 3-colored Motzkin path (unknown
+    token, level dipping below 0, or nonzero final level).
     """
-    blues: List[int] = [0]
-    symbols: List[str] = []
-    for tok in path:
-        if tok == "H2":
-            blues[-1] += 1
-        elif tok in _CODE_PAIR:
-            symbols.append(tok)
-            blues.append(0)
-        else:
-            raise ValueError(f"unknown token {tok!r}")
-    level = 0
-    for tok in symbols:
-        level += _CODE_STEP.get(tok, 0)
-        if level < 0:
-            raise ValueError("path dips below level 0")
-    if level != 0:
-        raise ValueError("path does not end at level 0")
-    word = ["U"]
-    for tok in symbols:
-        word.extend(_CODE_PAIR[tok])
-    word.append("d")
-    # the edge opened i-th carries the i-th multiplicity, pre-order
-    return _parse(word, ("d",), lambda index, tok: blues[index] + 1)[0]
+    mults, mult, closed = [], 1, 0  # 1 + the H2 steps of each gap read, the last first
+    above, edges = [[]], []  # the final fall opens the root's last edge
+    try:
+        for tok in reversed(path):
+            if tok == "H2":
+                mult += 1
+                continue
+            mults.append(mult)
+            mult = 1
+            if tok == "H0":  # a fall then a rise: a leaf edge
+                edges.append((mults[closed], ()))
+                closed += 1
+            elif tok == "H1":  # a rise then a fall
+                kids, edges = edges, above.pop()
+                edges.append((mults[closed], tuple(kids[::-1])))
+                above.append(edges)
+                edges, closed = [], closed + 1
+            elif tok == "U":  # two rises
+                kids, edges = edges, above.pop()
+                edges.append((mults[closed], tuple(kids[::-1])))
+                kids, edges = edges, above.pop()
+                edges.append((mults[closed + 1], tuple(kids[::-1])))
+                closed += 2
+            elif tok == "d":  # two falls
+                above += (edges, [])
+                edges = []
+            else:
+                raise ValueError(_motzkin_fault(path))
+        mults.append(mult)
+        kids, edges = edges, above.pop()  # the first rise closes the root's first edge
+        edges.append((mults[closed], tuple(kids[::-1])))
+    except IndexError:
+        above = None
+    if above != []:
+        raise ValueError(_motzkin_fault(path))
+    return tuple(edges[::-1])
+
+
+def _motzkin_fault(path: Sequence[str]) -> str:
+    """Why a word is not a 3-colored Motzkin path: its first unknown token,
+    else a dip below level 0, else its final level."""
+    unknown = [tok for tok in path if tok not in _STEP]
+    if unknown:
+        return f"unknown token {unknown[0]!r}"
+    if min(accumulate(map(_STEP.get, path))) < 0:
+        return "path dips below level 0"
+    return "path does not end at level 0"
 
 
 def marked_to_skew(tree: MarkedTree) -> Tuple[str, ...]:
@@ -158,15 +162,34 @@ def marked_to_skew(tree: MarkedTree) -> Tuple[str, ...]:
 def skew_to_marked(path: Sequence[str]) -> MarkedTree:
     """Inverse of :func:`marked_to_skew`; rejects ill-formed inputs.
 
-    A mark sits only on a node's last edge, and only over an internal child:
-    a red fall right after a rise would mark an edge over a leaf, and one
-    right before a rise an edge with a next sibling.  The parse notes a red
-    fall next to a rise, and the fault is raised only once the word is known
-    to be balanced."""
-    tree, touching = _parse(path, ("d", "r"), lambda index, tok: int(tok == "r"), ("r",))
-    if touching:
+    One parse of the path into edges, a "d" fall closing an unmarked edge
+    and an "r" fall a marked one.  A mark sits only on a node's last edge,
+    and only over an internal child: the parse notes a red fall that closes
+    an edge without children, and a rise that opens an edge after a marked
+    sibling.  That fault is raised only once the word is known to be
+    balanced."""
+    above, edges, misplaced = [], [], False
+    for tok in path:
+        if tok == "U":
+            if edges and edges[-1][0]:
+                misplaced = True
+            above.append(edges)
+            edges = []
+        elif tok == "d" and above:
+            kids, edges = edges, above.pop()
+            edges.append((0, tuple(kids)))
+        elif tok == "r" and above:
+            if not edges:
+                misplaced = True
+            kids, edges = edges, above.pop()
+            edges.append((1, tuple(kids)))
+        else:
+            raise ValueError("unbalanced path")
+    if above:
+        raise ValueError("unbalanced path")
+    if misplaced:
         raise ValueError("mark not on a last edge with internal child")
-    return tree
+    return tuple(edges)
 
 
 def _rotate_node(node, kids):
@@ -193,31 +216,32 @@ def rotation_multiedge_to_unarybinary(tree: MultiedgeTree):
     return _fold(_CHILDREN["multiedge"], _rotate_node, None, tree)
 
 
-def _unrotate_node(node, kids) -> list:
-    """Node rule of the inverse rotation: a node's value is the multiedge
-    forest of its first edge and that edge's next siblings, as a list in
-    reverse order, so that both steps take constant time.  A binary node
-    opens an edge of multiplicity 1, a unary node adds 1 to it."""
-    if node[0] == "2":
-        left, right = kids
-        forest = right or []  # the empty tree's value () is shared
-        forest.append((1, tuple(reversed(left))))
-        return forest
-    if node[1] != 0:
-        raise ValueError("rotation images use flat color 0 only")
-    forest = kids[0]
-    if not forest:
-        raise ValueError("a unary node needs a child")
-    mult, child = forest[-1]
-    forest[-1] = (mult + 1, child)
-    return forest
-
-
 def rotation_unarybinary_to_multiedge(tree) -> MultiedgeTree:
-    """Inverse rotation; accepts any unary-binary tree with color-0 flats."""
+    """Inverse rotation; accepts any unary-binary tree with color-0 flats.
+
+    One walk down the left branches, which are first children, with the
+    right branches, the next siblings, kept on an explicit stack: each run of
+    unary nodes above a binary node gives the multiplicity of its edge."""
     if tree is None:
         raise ValueError("the empty tree has no rotation preimage")
-    return tuple(reversed(_fold(_CHILDREN["unary_binary"], _unrotate_node, (), tree)))
+    above, edges, node = [], [], tree
+    while True:
+        if node is not None:
+            mult = 1
+            while node[0] == "u":
+                if node[1] != 0:
+                    raise ValueError("rotation images use flat color 0 only")
+                node, mult = node[2], mult + 1
+                if node is None:
+                    raise ValueError("a unary node needs a child")
+            above.append((edges, mult, node[2]))
+            edges, node = [], node[1]
+        elif above:
+            kids = tuple(edges)
+            edges, mult, node = above.pop()
+            edges.append((mult, kids))
+        else:
+            return tuple(edges)
 
 
 # Per family, the node rule of its rendering and the rendering of the empty

@@ -16,6 +16,7 @@ import os
 import sys
 from collections import Counter
 from fractions import Fraction
+from itertools import zip_longest
 from types import SimpleNamespace
 from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
@@ -56,8 +57,9 @@ from .pathseries import (
     skew_red_total,
     skew_sj_series,
 )
-from .trees import _CHILDREN, _fold, _stat, gen_marked, gen_multiedge, gen_unary_binary
+from .trees import gen_marked, gen_multiedge, gen_unary_binary
 from .trees import tally as tally_trees
+from .trees import values as tree_values
 from .treeseries import (
     horton_Rp,
     horton_avg_reg,
@@ -285,23 +287,16 @@ def _check_deutsch(budget: int, m: int = 5) -> List[CheckLine]:
               for t, j in ends])]
 
 
-def _edge_count(tree) -> int:
-    """The edges of a multi-edge tree: its nodes, folded without recursion, less the root."""
-    return _fold(_CHILDREN["multiedge"], lambda node, kids: 1 + sum(kids), 0, tree) - 1
-
-
-def _bijection_ok(sizes, domain, forward, backward, kept, codomain) -> bool:
-    """Whether, for each n of sizes, forward maps domain(n) onto the set
-    codomain(n), backward undoes it, and kept(n, object, image) holds."""
+def _bijection_ok(sizes, domain, forward, backward, codomain, kept=None) -> bool:
+    """Whether, for each n of sizes, forward maps the list domain(n) onto the
+    set codomain(n) and backward undoes it, and kept(n, images) holds of
+    forward's images in the order of domain(n)."""
     ok = True
     for n in sizes:
-        images = set()
-        for t in domain(n):
-            image = forward(t)
-            if backward(image) != t or not kept(n, t, image):
-                ok = False
-            images.add(image)
-        if images != codomain(n):
+        objects = domain(n)
+        images = list(map(forward, objects))
+        if list(map(backward, images)) != objects or set(images) != codomain(n) \
+                or kept is not None and not kept(n, images):
             ok = False
     return ok
 
@@ -309,19 +304,23 @@ def _bijection_ok(sizes, domain, forward, backward, kept, codomain) -> bool:
 def _check_bijections(budget: int) -> List[CheckLine]:
     wtop, ntop = min(budget, 6), min(budget + 1, 7)
     weights = range(1, wtop + 1)
+    # each tree's statistic from its declaration, in the order of gen_*
+    edges = tree_values("multiedge", wtop, "edges")
+    marks = tree_values("marked", ntop, "mark_count")
     return [
         (f"multi-edge <-> 3-Motzkin: round trip, statistics, sets, weight <= {wtop}",
          _bijection_ok(weights, gen_multiedge, multiedge_to_3motzkin, motzkin3_to_multiedge,
-                       lambda w, t, p: p.count("H2") == w - _edge_count(t),
-                       lambda w: set(gen_motzkin(w - 1, horiz_colors=3))), True),
+                       lambda w: set(gen_motzkin(w - 1, horiz_colors=3)),
+                       lambda w, paths: [w - p.count("H2") for p in paths] == list(edges[w])),
+         True),
         (f"marked <-> skew: round trip, marks = red steps, sets, nodes <= {ntop}",
          _bijection_ok(range(1, ntop + 1), gen_marked, marked_to_skew, skew_to_marked,
-                       lambda n, t, p: p.count("r") == _stat(t, "marked", "mark_count"),
-                       lambda n: set(gen_skew(2 * (n - 1)))), True),
+                       lambda n: set(gen_skew(2 * (n - 1))),
+                       lambda n, paths: [p.count("r") for p in paths] == list(marks[n])), True),
         (f"rotation multi-edge <-> unary-binary: round trip and sets, weight <= {wtop}",
          _bijection_ok(weights, gen_multiedge, rotation_multiedge_to_unarybinary,
-                       rotation_unarybinary_to_multiedge, lambda w, t, u: True,
-                       lambda w: set(gen_unary_binary(w, 1))), True),
+                       rotation_unarybinary_to_multiedge, lambda w: set(gen_unary_binary(w, 1))),
+         True),
     ]
 
 
@@ -380,12 +379,33 @@ CHECKS: Dict[str, Callable[..., List[CheckLine]]] = {
 }
 
 
+def _first_difference(values: list) -> Tuple[str, list]:
+    """Where the routes' values first differ, as indices into them, and each
+    route's value there.  It descends while every value is a list or a
+    tuple; a route whose list has ended has "(none)" there."""
+    where = ""
+    while all(isinstance(value, (list, tuple)) for value in values):
+        rows = zip_longest(*values, fillvalue="(none)")
+        at = next(((i, row) for i, row in enumerate(rows)
+                   if any(v != row[0] for v in row[1:])), None)
+        if at is None:  # equal entries, but a list against a tuple
+            break
+        where, values = f"{where}[{at[0]}]", at[1]
+    return where, values
+
+
 def cmd_check(args) -> int:
+    """Prints each line's verdict and label; a failing line also writes to
+    stderr where its routes first differ and their values there."""
     check, budget, flags = _setup(args, CHECKS, "max", 10, 1)
     failed = False
     for label, first, *others in check(budget, **flags):
         ok = all(value == first for value in others)
         print(("ok   " if ok else "FAIL ") + label)
+        if not ok:
+            where, here = _first_difference([first, *others])
+            print(f"{label}: routes differ{' at ' + where if where else ''}: "
+                  + " | ".join(map(str, here)), file=sys.stderr)
         failed = failed or not ok
     return 1 if failed else 0
 

@@ -506,8 +506,10 @@ class PowerSeries:
                 "series division needs a nonzero marker-free constant term, got "
                 f"{c0}")
         inv0 = _ring(Fraction(1, c0))
+        p, q = inv0.numerator, inv0.denominator
         # Long division: out_k = (num_k - sum_{1<=i<=k} den_i out_(k-i)) / den_0,
-        # summed over the divisor's nonzero terms only.
+        # summed over the divisor's nonzero terms only; an int times 1/den_0 =
+        # p/q is the exact division _div(acc * p, q), as in `_scale`.
         neg = [(i, -d) for i, d in enumerate(other._c[1: n + 1], 1) if d]
         num = self._c
         out = []
@@ -517,7 +519,9 @@ class PowerSeries:
                 if i > k:
                     break
                 acc += d * out[k - i]
-            out.append(_ring(acc * inv0 if inv0 != 1 else acc))
+            if inv0 != 1:
+                acc = _div(acc * p, q) if type(acc) is int else acc * inv0
+            out.append(_ring(acc))
         return _series(self.var, out, n)
 
     def __rtruediv__(self, other):

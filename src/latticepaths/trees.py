@@ -23,13 +23,16 @@ empty one.  An ordered, marked or multi-edge tree is a cons, its first edge
 then the edges of the rest tree, if it has more than one edge, so a sequence
 of subtrees is "first plus the rest".  `gen_*` read one cached evaluator.
 
-Each statistic (register number, leaves, height, middle edges, marks) is one
-node rule per family, which reads the node and its children's values of that
-statistic alone, and one cons step, which joins the value of a cons tree's
-first edge alone to its rest tree's.  `reg` and `tree_stats` fold the rules
-over one tree, and `tree_size` folds its own.  `tally` evaluates every
-family in one statistic's value algebra, a class and size as value -> number
-of objects, so equal values merge and no tree is built.
+Each statistic (register number, leaves, height, middle edges, marks, edges
+of an edge-list tree) is one node rule per family, which reads the node and
+its children's values of that statistic alone, and one cons step, which
+joins the value of a cons tree's first edge alone to its rest tree's.  `reg`
+and `tree_stats` fold the rules over one tree, and `tree_size` folds its
+own.  `tally` evaluates every family in one statistic's value algebra, a
+class and size as value -> number of objects, so equal values merge and no
+tree is built.  `values` is the same evaluation unmerged, a tuple of values
+per size in the order of `gen_*`, for a check that pairs each tree with its
+own value.
 """
 
 from __future__ import annotations
@@ -209,8 +212,9 @@ def _added(node, kids) -> int:
 _REG = dict.fromkeys(("binary", "unary_binary", "hex"), _register)
 STAT_FIELDS = ("leaves", "height_nodes", "middle_edges", "mark_count")
 # Per statistic, its node rule per family.  A rule reads the node and its
-# children's values of the same statistic, and the empty tree has value 0.
-# Under `tally` a node is a stand-in, the production's head followed by its
+# children's values of the same statistic, and the empty tree has value 0;
+# `edges` counts the edges of an edge-list tree.  Under `tally` and `values`
+# a node is a stand-in, the production's head followed by its
 # children's sizes, so either way a child is empty exactly when its entry is
 # falsy; a cons tree there has one edge, over its child's value.
 _RULES = {
@@ -222,11 +226,14 @@ _RULES = {
                      "ternary": lambda node, kids: (1 if node[1] else 0) + sum(kids)},
     "mark_count": {**dict.fromkeys(_CHILDREN, _added),
                    "marked": lambda node, kids: sum(mark for mark, _ in node) + sum(kids)},
+    "edges": dict.fromkeys(("ordered", "marked", "multiedge"),
+                           lambda node, kids: len(node) + sum(kids)),
 }
 # Per statistic, its cons step: a cons tree's value from the value of its
 # first edge alone, a one-edge tree valued by the rule above, and the value of
 # its rest tree, which has an edge.
-_CONS_STEPS = {"leaves": add, "height_nodes": max, "middle_edges": add, "mark_count": add}
+_CONS_STEPS = {"leaves": add, "height_nodes": max, "middle_edges": add, "mark_count": add,
+               "edges": add}
 
 
 def _rule(family: str, stat: str):
@@ -263,28 +270,19 @@ def tree_stats(t, family: str) -> dict:
     }
 
 
-def _merged(pairs) -> Counter:
-    """value -> the sum of its counts, over (value, count) pairs."""
-    out = Counter()
-    for value, count in pairs:
-        out[value] += count
-    return out
+def _evaluate(family: str, top: int, stat: str, a: int, merged: bool) -> list:
+    """The family's productions evaluated in one statistic's value algebra, per
+    size 0..top the values of its trees: value -> number of trees if merged,
+    else a tuple in generation order.  No tree is built.
 
-
-def tally(family: str, top: int, stat: str, a: int = 1) -> list:
-    """Distribution of one statistic over the trees of each size 0..top.
-
-    stat is "reg" or one of STAT_FIELDS.  The family's productions are
-    evaluated in the statistic's value algebra, each class and size held as
-    value -> number of objects, so equal values merge and no tree is built.
-    Each choice of (value, count) pairs for a production's children is one
-    value, weighed by the product of the counts.  A node's value is the
-    family's rule, as in `reg` / `tree_stats`, with the production's head
-    followed by its children's sizes in the place of the node.  A cons tree's
-    is the rule on its first edge alone (the head entries over the first
-    child's value), joined to the rest tree's value by the cons step; the
-    helper classes of the marked trees build their edges as `gen_marked` does,
-    with values in the place of the children.
+    A production's children each take one value (merged, a (value, count)
+    pair, the counts multiplied), and a node's value is the family's rule, as
+    in `reg` / `tree_stats`, with the production's head followed by its
+    children's sizes in the place of the node.  A cons tree's is the rule on
+    its first edge alone (the head entries over the first child's value),
+    joined to the rest tree's value by the cons step; the helper classes of
+    the marked trees build their edges as `gen_marked` does, with values in
+    the place of the children.
     """
     rule = _rule(family, stat)
     if family == "unary_binary":
@@ -298,18 +296,32 @@ def tally(family: str, top: int, stat: str, a: int = 1) -> list:
 
     @lru_cache(maxsize=None)
     def level(cls, n):
-        """value -> number of objects of class cls and size n"""
         node = cls in _NODE_CLASSES
-        if n < 0:
-            return Counter()
-        if n == 0 and node:
-            return Counter([0])
+        if n < 0 or n == 0 and node:  # nothing, or the empty tree of value 0
+            return (Counter if merged else tuple)([0] * (n == 0))
         make = rule if node else _MAKE.get(cls, cons_value)
         stand_ins = [(head + tuple(size for _, size in kids) if node else head, kids)
                      for head, kids in _PRODUCTIONS[cls](n, a)]
-        return _merged(_construct(
-            stand_ins, lambda child: level(*child).items(),
-            lambda head, kids: (make(head, tuple([v for v, _ in kids])),
-                                prod(c for _, c in kids))))
+        if not merged:
+            return tuple(_construct(stand_ins, lambda child: level(*child), make))
+        out = Counter()
+        for value, count in _construct(
+                stand_ins, lambda child: level(*child).items(),
+                lambda head, kids: (make(head, tuple([v for v, _ in kids])),
+                                    prod(c for _, c in kids))):
+            out[value] += count
+        return out
 
     return [level(family, n) for n in range(top + 1)]
+
+
+def tally(family: str, top: int, stat: str, a: int = 1) -> list:
+    """Distribution of one statistic over the trees of each size 0..top, as
+    value -> number of trees; stat is "reg", "edges" or one of STAT_FIELDS."""
+    return _evaluate(family, top, stat, a, merged=True)
+
+
+def values(family: str, top: int, stat: str, a: int = 1) -> list:
+    """One statistic of every tree of each size 0..top, a tuple per size in
+    the order of `gen_*`: `tally` with no value merged."""
+    return _evaluate(family, top, stat, a, merged=False)

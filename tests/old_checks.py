@@ -4,7 +4,8 @@ kept as an oracle for its verdicts.
 Each body below decides its own verdict and returns `(ok, label)` pairs.
 They are kept as they were, with the names they read imported from
 `latticepaths.cli` (`tree_stats`, which `cli` no longer reads, from
-`latticepaths.trees`, and the two end-level coefficients, which `cli` now
+`latticepaths.trees`, the fold `_edge_count`, which `cli` no longer has,
+written here, and the two end-level coefficients, which `cli` now
 reads as ladders, from `latticepaths.pathseries`), so a test that replaces
 one of those names must replace it here as well.  The one exception is
 `_check_marked`, which counts its trees with `tally_trees`, as `cli` does,
@@ -20,7 +21,6 @@ from typing import Callable, Dict, List, Tuple
 from latticepaths.cli import (
     _coeff_value,
     _deutsch_strip_solutions,
-    _edge_count,
     amplitude_coeff,
     amplitude_series,
     deng_mansour_count,
@@ -62,7 +62,7 @@ from latticepaths.cli import (
     unary_binary_count,
 )
 from latticepaths.pathseries import dual_skew_coeff, skew_sj_coeff
-from latticepaths.trees import tree_stats
+from latticepaths.trees import _CHILDREN, _fold, tree_stats
 
 CheckResult = Tuple[bool, str]
 
@@ -187,6 +187,11 @@ def _check_deutsch(budget: int, m: int = 5) -> List[CheckResult]:
                     ok = False
     out.append((ok, f"strip m={m}: closed forms = brute force, n <= {top}"))
     return out
+
+
+def _edge_count(tree) -> int:
+    """The edges of a multi-edge tree: its nodes, folded without recursion, less the root."""
+    return _fold(_CHILDREN["multiedge"], lambda node, kids: 1 + sum(kids), 0, tree) - 1
 
 
 def _bijection_ok(sizes, domain, forward, backward, kept, codomain) -> bool:

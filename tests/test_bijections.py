@@ -1,10 +1,11 @@
 """Bijection round trips, image-set equalities, and statistic transport.
 
-The encoders read one walk around the tree, the decoders one parse of a
-Dyck word, and the rotation, the mark rule and `tree_to_str` are node rules
-folded with an explicit stack.  The recursive maps they replaced are kept
-here as oracles (`old_*`): the new maps must give the same images, trees,
-renderings and error messages.
+The encoders read one walk around the tree, the three decoders each make
+one pass with an explicit stack, and the rotation and `tree_to_str` are node
+rules folded with an explicit stack.  The recursive maps they replaced are
+kept here as oracles (`old_*`), and the multi-pass decoders in
+`old_bijections`: the new maps must give the same images, trees, renderings
+and error messages.
 """
 
 import sys
@@ -12,7 +13,7 @@ from itertools import product
 
 import pytest
 
-from latticepaths import cli
+import old_bijections
 from latticepaths.bijections import (
     marked_to_skew,
     motzkin3_to_multiedge,
@@ -24,7 +25,7 @@ from latticepaths.bijections import (
     tree_to_str,
 )
 from latticepaths.paths import gen_motzkin, gen_skew, levels, path_stats
-from latticepaths.trees import gen_marked, gen_multiedge, gen_unary_binary, tree_stats
+from latticepaths.trees import _stat, gen_marked, gen_multiedge, gen_unary_binary, tree_stats, values
 
 
 # ----------------------------------------------------------------------
@@ -441,6 +442,70 @@ def test_rejects_with_the_messages_of_the_recursion(new, old, args):
 
 
 # ----------------------------------------------------------------------
+# the one-pass decoders against the decoders they replaced
+# ----------------------------------------------------------------------
+
+def test_one_pass_decoders_match_the_replaced_ones_on_every_short_word():
+    # two unknown tokens, so the first one must be the one named
+    for length in range(7):
+        for word in product(("U", "d", "H0", "H1", "H2", "x", "y"), repeat=length):
+            assert outcome(motzkin3_to_multiedge, word) == \
+                outcome(old_bijections.motzkin3_to_multiedge, word), word
+    for length in range(9):
+        for word in product(("U", "d", "r", "x"), repeat=length):
+            assert outcome(skew_to_marked, word) == \
+                outcome(old_bijections.one_parse_skew_to_marked, word), word
+
+
+def test_one_pass_unrotation_matches_the_fold():
+    for w in range(1, 7):
+        for u in gen_unary_binary(w, a=2):
+            assert outcome(rotation_unarybinary_to_multiedge, u) == \
+                outcome(old_bijections.rotation_unarybinary_to_multiedge, u), u
+
+
+BAD_INPUTS = {
+    "motzkin": (motzkin3_to_multiedge, old_bijections.motzkin3_to_multiedge, [
+        ("unknown token", ("x",)),
+        ("first unknown token", ("U", "y", "d", "x")),
+        ("unknown token after a dip", ("d", "x")),
+        ("dips", ("d", "U")),
+        ("dips after a return", ("H0", "U", "d", "d", "U", "H2")),
+        ("dips and ends high", ("d", "U", "U")),
+        ("ends high", ("U",)),
+        ("ends high after blues", ("H2", "U", "H2", "U", "d")),
+    ]),
+    "skew": (skew_to_marked, old_bijections.one_parse_skew_to_marked, [
+        ("unbalanced: a fall too many", ("U", "d", "r")),
+        ("unbalanced: a fall first", ("d",)),
+        ("unbalanced: ends high", ("U", "U", "d")),
+        ("unknown token", ("U", "x")),
+        ("mark on a leaf", ("U", "r")),
+        ("mark on a deep leaf", ("U", "U", "r", "d")),
+        ("mark before a sibling", ("U", "U", "d", "r", "U", "d")),
+        ("unbalanced outranks a misplaced mark", ("U", "r", "U")),
+    ]),
+    "rotation": (rotation_unarybinary_to_multiedge,
+                 old_bijections.rotation_unarybinary_to_multiedge, [
+        ("empty tree", None),
+        ("colour 1", ("u", 1, ("2", None, None))),
+        ("colour 1 under a left branch", ("2", ("u", 2, ("2", None, None)), None)),
+        ("unary over nothing", ("u", 0, None)),
+        ("unary over nothing in a right branch", ("2", None, ("u", 0, ("u", 0, None)))),
+    ]),
+}
+
+
+@pytest.mark.parametrize("decoder, old, word", [
+    pytest.param(new, old, word, id=f"{name}: {why}")
+    for name, (new, old, cases) in BAD_INPUTS.items() for why, word in cases])
+def test_bad_inputs_raise_the_messages_of_the_replaced_decoders(decoder, old, word):
+    with pytest.raises(ValueError) as err:
+        decoder(word)
+    assert outcome(old, word) == (ValueError, str(err.value))
+
+
+# ----------------------------------------------------------------------
 # trees deeper than the recursion limit; tuple == on them would itself
 # recurse, so the encodings are compared
 # ----------------------------------------------------------------------
@@ -478,13 +543,14 @@ def test_deep_multiedge_trees(tree, path, text, image):
 
 
 def test_edge_count_of_the_bijection_check():
-    # the check compares each 3-Motzkin image's H2 steps with weight - edges
-    for w in range(1, 8):
-        for t in gen_multiedge(w):
-            assert cli._edge_count(t) == old_edge_count(t)
-    assert cli._edge_count(()) == 0
-    assert cli._edge_count(chain(1)) == DEPTH
-    assert cli._edge_count(((1, ()),) * DEPTH) == DEPTH
+    # the check compares each 3-Motzkin image's H2 steps with weight - edges,
+    # the edges read from the declarations in the order of gen_multiedge
+    edges = values("multiedge", 7, "edges")
+    for w in range(8):
+        assert list(edges[w]) == [old_edge_count(t) for t in gen_multiedge(w)]
+    assert _stat((), "multiedge", "edges") == 0
+    assert _stat(chain(1), "multiedge", "edges") == DEPTH
+    assert _stat(((1, ()),) * DEPTH, "multiedge", "edges") == DEPTH
 
 
 def test_rotation_round_trip_of_a_wide_star():

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import latticepaths
-from latticepaths import cli
+from latticepaths import cli, trees
 from latticepaths.asymptotics import LAW_KINDS, eval_law
 from latticepaths.cli import ASYM_LADDERS, BIJS, CHECKS, OPTIONS, SEQS, main, reads
 import old_checks
@@ -165,14 +165,16 @@ def test_every_check_line_compares_a_value(family, monkeypatch, capsys):
 @pytest.mark.parametrize("family", tuple(CHECKS))
 def test_check_verdicts_match_the_old_bodies(family, monkeypatch, capsys):
     # the bodies that judged their own lines, patched in, print the same lines
-    # and exit alike, with and without each fault of the test above
+    # and exit alike, with and without each fault of the test above; the
+    # stderr of a failing line differs, since an old body's only values are
+    # its verdict and True
     def compare(argvs):
         for argv in argvs:
             code = main(argv)
-            got = capsys.readouterr()
+            got = capsys.readouterr().out
             with monkeypatch.context() as patch:
                 patch.setitem(CHECKS, family, old_checks.as_lines(old_checks.CHECKS[family]))
-                assert (main(argv), capsys.readouterr()) == (code, got), argv
+                assert (main(argv), capsys.readouterr().out) == (code, got), argv
 
     argvs = [["check", "--family", family, "--max", str(budget)] for budget in range(1, 14)]
     if family == "deutsch-strip":
@@ -204,16 +206,70 @@ def test_check_marked_builds_no_tree(monkeypatch, capsys):
         raise AssertionError("check marked built or folded a tree")
 
     monkeypatch.setattr(cli, "gen_marked", no_trees)
-    monkeypatch.setattr(cli, "_stat", no_trees)
+    monkeypatch.setattr(trees, "_stat", no_trees)
     for budget in (1, 7, 13):
         assert main(["check", "--family", "marked", "--max", str(budget)]) == 0
         assert capsys.readouterr().out.startswith("ok ")
 
 
+def test_check_bijections_maps_each_object_once_each_way(monkeypatch, capsys):
+    # whole levels are mapped, but still one call per object and direction
+    calls = Counter()
+
+    def counted(name):
+        func = getattr(cli, name)
+
+        def call(arg):
+            calls[name] += 1
+            return func(arg)
+        return call
+
+    maps = ("multiedge_to_3motzkin", "motzkin3_to_multiedge", "marked_to_skew",
+            "skew_to_marked", "rotation_multiedge_to_unarybinary",
+            "rotation_unarybinary_to_multiedge")
+    for name in maps:
+        monkeypatch.setattr(cli, name, counted(name))
+    assert main(["check", "--family", "bijections"]) == 0
+    capsys.readouterr()
+    multiedge = sum(len(cli.gen_multiedge(w)) for w in range(1, 7))
+    marked = sum(len(cli.gen_marked(n)) for n in range(1, 8))
+    assert calls == dict(zip(maps, [multiedge] * 2 + [marked] * 2 + [multiedge] * 2))
+
+
+def test_a_failing_check_line_says_where_on_stderr(monkeypatch, capsys):
+    # the marked-tree count of size 4 one too high: stdout as before, and
+    # stderr names the first differing index and each route's value there
+    count = cli.marked_count
+    monkeypatch.setattr(cli, "marked_count", lambda n: count(n) + (n == 4))
+    label = "marked-tree counts, leaf and height totals = brute, n <= 7"
+    assert main(["check", "--family", "marked"]) == 1
+    assert capsys.readouterr() == (f"FAIL {label}\n", f"{label}: routes differ at [3][0]: 11 | 10\n")
+    monkeypatch.setitem(CHECKS, "marked", lambda budget: [
+        ("same", [1, [2, 3]], [1, [2, 3]]),
+        ("nested", [1, [2, 3]], [1, [2, 4]], [1, [2, 3]]),
+        ("shorter", [1, 2], [1, 2, 3]),
+        ("verdict", False, True),
+        ("list against tuple", [1, 2], (1, 2)),
+    ])
+    assert main(["check", "--family", "marked"]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines() == ["ok   same", "FAIL nested", "FAIL shorter", "FAIL verdict",
+                                "FAIL list against tuple"]
+    assert err.splitlines() == ["nested: routes differ at [1][1]: 3 | 4 | 3",
+                                "shorter: routes differ at [2]: (none) | 3",
+                                "verdict: routes differ: False | True",
+                                "list against tuple: routes differ: [1, 2] | (1, 2)"]
+
+
+def test_a_passing_check_writes_nothing_to_stderr(capsys):
+    assert main(["check", "--family", "bijections"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_bijection_check_fails_when_the_images_miss_the_codomain():
     # every object maps back and keeps its statistic; the image set must still equal the codomain
     same = lambda x: x
-    args = (range(1, 4), lambda n: range(n), same, same, lambda n, t, p: True)
+    args = (range(1, 4), lambda n: list(range(n)), same, same)
     assert cli._bijection_ok(*args, lambda n: set(range(n)))
     assert not cli._bijection_ok(*args, lambda n: set(range(n + 1)))
     assert not cli._bijection_ok(*args, lambda n: set(range(n - 1)))

@@ -173,6 +173,26 @@ def test_integral_quotients_stay_ints():
     assert all(type(c) is int for p in q.coeffs for c in p.terms.values())
 
 
+@pytest.mark.parametrize("lead", [2, -3, 6])
+def test_an_integral_quotient_is_stored_as_int_without_fraction_products(lead, monkeypatch):
+    # 1/den_0 is not an int, so each integral quotient coefficient is an
+    # exact int division, not an int times a Fraction
+    quotient = [4, -7, 0, 12, 1, -30]
+    den = PowerSeries("z", [lead, 6 * lead, 0, -lead * 5]).pad(5)
+    num = PowerSeries("z", quotient) * den
+    assert num.coeffs[0].constant() == 4 * lead
+
+    def no_product(*args):
+        raise AssertionError("an int times a Fraction")
+
+    monkeypatch.setattr(Fraction, "__rmul__", no_product)
+    monkeypatch.setattr(Fraction, "__mul__", no_product)
+    q = num / den
+    monkeypatch.undo()
+    assert q._c == quotient
+    assert all(type(c) is int for c in q._c)
+
+
 @pytest.mark.parametrize("lead", [0, MarkerPoly.var("u"), 1 + MarkerPoly.var("u")])
 def test_zero_or_marker_bearing_constant_term_raises(lead):
     b = PowerSeries("z", [lead, 1, 2]).pad(5)

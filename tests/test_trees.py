@@ -51,6 +51,7 @@ from latticepaths.trees import (
     tally,
     tree_size,
     tree_stats,
+    values,
 )
 from old_checks import as_lines
 from old_tallies import old_trees_tally
@@ -814,6 +815,35 @@ def test_statistics_keep_their_keys_and_their_refusals():
             tally(*args)
 
 
+GENERATORS = {"binary": lambda n, a: gen_binary(n), "unary_binary": gen_unary_binary,
+              "hex": lambda n, a: gen_hex(n), "ternary": lambda n, a: gen_ternary(n),
+              "ordered": lambda n, a: gen_ordered(n), "marked": lambda n, a: gen_marked(n),
+              "multiedge": lambda n, a: gen_multiedge(n)}
+
+
+@pytest.mark.parametrize("family, stat", [(family, stat) for stat, rules in trees._RULES.items()
+                                          for family in rules])
+def test_values_equal_the_fold_over_every_tree_in_order(family, stat):
+    # the unmerged twin of the tally: one value per tree, in the order of gen_*
+    assert set(GENERATORS) == set(trees._CHILDREN)
+    for a in ((0, 1, 2) if family == "unary_binary" else (1,)):
+        listed = values(family, 7, stat, a)
+        assert listed == [tuple(trees._stat(t, family, stat) for t in GENERATORS[family](n, a))
+                          for n in range(8)], a
+        assert [Counter(level) for level in listed] == tally(family, 7, stat, a), a
+
+
+def test_values_refuse_what_the_tally_refuses():
+    for args in (("ternary", 3, "reg"), ("binary", 3, "edges"), ("marked_last", 3, "edges"),
+                 ("nosuch", 3, "leaves")):
+        with pytest.raises(ValueError):
+            values(*args)
+    with pytest.raises(ValueError):
+        values("unary_binary", 0, "reg", -1)
+    assert values("binary", -1, "reg") == []
+    assert values("multiedge", 0, "edges") == [(0,)]
+
+
 # every family's old builder, called with (n, a)
 OLD_TREES = {**OLD_BUILDERS, **{family: lambda n, a, old=old: old(n)
                                 for family, (_, old, _) in OLD_CONS_BUILDERS.items()}}
@@ -849,6 +879,9 @@ def test_tally_default_colour_count_is_that_of_the_generator():
     default = tally("unary_binary", 6, "reg")
     assert default == tally("unary_binary", 6, "reg", 1) != tally("unary_binary", 6, "reg", 2)
     assert [d.total() for d in default] == [len(gen_unary_binary(n)) for n in range(7)]
+    listed = values("unary_binary", 6, "reg")
+    assert listed == values("unary_binary", 6, "reg", 1) != values("unary_binary", 6, "reg", 2)
+    assert [len(level) for level in listed] == [len(gen_unary_binary(n)) for n in range(7)]
 
 
 def test_tally_rejects_families_and_statistics_it_cannot_build():
@@ -870,7 +903,7 @@ def test_tally_rejects_families_and_statistics_it_cannot_build():
 def test_cons_tally_equals_the_fold_over_every_tree(family):
     gen = OLD_CONS_BUILDERS[family][0]
     stats = [stat for stat, rules in trees._RULES.items() if family in rules]
-    assert stats == list(STAT_FIELDS)
+    assert stats == list(STAT_FIELDS) + ["edges"]
     for stat in stats:
         assert tally(family, 9, stat) == [Counter(trees._stat(t, family, stat) for t in gen(n))
                                           for n in range(10)], stat

@@ -26,16 +26,16 @@ keep an explicit stack, so no tree is too deep for them.
 
 from __future__ import annotations
 
-from itertools import accumulate
 from typing import Iterable, List, Sequence, Tuple
 
+from .paths import levels
 from .trees import _CHILDREN, _fold
 
 MultiedgeTree = Tuple  # nested tuples of (multiplicity, child)
 MarkedTree = Tuple  # nested tuples of (mark, child)
 
 _PAIR_CODE = {("U", "U"): "U", ("d", "d"): "d", ("U", "d"): "H0", ("d", "U"): "H1"}
-_STEP = {"U": 1, "d": -1, "H0": 0, "H1": 0, "H2": 0}  # per 3-Motzkin step, its level step
+_STEPS = frozenset(_PAIR_CODE.values()) | {"H2"}  # the steps of a 3-Motzkin path
 
 
 def _walk(tree, opening, closing) -> list:
@@ -99,6 +99,7 @@ def motzkin3_to_multiedge(path: Sequence[str]) -> MultiedgeTree:
     ValueError if the input is not a legal 3-colored Motzkin path (unknown
     token, level dipping below 0, or nonzero final level).
     """
+    path = tuple(path)  # any iterable of tokens, read backwards
     mults, mult, closed = [], 1, 0  # 1 + the H2 steps of each gap read, the last first
     above, edges = [[]], []  # the final fall opens the root's last edge
     try:
@@ -140,12 +141,10 @@ def motzkin3_to_multiedge(path: Sequence[str]) -> MultiedgeTree:
 def _motzkin_fault(path: Sequence[str]) -> str:
     """Why a word is not a 3-colored Motzkin path: its first unknown token,
     else a dip below level 0, else its final level."""
-    unknown = [tok for tok in path if tok not in _STEP]
+    unknown = [tok for tok in path if tok not in _STEPS]
     if unknown:
         return f"unknown token {unknown[0]!r}"
-    if min(accumulate(map(_STEP.get, path))) < 0:
-        return "path dips below level 0"
-    return "path does not end at level 0"
+    return "path dips below level 0" if min(levels(path)) < 0 else "path does not end at level 0"
 
 
 def marked_to_skew(tree: MarkedTree) -> Tuple[str, ...]:

@@ -248,6 +248,16 @@ def test_multiedge_motzkin_blue_steps_count_excess_multiplicity():
             assert p.count("H2") == w - edge_count(t)
 
 
+def test_decoders_read_any_iterable_of_tokens():
+    # the 3-Motzkin decoder reads its path backwards, from a copy
+    for w in range(1, 5):
+        for t in gen_multiedge(w):
+            assert motzkin3_to_multiedge(iter(multiedge_to_3motzkin(t))) == t
+    for t in gen_marked(5):
+        assert skew_to_marked(iter(marked_to_skew(t))) == t
+    assert outcome(motzkin3_to_multiedge, iter(("H0", "x"))) == (ValueError, "unknown token 'x'")
+
+
 def test_multiedge_motzkin_pinned_pairs():
     assert multiedge_to_3motzkin(((1, ()), (1, ()), (1, ()))) == ("H1", "H1")
     assert multiedge_to_3motzkin(((3, ()),)) == ("H2", "H2")

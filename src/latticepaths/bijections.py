@@ -14,7 +14,7 @@ Tree encodings follow the generator modules: a multiedge tree is a tuple of
 pairs, and a unary-binary tree is ``None`` or ``('2', left, right)`` or
 ``('u', color, child)``.
 
-Both path encoders read one walk around the tree, `_walk`.  Each decoder is
+Each path encoder walks around its tree once.  Each decoder is
 one pass that builds the tree's edges on a stack as it reads: the skew path
 forwards, noting a mark over a leaf or before a sibling as it goes; the
 3-Motzkin path backwards, as a Dyck word whose edges close only once the H2
@@ -38,26 +38,6 @@ _PAIR_CODE = {("U", "U"): "U", ("d", "d"): "d", ("U", "d"): "H0", ("d", "U"): "H
 _STEPS = frozenset(_PAIR_CODE.values()) | {"H2"}  # the steps of a 3-Motzkin path
 
 
-def _walk(tree, opening, closing) -> list:
-    """The tokens of a walk around the tree, edges in pre-order:
-    opening(label) down each edge and closing(label) back up it.  The
-    edges above are kept on an explicit stack instead of recursion."""
-    out, above, edges = [], [], iter(tree)
-    while True:
-        for label, child in edges:
-            out.append(opening(label))
-            if child:
-                above.append((edges, closing(label)))
-                edges = iter(child)
-                break
-            out.append(closing(label))
-        else:
-            if not above:
-                return out
-            edges, close = above.pop()
-            out.append(close)
-
-
 def multiedge_to_3motzkin(tree: MultiedgeTree) -> Tuple[str, ...]:
     """Map a multiedge tree of weight N >= 1 to a 3-colored Motzkin path.
 
@@ -69,21 +49,26 @@ def multiedge_to_3motzkin(tree: MultiedgeTree) -> Tuple[str, ...]:
     of H2 in gap i, where gap i sits before symbol i and the last gap is at
     the end of the path.  The result has length N - 1.
     """
-    mults: List[int] = []  # edge multiplicities in pre-order
-
-    def opening(mult):
-        mults.append(mult)
-        return "U"
-
-    word = _walk(tree, opening, lambda mult: "d")
+    word, mults, above, edges = [], [], [], iter(tree)  # mults: in pre-order
+    while True:
+        for mult, child in edges:
+            word.append("U")
+            mults.append(mult)
+            if child:
+                above.append(edges)
+                edges = iter(child)
+                break
+            word.append("d")
+        else:
+            if not above:
+                break
+            edges = above.pop()
+            word.append("d")
     if not mults:
         raise ValueError("the weight-0 tree has no path image")
-    pairs = iter(word)
-    next(pairs)  # symbol i is the letter pair word[2i + 1], word[2i + 2]
-    out: List[str] = []
-    for mult, pair in zip(mults, zip(pairs, pairs)):
-        if mult > 1:
-            out += ["H2"] * (mult - 1)
+    out: List[str] = []  # symbol i is the letter pair word[2i + 1], word[2i + 2]
+    for mult, pair in zip(mults, zip(word[1::2], word[2::2])):
+        out += ["H2"] * (mult - 1)
         out.append(_PAIR_CODE[pair])
     out += ["H2"] * (mults[-1] - 1)
     return tuple(out)
@@ -155,7 +140,20 @@ def marked_to_skew(tree: MarkedTree) -> Tuple[str, ...]:
     child is internal, so the red fall is never adjacent to a rise and the
     image is a legal skew path ending at level 0.
     """
-    return tuple(_walk(tree, lambda mark: "U", lambda mark: "r" if mark else "d"))
+    out, above, edges = [], [], iter(tree)
+    while True:
+        for mark, child in edges:
+            out.append("U")
+            if child:
+                above.append((edges, "r" if mark else "d"))
+                edges = iter(child)
+                break
+            out.append("r" if mark else "d")
+        else:
+            if not above:
+                return tuple(out)
+            edges, close = above.pop()
+            out.append(close)
 
 
 def skew_to_marked(path: Sequence[str]) -> MarkedTree:

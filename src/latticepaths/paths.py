@@ -9,16 +9,17 @@ Paths are tuples of step tokens:
     Hc  horizontal step with color c (H0, H1, H2, ...)
     Dr  down-jump by r (D1, D2, ...), bounded-jump model
 
-Each family is declared once, as a move rule and the bounds of its walk, and
-one evaluator, `_evaluate`, reads the declaration in any value algebra: a
-path's value is rule(step, level, value of its suffix), and a walk state
-holds value -> number of suffixes, so equal values merge.  It also records
-the moves each state enters.  In a statistic's algebra (`tally`) no path is
-built.  `gen_*` run it in the count algebra, one value per state, and list
-the paths by a depth-first walk over the recorded moves into states that
-some path passes, so each path is built once, in move order: the i-th path
-of a family is reproducible.  `path_stats` reads one built path, as the
-oracle of the step rules.
+Each family is declared once, as its number of steps per size, a move rule
+and the bounds of its walk, and one evaluator, `_evaluate`, reads the
+declaration once per walk, in any value algebra: a path's value is
+rule(step, level, value of its suffix), and a walk state holds value ->
+number of suffixes, so equal values merge.  It also records the moves each
+state enters.  In a statistic's algebra (`tally`) no path is built.  `gen_*`
+run it in the count algebra, one value per state, and list the paths by a
+depth-first walk over the recorded moves into states that some path passes,
+so each path is built once, in move order: the i-th path of a family is
+reproducible.  `path_stats` reads one built path, as the oracle of the step
+rules.
 """
 
 from __future__ import annotations
@@ -61,53 +62,53 @@ def _windows(n_steps, start=0, end_level=0, floor=0, ceiling=None, rise=1, fall=
             for left in range(n_steps)]
 
 
-# Per family, the walk of one size: (steps, moves(prev, level), whether the
-# moves read prev, the bounds of `_windows`).
+# Per family, its walk up to the largest size: (steps(size), moves(prev, level),
+# whether the moves read prev, the bounds of `_windows`).
 
 def _kdyck(n_up, k, end_level=0, floor=0):
     if k < 1:
         raise ValueError("rise height k must be >= 1")
     steps = (("U", k), ("d", -1))
-    return ((k + 1) * n_up - end_level, lambda prev, level: steps, False,
+    return (lambda size: (k + 1) * size - end_level, lambda prev, level: steps, False,
             {"end_level": end_level, "floor": floor, "rise": k})
 
 
 def _skew(n_steps, end_level=0):
     after = {"U": (("U", 1), ("d", -1)), "r": (("d", -1), ("r", -1))}
     steps = (("U", 1), ("d", -1), ("r", -1))
-    return n_steps, lambda prev, level: after.get(prev, steps), True, {"end_level": end_level}
+    return _same, lambda prev, level: after.get(prev, steps), True, {"end_level": end_level}
 
 
 def _dual_skew(n_steps, end_level=0):
     after = {"d": (("U", 1), ("d", -1)), "b": (("U", 1), ("b", 1))}
     steps = (("U", 1), ("b", 1), ("d", -1))
-    return n_steps, lambda prev, level: after.get(prev, steps), True, {"end_level": end_level}
+    return _same, lambda prev, level: after.get(prev, steps), True, {"end_level": end_level}
 
 
 def _motzkin(n_steps, horiz_colors=1, max_height=None, end_level=0):
     if horiz_colors < 0:
         raise ValueError("horiz_colors must be >= 0")
     steps = (("U", 1), *((f"H{c}", 0) for c in range(horiz_colors)), ("d", -1))
-    return (n_steps, lambda prev, level: steps, False,
+    return (_same, lambda prev, level: steps, False,
             {"end_level": end_level, "ceiling": max_height})
 
 
 def _deutsch(n_steps, start=0, floor=0, ceiling=None, end_level=0):
     fall = max(start + n_steps - floor, 0)  # no drop exceeds this; below the floor only U
-    steps = []  # filled on the first move, so a walk read for its step count alone builds none
-
-    def moves(prev, level):
-        if not steps:
-            steps[:] = [("U", 1)] + [(f"D{drop}", -drop) for drop in range(1, fall + 1)]
-        return steps[:max(level - floor, 0) + 1]
-    return (n_steps, moves, False, {"start": start, "end_level": end_level,
-                                    "floor": min(floor, start), "ceiling": ceiling, "fall": fall})
+    steps = [("U", 1)] + [(f"D{drop}", -drop) for drop in range(1, fall + 1)]
+    return (_same, lambda prev, level: steps[:max(level - floor, 0) + 1], False,
+            {"start": start, "end_level": end_level, "floor": min(floor, start),
+             "ceiling": ceiling, "fall": fall})
 
 
 def _retakh(n_pairs):
     steps = (("U", 1), ("d", -1))  # no fall right after a rise to an odd level above 1
-    return (2 * n_pairs, lambda prev, level:
+    return (lambda size: 2 * size, lambda prev, level:
             steps[:1] if prev == "U" and level > 1 and level % 2 else steps, True, {})
+
+
+def _same(size):
+    return size
 
 
 _FAMILIES = {"kdyck": _kdyck, "skew": _skew, "dual_skew": _dual_skew,
@@ -129,12 +130,11 @@ def _evaluate(family, sizes, params, rule, empty) -> tuple:
     in the reverse order, with no recursion, so a walk may outrun the
     recursion limit.
     """
-    walks = [_FAMILIES[family](size, **params) for size in sizes]
     # the walk of the largest size serves every size: no smaller one takes a step it lacks
-    most, moves, keyed, bounds = walks[-1]
-    windows = _windows(most, **bounds) or []
+    n_steps, moves, keyed, bounds = _FAMILIES[family](sizes[-1], **params)
     start, end = bounds.get("start", 0), bounds.get("end_level", 0)
-    firsts = [(n_steps, start, None) for n_steps, *_ in walks]
+    firsts = [(n_steps(size), start, None) for size in sizes]
+    windows = _windows(firsts[-1][0], **bounds) or []
     # per number of steps left, the states entered with that many, in a dict as
     # an ordered set; an end out of reach leaves no first step inside a window (and
     # no windows at all when even the largest size cannot reach it); an empty walk

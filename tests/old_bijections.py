@@ -1,14 +1,18 @@
-"""The marked-tree, 3-Motzkin and rotation decoders that the one-pass
-decoders of `bijections` replaced, kept as oracles.
+"""The encoders and decoders that the one-pass maps of `bijections`
+replaced, kept as oracles.
 
-`skew_to_marked` parses the word into a marked tree and then folds the node
-rule `_check_marks` over it: a mark only on a node's last edge, and only over
-an internal child.  `one_parse_skew_to_marked` notes a red fall next to a
-rise while it parses, through `_parse`, a parse of any Dyck word into edges
-labelled by a callback.  `motzkin3_to_multiedge` checks the tokens, then the
-levels, then builds the Dyck word of the path for `_parse`.
-`rotation_unarybinary_to_multiedge` folds the node rule `_unrotate_node`
-bottom-up over the tree.  `bijections` decodes in one pass each, and these
+`marked_to_skew` and `multiedge_to_3motzkin` read one walk around the tree,
+`_walk`, which calls back opening(label) down each edge and closing(label)
+back up it; the 3-Motzkin encoder collects the multiplicities as a side
+effect of its opening callback.  `skew_to_marked` parses the word into a
+marked tree and then folds the node rule `_check_marks` over it: a mark only
+on a node's last edge, and only over an internal child.
+`one_parse_skew_to_marked` notes a red fall next to a rise while it parses,
+through `_parse`, a parse of any Dyck word into edges labelled by a callback.
+`motzkin3_to_multiedge` checks the tokens, then the levels, then builds the
+Dyck word of the path for `_parse`.  `rotation_unarybinary_to_multiedge`
+folds the node rule `_unrotate_node` bottom-up over the tree.  `bijections`
+encodes and decodes in one pass each, walking its own stack, and these
 copies check that the two accept the same words and trees, give the same
 results and raise the same messages.
 """
@@ -23,6 +27,53 @@ MultiedgeTree = Tuple  # nested tuples of (multiplicity, child)
 _PAIR_CODE = {("U", "U"): "U", ("d", "d"): "d", ("U", "d"): "H0", ("d", "U"): "H1"}
 _CODE_PAIR = {v: k for k, v in _PAIR_CODE.items()}
 _CODE_STEP = {"U": 1, "d": -1}
+
+
+def _walk(tree, opening, closing) -> list:
+    """The tokens of a walk around the tree, edges in pre-order:
+    opening(label) down each edge and closing(label) back up it.  The
+    edges above are kept on an explicit stack instead of recursion."""
+    out, above, edges = [], [], iter(tree)
+    while True:
+        for label, child in edges:
+            out.append(opening(label))
+            if child:
+                above.append((edges, closing(label)))
+                edges = iter(child)
+                break
+            out.append(closing(label))
+        else:
+            if not above:
+                return out
+            edges, close = above.pop()
+            out.append(close)
+
+
+def multiedge_to_3motzkin(tree: MultiedgeTree) -> Tuple[str, ...]:
+    """Map a multiedge tree of weight N >= 1 to a 3-colored Motzkin path."""
+    mults: List[int] = []  # edge multiplicities in pre-order
+
+    def opening(mult):
+        mults.append(mult)
+        return "U"
+
+    word = _walk(tree, opening, lambda mult: "d")
+    if not mults:
+        raise ValueError("the weight-0 tree has no path image")
+    pairs = iter(word)
+    next(pairs)  # symbol i is the letter pair word[2i + 1], word[2i + 2]
+    out: List[str] = []
+    for mult, pair in zip(mults, zip(pairs, pairs)):
+        if mult > 1:
+            out += ["H2"] * (mult - 1)
+        out.append(_PAIR_CODE[pair])
+    out += ["H2"] * (mults[-1] - 1)
+    return tuple(out)
+
+
+def marked_to_skew(tree: MarkedTree) -> Tuple[str, ...]:
+    """Map a marked ordered tree on n nodes to a skew path of length 2n - 2."""
+    return tuple(_walk(tree, lambda mark: "U", lambda mark: "r" if mark else "d"))
 
 
 def _parse(word: Sequence[str], closings: Tuple[str, ...], label, apart=()) -> tuple:

@@ -23,13 +23,12 @@ def _evaluate(family, sizes, params, rule, empty) -> list:
     the rule once, so equal values merge.  The states are filled from a
     stack, not by recursion, so a walk may outrun the recursion limit.
     """
-    walks = [_FAMILIES[family](size, **params) for size in sizes]
     # the walk of the largest size serves every size: no smaller one takes a step it lacks
-    most, moves, keyed, bounds = walks[-1]
-    windows = _windows(most, **bounds) or []
+    steps, moves, keyed, bounds = _FAMILIES[family](sizes[-1], **params)
+    windows = _windows(steps(sizes[-1]), **bounds) or []
     start, end, memo = bounds.get("start", 0), bounds.get("end_level", 0), {}
     base = {empty(end): 1}
-    firsts = [(n_steps, start, None) for n_steps, *_ in walks]
+    firsts = [(steps(size), start, None) for size in sizes]
     # an end out of reach leaves no first step inside a window (and no windows at
     # all when even the largest size cannot reach it); an empty walk must start at the end
     stack = [(first, None) for first in firsts

@@ -99,12 +99,11 @@ def old_paths_tally(family: str, top: int, stat: str, **params) -> list:
     if family not in paths._FAMILIES or stat not in paths._STEP_RULES:
         raise ValueError(f"no tally of {stat!r} over {family!r} paths")
     rule, empty, finish = paths._STEP_RULES[stat]
-    walks = [paths._FAMILIES[family](size, **params) for size in range(top + 1)]
-    if not walks:
+    if top < 0:
         return []
     # the walk of size top serves every size: no smaller one takes a step it lacks
-    most, moves, keyed, bounds = walks[-1]
-    windows = paths._windows(most, **bounds) or []
+    steps, moves, keyed, bounds = paths._FAMILIES[family](top, **params)
+    windows = paths._windows(steps(top), **bounds) or []
     start, base = bounds.get("start", 0), [empty(bounds.get("end_level", 0))]
     memo = {}
 
@@ -125,7 +124,7 @@ def old_paths_tally(family: str, top: int, stat: str, **params) -> list:
         return memo[key]
 
     dists = []
-    for size, (n_steps, *_) in enumerate(walks):
+    for size, n_steps in enumerate(map(steps, range(top + 1))):
         if paths._windows(n_steps, **bounds) is None:
             found = ()
         elif size < top or not n_steps:

@@ -1,11 +1,11 @@
 """Bijection round trips, image-set equalities, and statistic transport.
 
-The encoders read one walk around the tree, the three decoders each make
-one pass with an explicit stack, and the rotation and `tree_to_str` are node
-rules folded with an explicit stack.  The recursive maps they replaced are
-kept here as oracles (`old_*`), and the multi-pass decoders in
-`old_bijections`: the new maps must give the same images, trees, renderings
-and error messages.
+The two path encoders each walk their tree once, the three decoders each
+make one pass, both with an explicit stack, and the rotation and
+`tree_to_str` are node rules folded with an explicit stack.  The recursive
+maps they replaced are kept here as oracles (`old_*`), and the callback-walk
+encoders and multi-pass decoders in `old_bijections`: the new maps must give
+the same images, trees, renderings and error messages.
 """
 
 import sys
@@ -452,8 +452,18 @@ def test_rejects_with_the_messages_of_the_recursion(new, old, args):
 
 
 # ----------------------------------------------------------------------
-# the one-pass decoders against the decoders they replaced
+# the one-pass maps against the maps they replaced
 # ----------------------------------------------------------------------
+
+def test_encoders_match_the_callback_walk():
+    for n in range(1, 9):
+        for t in gen_marked(n):
+            assert marked_to_skew(t) == old_bijections.marked_to_skew(t), t
+    for w in range(8):
+        for t in gen_multiedge(w):
+            assert outcome(multiedge_to_3motzkin, t) == \
+                outcome(old_bijections.multiedge_to_3motzkin, t), t
+
 
 def test_one_pass_decoders_match_the_replaced_ones_on_every_short_word():
     # two unknown tokens, so the first one must be the one named

@@ -293,3 +293,14 @@ def test_kernel_band_matches_the_expanded_product(M, e, below, width):
         assert band == [f[s] if 0 <= s < terms else 0
                         for s in range(row + lo, row + hi + 1)], row
         f = _times(f, [1, 3, 1])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: trinomial(-1, 1, 0), "trinomial needs n >= 0"),
+    (lambda: trinomial_row(-1, 1), "trinomial_row needs n >= 0"),
+    (lambda: divisor_count(0), "divisor_count needs h >= 1"),
+], ids=["trinomial n<0", "trinomial_row n<0", "divisor_count h<1"])
+def test_out_of_range_arguments_raise(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message

@@ -88,15 +88,16 @@ def assert_tally_classifies(family, top, params, stats=STATS):
 GRID = {
     "kdyck": [(top, {"k": k, "floor": floor, "end_level": end})
               for k, top in ((1, 6), (2, 5), (3, 4)) for floor in (0, -1) for end in (0, 1, 3)],
-    "skew": [(9, {"end_level": end}) for end in range(4)],
+    "skew": [(9, {})] + [(9, {"end_level": end}) for end in range(4)],
     "dual_skew": [(9, {"end_level": end}) for end in range(4)],
     "motzkin": [(top, {"horiz_colors": colors, "max_height": cap, "end_level": end})
                 for colors, top in ((1, 8), (2, 6), (3, 5)) for cap in (None, 0, 1, 2, 3)
                 for end in (0, 2)],
     # starts below the floor and above the ceiling, floor -1, ceilings 0..3
-    "deutsch": [(5, {"start": start, "floor": floor, "ceiling": cap, "end_level": end})
-                for start in (-2, 0, 2, 5) for floor in (-1, 0, 1)
-                for cap in (None, 0, 1, 2, 3) for end in (0, 1)],
+    "deutsch": [(5, {})] + [
+        (5, {"start": start, "floor": floor, "ceiling": cap, "end_level": end})
+        for start in (-2, 0, 2, 5) for floor in (-1, 0, 1)
+        for cap in (None, 0, 1, 2, 3) for end in (0, 1)],
     "retakh": [(8, {})],
 }
 

@@ -848,3 +848,27 @@ def test_deutsch_errors():
         deutsch_phi(-1, 0, 5)
     with pytest.raises(ValueError):
         deutsch_strip_solve(3, 3, 5)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ubar_power(0, 1, 3), "power d must be >= 1"),
+    (lambda: ubar_power(1, 0, 3), "rise height k must be >= 1"),
+    (lambda: denom_Sj(1, 0), "rise height k must be >= 1"),
+    (lambda: deng_mansour_count(1, 1, 0), "rise height k must be >= 1"),
+    (lambda: deng_mansour_count(0, 1, 1), "need at least one rise"),
+    (lambda: last_downrun_total(-1, 1), "m must be >= 0"),
+    (lambda: hoppy_early_total(-1, 1), "m must be >= 0"),
+    (lambda: hoppy_negative_coeff(-1, 1), "l must be >= 0"),
+    (lambda: skew_sj_series(-1, 3), "level j must be >= 0"),
+    (lambda: motzkin_det(-1, 3), "n must be >= 0"),
+    (lambda: motzkin_height_total(-1), "n must be >= 0"),
+    (lambda: skew_red_total(-1), "n must be >= 0"),
+    (lambda: deutsch_Dm(-1, 3), "m must be >= 0"),
+], ids=["ubar_power d<1", "ubar_power k<1", "denom_Sj k<1", "deng_mansour_count k<1",
+        "deng_mansour_count n_up<1", "last_downrun_total m<0", "hoppy_early_total m<0",
+        "hoppy_negative_coeff l<0", "skew_sj_series j<0", "motzkin_det n<0",
+        "motzkin_height_total n<0", "skew_red_total n<0", "deutsch_Dm m<0"])
+def test_out_of_range_arguments_raise(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message

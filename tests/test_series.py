@@ -13,6 +13,7 @@ from latticepaths.series import (
     AlgebraicSubstitution,
     MarkerPoly,
     PowerSeries,
+    _ring,
     poly_substitution,
 )
 from old_series import old_invert
@@ -345,3 +346,47 @@ def test_power_series_text():
     u, w = MarkerPoly.var("u"), MarkerPoly.var("w")
     t = PowerSeries("x", [1 + u, u, -u, 0, 2 * u * u - 3 * w + 1, -1])
     assert str(t) == repr(t) == "1 + u + u*x + (-u)*x^2 + (1 - 3*w + 2*u^2)*x^4 + (-1)*x^5"
+
+
+# ----------------------------------------------------------------------
+# Refusals and edge values, one row per branch
+# ----------------------------------------------------------------------
+
+S = MarkerPoly.var("s")
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: "x" - S, TypeError, "unsupported operand type(s) for -: 'str' and 'MarkerPoly'"),
+    (lambda: PowerSeries("z", [1], -1), ValueError, "truncation order must be >= 0"),
+    (lambda: PowerSeries("z", [1, 2, 3]).coeff(3), ValueError,
+     "coefficient 3 beyond truncation order 2"),
+    (lambda: PowerSeries("z", [1]) + PowerSeries("v", [1]), ValueError,
+     "variable mismatch: z vs v"),
+    (lambda: AlgebraicSubstitution("z", "v", PowerSeries("z", [1, 1])), ValueError,
+     "phi must be a series in the inner variable"),
+    (lambda: AlgebraicSubstitution("z", "v", PowerSeries("v", [0, 1])), ValueError,
+     "phi must not vanish at 0"),
+    (lambda: AlgebraicSubstitution("z", "v", PowerSeries("v", [1, 1, 1])).invert(3), ValueError,
+     "phi is only known to order 2; cannot invert to 3"),
+], ids=["MarkerPoly rsub foreign", "order < 0", "coeff beyond order", "variable mismatch",
+        "phi in the outer variable", "phi vanishing at 0", "invert beyond phi"])
+def test_refusals_raise(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("value, expected", [
+    (lambda: S == 1.0, False),
+    (lambda: S.__eq__(1.0), NotImplemented),
+    (lambda: (6 * S) / MarkerPoly.const(4), Fraction(3, 2) * S),
+    (lambda: (_ring(True), type(_ring(True))), (1, int)),
+    (lambda: PowerSeries("z", [1, 2]).coeff(-1), MarkerPoly()),
+    (lambda: PowerSeries("z", [3], 2) == 3, True),
+    (lambda: PowerSeries("z", [3], 2) == MarkerPoly.const(2), False),
+    (lambda: PowerSeries("z", [3]).__eq__("3"), NotImplemented),
+], ids=["MarkerPoly == float", "MarkerPoly.__eq__ float", "MarkerPoly / constant MarkerPoly",
+        "_ring(True)", "coeff(-1)", "series == int", "series == MarkerPoly",
+        "series.__eq__ str"])
+def test_edge_values(value, expected):
+    assert value() == expected

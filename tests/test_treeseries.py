@@ -477,3 +477,14 @@ def test_retakh_errors():
         retakh_bounded_count(3, -1)
     with pytest.raises(ValueError):
         retakh_height_total(0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: horton_Rp(-1, 1, 3), "register rank must be >= 0"),
+    (lambda: horton_Sp(-1, 1, 3), "register rank must be >= 0"),
+    (lambda: unary_binary_count(-1, 1), "n must be >= 0"),
+], ids=["horton_Rp p<0", "horton_Sp p<0", "unary_binary_count n<0"])
+def test_out_of_range_arguments_raise(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message

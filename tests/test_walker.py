@@ -266,7 +266,8 @@ def test_walker_reaches_only_live_levels(monkeypatch):
         calls.append(level)
         return (("U", 1), ("d", -1))
 
-    monkeypatch.setitem(paths._FAMILIES, "counting", lambda n_steps: (n_steps, moves, False, {}))
+    monkeypatch.setitem(paths._FAMILIES, "counting",
+                        lambda n_steps: (lambda size: size, moves, False, {}))
     assert len(paths._paths("counting", 6)) == 5
     assert max(calls) <= 3  # from level 4 the path cannot return in time
     assert len(calls) == 9  # (6, 0), (5, 1), (4, 0|2), (3, 1|3), (2, 0|2), (1, 1)
@@ -275,6 +276,19 @@ def test_walker_reaches_only_live_levels(monkeypatch):
     assert max(calls) <= 3
     # sizes 0..6 enter every level from 0 to min(left, 6 - left) with left steps left
     assert len(calls) == 15
+
+
+def test_one_declaration_per_walk(monkeypatch):
+    # the declaration of the largest size gives every size its number of steps
+    calls, declare = [], paths._FAMILIES["deutsch"]
+
+    def counted(*args, **params):
+        calls.append(args)
+        return declare(*args, **params)
+
+    monkeypatch.setitem(paths._FAMILIES, "deutsch", counted)
+    paths.tally("deutsch", 12, "height", floor=-1)
+    assert calls == [(12,)]
 
 
 def test_paths_longer_than_the_recursion_limit():

@@ -156,9 +156,9 @@ def _interleave(xseries, j: int, order: int) -> PowerSeries:
 
 def _shat_x(j: int, xorder: int) -> PowerSeries:
     """x-series of s_j / z^j: equals (1+v) (Q/(1+2v))^j with Q = 1+3v+v^2."""
-    Q = PowerSeries("v", [1, 3, 1]).pad(xorder)
     base = PowerSeries("v", [1, 1]).pad(xorder)
-    ratio = (Q / PowerSeries("v", [1, 2]).pad(xorder)) ** j
+    ratio = (PowerSeries("v", [1, 3, 1]).pad(xorder) ** j
+             * PowerSeries("v", [1, 2]).pad(xorder) ** -j)
     return _SKEW.eval(base * ratio, xorder)
 
 
@@ -222,22 +222,19 @@ def skew_red_total_series(order: int) -> PowerSeries:
 def skew_red_fixed_power(kred: int, order: int) -> PowerSeries:
     """x-series of closed skew paths with exactly kred red steps (kred <= 4).
 
-    The closed forms collapse to Catalan-type expressions in sqrt(1-4x).
+    The closed forms collapse to Catalan-type expressions in sqrt(1-4x):
+    (1 - sqrt(1-4x))/(2x) for kred = 0, and a sparse polynomial times
+    (1-4x)^(-(2 kred - 1)/2) otherwise, less 1 and halved for kred = 1.
     """
-    root = PowerSeries("x", [1, -4]).pad(order + 1).sqrt()
-    x = PowerSeries.identity("x", order)
     if kred == 0:
+        root = PowerSeries("x", [1, -4]).pad(order + 1).sqrt()
         return (1 - root).shift(-1) * Fraction(1, 2)
-    root = root.truncate(order)
-    if kred == 1:
-        return (1 - 2 * x - root) / (2 * root)
-    if kred == 2:
-        return x ** 3 * root ** (-3)
-    if kred == 3:
-        return x ** 4 * PowerSeries("x", [1, -2]).pad(order) * root ** (-5)
-    if kred == 4:
-        return x ** 5 * PowerSeries("x", [1, -4, 5]).pad(order) * root ** (-7)
-    raise ValueError("closed forms are tabulated for 0 <= kred <= 4 only")
+    if not 1 <= kred <= 4:
+        raise ValueError("closed forms are tabulated for 0 <= kred <= 4 only")
+    poly = ([1, -2], [0, 0, 0, 1], [0, 0, 0, 0, 1, -2], [0, 0, 0, 0, 0, 1, -4, 5])[kred - 1]
+    form = (PowerSeries("x", poly).pad(order)
+            * PowerSeries("x", [1, -4]).pad(order) ** Fraction(1 - 2 * kred, 2))
+    return (form - 1) * Fraction(1, 2) if kred == 1 else form
 
 
 # ----------------------------------------------------------------------

@@ -17,7 +17,9 @@ series product in which either factor carries a marker codes every monomial
 once as an int (`_coded_product`), so a term product is an int add into one
 dict per output coefficient and builds no polynomial.  Scaling an int c by a
 Fraction p/q is one exact division of c*p by q, and `subs` substitutes a
-marker-free value as a number, not as a polynomial.
+marker-free value as a number, not as a polynomial.  A power of a series
+with an invertible constant term, a square root included, is one pass of the
+J.C.P. Miller recurrence over the base's nonzero terms (`__pow__`).
 """
 
 from __future__ import annotations
@@ -355,6 +357,8 @@ def _coded_product(a: list, b: list, n: int) -> list:
             out.append((k, v))
         return out
 
+    if sum(map(bool, a)) > sum(map(bool, b)):
+        a, b = b, a  # the outer loop runs over the sparser factor
     a = [(i, coded(c)) for i, c in enumerate(a) if c]
     b = list(map(coded, b))
     accs = []
@@ -527,42 +531,47 @@ class PowerSeries:
     def __rtruediv__(self, other):
         return self._coerce_mate(other) / self
 
-    def __pow__(self, n: int):
-        base = self
-        if n < 0:
-            base = self.inverse()
-            n = -n
-        result = PowerSeries.const(self.var, 1, base.order)
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+    def __pow__(self, alpha):
+        """f ** alpha for an int alpha, or a Fraction alpha when f_0 = 1.
 
-    def sqrt(self) -> "PowerSeries":
-        """The square root f with f_0 = 1, by the P-recurrence of f = sqrt(P).
-
-        The truncated series is a polynomial P, and P f' = P' f / 2 gives, at
-        var^(n-1) with p_0 = 1, 2n f_n = sum_{i>=1} p_i (3i - 2n) f_(n-i).
-        The sum runs over P's nonzero terms only, so a root of a polynomial
-        of fixed degree costs O(order) multiply-accumulates.  Quotients by 2n
-        that are integral stay ints, so an integral root never meets a
-        Fraction.
+        An invertible f (nonzero marker-free f_0) runs the J.C.P. Miller
+        recurrence (Knuth, TAOCP vol. 2, 4.7) of f g' = alpha f' g: with
+        alpha = p/q, q f_0 n g_n = sum_{i>=1} f_i ((p+q) i - q n) g_(n-i) and
+        g_0 = f_0^alpha, over f's nonzero terms only, so it costs O(order x
+        nonzero terms of f).  Any other f takes a product loop by binary
+        powering, O(order^2 log alpha), for an int alpha >= 0 only.
         """
-        if self._c[0] != 1:
-            raise ValueError("series sqrt requires constant term exactly 1")
-        nz = [(i, c) for i, c in enumerate(self._c) if i and c]
-        out = [1]
+        c0 = self._c[0]
+        if not isinstance(alpha, (int, Fraction)):
+            raise TypeError(f"series powers take an int or a Fraction, got {alpha!r}")
+        p, q = alpha.numerator, alpha.denominator
+        if q > 1 and c0 != 1:
+            raise ValueError("series sqrt and fractional powers require constant term exactly 1")
+        if q == 1 and (not c0 or type(c0) is MarkerPoly):
+            if p < 0:
+                self.inverse()  # f has no inverse: raises the ZeroDivisionError of /
+            result = PowerSeries.const(self.var, 1, self.order)
+            for bit in bin(p)[2:]:  # binary powering, leading bit first
+                result = result * result * self if bit == "1" else result * result
+            return result
+        # dividing by q f_0 n is scaling the f_i by r and dividing by s n
+        inv0 = Fraction(1, c0)
+        r, s = inv0.numerator, inv0.denominator * q
+        nz = [(i, c * r, (p + q) * i) for i, c in enumerate(self._c) if i and c]
+        out = [_ring(Fraction(c0) ** p)]  # f_0 = 1 when q > 1
         for n in range(1, self.order + 1):
-            acc = 0
-            for i, c in nz:
+            acc, qn = 0, q * n
+            for i, c, w in nz:
                 if i > n:
                     break
-                acc += c * (3 * i - 2 * n) * out[n - i]
-            out.append(_ring(_div(acc, 2 * n)))
+                acc += c * (w - qn) * out[n - i]
+            out.append(_ring(_div(acc, s * n)))
         return _series(self.var, out, self.order)
+
+    def sqrt(self) -> "PowerSeries":
+        """The root with constant term 1, `self ** Fraction(1, 2)`: 2n f_n =
+        sum_{i>=1} p_i (3i - 2n) f_(n-i), and integral quotients stay ints."""
+        return self ** Fraction(1, 2)
 
     def compose(self, inner: "PowerSeries") -> "PowerSeries":
         """Substitute inner (which must vanish at 0) for this series' variable."""

@@ -281,37 +281,31 @@ def ternary_factorization_check(order: int) -> bool:
     u = MarkerPoly.var("u")
     A = -t + t * t - t * t * u
     B = t * (1 - t + u * t) * (4 * u + t - 4 * u * t - t * t + t * t * u)
-    if A != -t * (1 - t + u * t):
-        return False
-    if A * A - B != -4 * u * t * (1 - t) * (1 - t + u * t):
-        return False
-    # r1 + r2 + r3 = (u-1)/u  <=>  u - (1 - t + ut) = (u - 1)(1 - t)
-    if u - (1 - t + u * t) != (u - 1) * (1 - t):
+    # A, the discriminant A^2 - B, and r1 + r2 + r3 = (u-1)/u, which holds
+    # if and only if u - (1 - t + ut) = (u - 1)(1 - t)
+    if (A != -t * (1 - t + u * t) or A * A - B != -4 * u * t * (1 - t) * (1 - t + u * t)
+            or u - (1 - t + u * t) != (u - 1) * (1 - t)):
         return False
     # series side: (1/r2)(1/r3) with s^2 -> ux equals -ux * r1, in sigma
     U = MarkerPoly.var("U")
     uu = 1 + U
     xi = _xi_sigma(order)
     prod = _root_recip_sigma(-1, xi, order) * _root_recip_sigma(1, xi, order)
-    # split off s^2 and substitute s^2 = ux = (1+U)^2 tau (1-(1+U)tau)^2 / (1+U(1+U)tau)
+    # split off s^2 and substitute s^2 = ux = (1+U)^2 tau (1-(1+U)tau)^2 / (1+U(1+U)tau),
+    # kept as its sparse numerator over its two-term denominator
     sigma = PowerSeries.identity("sigma", order)
     one_minus = PowerSeries("sigma", [1, -16 * uu]).pad(order)
     denom = PowerSeries("sigma", [1, 16 * U * uu]).pad(order)
-    ux = sigma * (16 * uu * uu) * one_minus * one_minus / denom
+    ux_num = sigma * (16 * uu * uu) * one_minus * one_minus
     s0 = prod.map_coeffs(lambda c: c.marker_coeff("s", 0))
     s2 = prod.map_coeffs(lambda c: c.marker_coeff("s", 2))
-    lhs = s0 + s2 * ux
-    # r1 = 1/(1-t) with t = (1+U)tau = 16(1+U) sigma
-    r1 = PowerSeries("sigma", accumulate(repeat(16 * uu, order), mul, initial=1), order)
-    rhs = -(ux * r1)
-    if lhs != rhs:
-        return False
-    # the factorization r1 = Xi^2 - t^2/(4ux), via the exact polynomial
+    lhs = s0 + (ux_num * s2) / denom
+    # r1 = 1/(1-t) with t = (1+U)tau = 16(1+U) sigma, so -ux r1 = -ux_num/denom/(1-t);
+    # and the factorization r1 = Xi^2 - t^2/(4ux), via the exact polynomial
     # identity C - tau(1 + U(1+U)tau)/4 = 1 - (1+U)tau; s2 already holds -Xi^2
+    r1 = PowerSeries("sigma", accumulate(repeat(16 * uu, order), mul, initial=1), order)
     tt_over = (sigma * 4) * denom / (one_minus * one_minus)
-    if -s2 - tt_over != r1:
-        return False
-    return True
+    return lhs == -(ux_num / denom / one_minus) and -s2 - tt_over == r1
 
 
 # ----------------------------------------------------------------------

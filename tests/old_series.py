@@ -7,13 +7,18 @@ served every series whose coefficients carry a marker: each coefficient is a
 (`_mac`) into a plain dict per output coefficient.  They are kept as they
 were, except that each reads `.coeffs`, a new list per read, once per call.
 Patched into `PowerSeries` and `Kernel`, they send all series work back
-through that route; `inverse`, `**`, `-` and `compose` follow, since they
-call these.
+through that route; `inverse`, `-` and `compose` follow, since they call
+these, and `old_pow` takes `**` there too.
 
 `slice_mul` is `PowerSeries.__mul__` as it was before products of
 marker-bearing series coded their monomials as ints, kept verbatim: one slice
 loop over `+` and `*` for every product, which builds a `MarkerPoly` and runs
 one `_mac` per pair of marker-bearing coefficients.
+
+`old_pow` is `PowerSeries.__pow__` as it was before the J.C.P. Miller
+recurrence served every series with an invertible constant term: an
+inverse for a negative exponent, then binary powering by series products,
+O(order^2 log |n|).  Kept verbatim.
 
 `old_invert` and `old_invert_quadratic` are `AlgebraicSubstitution.invert`
 and its quadratic fast path as they were before one recurrence served every
@@ -149,9 +154,24 @@ def slice_mul(self, other):
     return _series(self.var, list(map(_ring, out)), n)
 
 
+def old_pow(self, n: int):
+    base = self
+    if n < 0:
+        base = self.inverse()
+        n = -n
+    result = PowerSeries.const(self.var, 1, base.order)
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
+
+
 OLD_SERIES = {"__add__": old_add, "__radd__": old_add, "__neg__": old_neg,
               "__mul__": old_mul, "__rmul__": old_mul, "__truediv__": old_truediv,
-              "sqrt": old_sqrt}
+              "__pow__": old_pow, "sqrt": old_sqrt}
 
 
 def old_invert(self, order: int) -> PowerSeries:

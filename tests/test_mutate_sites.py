@@ -31,6 +31,11 @@ class Walker:
     def move(self, x):
         x -= 2
         return x > 0
+
+
+class Runner:
+    def move(self, x):
+        return x * 3
 '''
 
 
@@ -54,13 +59,17 @@ def test_every_site_with_its_owners():
         (("Walker",), 13, "Constant"),
         (("Walker", "move"), 16, "AugAssign"), (("Walker", "move"), 16, "Constant"),
         (("Walker", "move"), 17, "Gt"), (("Walker", "move"), 17, "Constant"),
+        (("Runner", "move"), 22, "Constant"),
     ]
 
 
 def test_a_scope_selects_functions_classes_and_assignments():
     assert {line for _, line, _ in described(["_RULES"])} == {3}
     assert {line for _, line, _ in described(["top", "step"])} == {4, 8, 9}
-    assert {line for _, line, _ in described(["move"])} == {16, 17}
+    assert {line for _, line, _ in described(["move"])} == {16, 17, 22}
+    # a dotted name selects one class's method, not its namesake's
+    assert {line for _, line, _ in described(["Walker.move"])} == {16, 17}
+    assert {line for _, line, _ in described(["Runner.move", "step"])} == {8, 9, 22}
     assert {line for _, line, _ in described(["Walker"])} == {13, 16, 17}
     # an assignment in a class body binds no scope name of its own
     assert described(["size"]) == []

@@ -13,9 +13,11 @@ them value for value and string for string, with the same coefficient types
 and the same errors.  The oracles read `.coeffs`, a new list per read, once
 per call.
 
-`sqrt` is the P-recurrence of a square root.  The symmetric-pair
-convolution it replaced is kept below as a second oracle, next to the
-per-pair route.
+`sqrt` is the P-recurrence of a square root, and every power of a series
+with an invertible constant term is the J.C.P. Miller recurrence it belongs
+to.  The symmetric-pair convolution that `sqrt` replaced is kept below as a
+second oracle, next to the per-pair route; the inverse and binary powering
+that `**` replaced is `old_series.old_pow`.
 """
 
 import sys
@@ -36,7 +38,7 @@ from latticepaths.series import (
     _poly,
     poly_substitution,
 )
-from old_series import slice_mul
+from old_series import old_pow, old_sqrt, slice_mul
 
 
 # ----------------------------------------------------------------------
@@ -103,6 +105,11 @@ def _ref_series_add(self, other):
 
 
 def _ref_series_pow(self, e):
+    """self ** e by |e| products, for an int e or half an odd one: then it
+    is the int power e.numerator of the root `_ref_sqrt`."""
+    if type(e) is Fraction:
+        assert e.denominator == 2
+        self, e = _ref_sqrt(self), e.numerator
     base = _ref_inverse(self) if e < 0 else self
     out = PowerSeries.const(self.var, 1, self.order)
     for _ in range(abs(e)):
@@ -460,6 +467,93 @@ def test_subs_and_deriv_match_the_per_pair_route(p, value, beside):
         _assert_same_poly(p.deriv(name), _ref_deriv(p, name))
 
 
+def _assert_same_power(got: PowerSeries, *wants: PowerSeries):
+    for want in wants:
+        _assert_same_series(got, want)
+        assert list(map(type, got._c)) == list(map(type, want._c))
+
+
+@settings(max_examples=300, deadline=None)
+@given(f=series(max_order=7), lead=st.sampled_from([1, -1, 2, Fraction(1, 2)]),
+       e=st.integers(-4, 5))
+def test_int_powers_match_binary_powering_and_the_per_pair_route(f, lead, e):
+    f = PowerSeries(f.var, [lead] + f._c[1:], f.order)
+    _assert_same_power(f ** e, old_pow(f, e), _ref_series_pow(f, e))
+
+
+@settings(max_examples=300, deadline=None)
+@given(f=series(lead=1, max_order=7),
+       e=st.sampled_from([Fraction(k, 2) for k in (1, -1, 3, -3, -7)]))
+def test_half_integer_powers_are_int_powers_of_the_root(f, e):
+    _assert_same_power(f ** e, old_pow(_ref_sqrt(f), e.numerator), _ref_series_pow(f, e))
+
+
+@settings(max_examples=300, deadline=None)
+@given(f=series(max_order=6),
+       lead=st.one_of(st.sampled_from([0, -1, 2, Fraction(1, 2)]), marked_values()),
+       e=st.sampled_from([-3, -1, 0, 1, 2, 5, Fraction(1, 2), Fraction(-7, 2)]))
+def test_other_constant_terms_match_binary_powering_or_raise_as_before(f, lead, e):
+    # a zero or marker-bearing f_0 takes the product loop, or raises the
+    # error of the old route for a negative power; a fractional power needs
+    # f_0 = 1, as sqrt always did
+    f = PowerSeries(f.var, [lead] + f._c[1:], f.order)
+    if type(e) is Fraction:
+        for fn in (lambda: f ** e, lambda: old_sqrt(f)):
+            with pytest.raises(ValueError, match="constant term exactly 1"):
+                fn()
+    elif e < 0 and (not lead or type(lead) is MarkerPoly):
+        for fn in (lambda: f ** e, lambda: old_pow(f, e)):
+            with pytest.raises(ZeroDivisionError, match="nonzero marker-free constant"):
+                fn()
+    else:
+        _assert_same_power(f ** e, old_pow(f, e), _ref_series_pow(f, e))
+
+
+def test_powers_take_only_ints_and_fractions():
+    with pytest.raises(TypeError, match="int or a Fraction"):
+        PowerSeries("z", [1, 1]) ** 0.5
+
+
+@pytest.mark.parametrize("base,alpha", [(PowerSeries("v", [1, 1]), -5),
+                                        (PowerSeries("x", [1, -4]), Fraction(-7, 2))])
+def test_powers_of_a_binomial_run_linearly_many_lines(base, alpha, monkeypatch):
+    # an inverse and binary powering would make order^2 products; a
+    # marker-free product runs a slice per term, so it is also pinned that
+    # the power makes no series product or quotient at all
+    def lines(order):
+        return series_lines(lambda: base.pad(order) ** alpha)
+
+    small, large = lines(200), lines(400)
+    assert 200 <= small and large <= 2.1 * small
+    for name in ("__mul__", "__truediv__"):
+        monkeypatch.setattr(PowerSeries, name, lambda *args: pytest.fail("a series product"))
+    base.pad(20) ** alpha
+
+
+def test_the_vieta_check_makes_one_dense_product(monkeypatch):
+    # only (1/r2)(1/r3) multiplies two dense series; ux stays a sparse
+    # numerator over a two-term denominator
+    dense = []
+    real = series_module._coded_product
+
+    def counting(a, b, n):
+        dense.append(min(sum(map(bool, a)), sum(map(bool, b))) >= 10)
+        return real(a, b, n)
+
+    monkeypatch.setattr(series_module, "_coded_product", counting)
+    assert treeseries.ternary_factorization_check(20)
+    assert len(dense) > 1 and sum(dense) == 1
+
+
+def test_a_coded_product_runs_over_the_sparser_factor():
+    # so both operand orders cost the same, whichever factor is dense
+    dense = treeseries._xi_sigma(20)
+    sparse = PowerSeries("sigma", [0, MarkerPoly.var("U"), 0, 1]).pad(20)
+    one, other = series_lines(lambda: dense * sparse), series_lines(lambda: sparse * dense)
+    assert (dense * sparse).dump() == (sparse * dense).dump()
+    assert abs(one - other) <= 1  # the swap itself
+
+
 # Fractions whose denominators often divide the int coefficients of `coeffs`
 scalars = st.one_of(st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6)),
                     st.integers(-6, 6))
@@ -681,7 +775,8 @@ def _per_pair_route(monkeypatch):
                      ("subs", _ref_subs), ("deriv", _ref_deriv)):
         monkeypatch.setattr(MarkerPoly, name, fn)
     for name, fn in (("__mul__", _ref_series_mul), ("__rmul__", _ref_series_mul),
-                     ("inverse", _ref_inverse), ("sqrt", _ref_sqrt)):
+                     ("inverse", _ref_inverse), ("sqrt", _ref_sqrt),
+                     ("__pow__", _ref_series_pow)):
         monkeypatch.setattr(PowerSeries, name, fn)
 
 

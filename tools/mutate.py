@@ -13,7 +13,9 @@ module with one site changed:
 
 ``--scope`` keeps only the sites inside functions or classes of those names,
 or inside the value of a module-level assignment to one of them (a table of
-rules such as ``paths._STEP_RULES``).
+rules such as ``paths._STEP_RULES``).  A dotted name such as
+``PowerSeries.__pow__`` selects one method and leaves a namesake in another
+class alone.
 For each mutant the mutated module is written into the copy, pytest runs
 there once, and the module is put back.  A mutant is killed when pytest
 fails (or runs past TIMEOUT seconds) and survives when it passes.  Everything
@@ -60,7 +62,8 @@ def sites(tree: ast.AST, scope: set) -> list:
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             owners = tuple(name.id for target in targets for name in ast.walk(target)
                            if isinstance(name, ast.Name))
-        if not scope or scope.intersection(owners):
+        dotted = {".".join(owners[:k]) for k in range(2, len(owners) + 1)}
+        if not scope or scope.intersection(owners) or scope.intersection(dotted):
             if isinstance(node, (ast.BinOp, ast.AugAssign)) and type(node.op) in _FLIP:
                 found.append((node, None, owners))
             elif isinstance(node, ast.Compare):
@@ -112,7 +115,8 @@ def main(argv=None) -> int:
     parser.add_argument("seed", type=int, help="seed of the draw")
     parser.add_argument("--scope", nargs="+", default=[],
                         help="only sites inside functions, classes or module-level "
-                             "assignments of these names")
+                             "assignments of these names, or of dotted names such as "
+                             "Class.method")
     argv = sys.argv[1:] if argv is None else list(argv)
     cut = argv.index("--") if "--" in argv else len(argv)
     args = parser.parse_args(argv[:cut])
